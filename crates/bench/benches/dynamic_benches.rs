@@ -3,16 +3,11 @@
 //! {sample-only, 1:1, update-heavy}, comparing
 //!
 //! * `fenwick` — [`FenwickSampler`], `O(log n)` update and draw,
-//! * `alias-rebuild` — [`RebuildingAliasSampler`], `O(1)` draws but an
-//!   `O(n)` rebuild after any update,
-//! * `sharded-arena` — [`ShardedArena`] with 16 shards,
 //! * `one-shot` — the paper's `LogBiddingSelector` re-scanning the
 //!   fitness vector per draw (no auxiliary structure).
 //!
-//! The headline expectation (asserted by the `dynamic_quick` binary): at
-//! `n = 2^16` with a 1:1 update:sample ratio the Fenwick engine beats the
-//! alias rebuild by well over an order of magnitude, because the alias
-//! sampler pays `O(n)` per round.
+//! The incremental-vs-rebuild question is gated by `publish_quick`
+//! (Fenwick patch vs full rebuild at `n = 2^16`, 1 % dirty).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -20,7 +15,7 @@ use std::time::Duration;
 use lrb_bench::dynamic_workload::{mixed_round, workload};
 use lrb_core::parallel::LogBiddingSelector;
 use lrb_core::{Fitness, Selector};
-use lrb_dynamic::{FenwickSampler, RebuildingAliasSampler, ShardedArena};
+use lrb_dynamic::FenwickSampler;
 use lrb_rng::{MersenneTwister64, RandomSource, SeedableSource};
 
 fn bench_dynamic_engines(c: &mut Criterion) {
@@ -28,8 +23,7 @@ fn bench_dynamic_engines(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(150));
     group.measurement_time(Duration::from_millis(400));
 
-    // 2^8 … 2^20; alias-rebuild is skipped at the largest sizes × heavy
-    // ratios where a single measurement would take minutes.
+    // 2^8 … 2^20; the O(n)-per-draw one-shot baseline stops at 2^16.
     for &n in &[1usize << 8, 1 << 12, 1 << 16, 1 << 20] {
         for &updates in &[0usize, 1, 8] {
             let label = format!("n{n}_u{updates}");
@@ -39,22 +33,6 @@ fn bench_dynamic_engines(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("fenwick", &label), &(), |b, _| {
                 b.iter(|| mixed_round(&mut fenwick, updates, &mut rng))
             });
-
-            let mut arena = ShardedArena::from_weights(workload(n), 16).unwrap();
-            let mut rng = MersenneTwister64::seed_from_u64(2);
-            group.bench_with_input(BenchmarkId::new("sharded-arena", &label), &(), |b, _| {
-                b.iter(|| mixed_round(&mut arena, updates, &mut rng))
-            });
-
-            // The O(n)-per-update engines get too slow to time in-bench at
-            // n = 2^20 with updates in the loop.
-            if n <= 1 << 16 || updates == 0 {
-                let mut alias = RebuildingAliasSampler::from_weights(workload(n)).unwrap();
-                let mut rng = MersenneTwister64::seed_from_u64(3);
-                group.bench_with_input(BenchmarkId::new("alias-rebuild", &label), &(), |b, _| {
-                    b.iter(|| mixed_round(&mut alias, updates, &mut rng))
-                });
-            }
 
             if n <= 1 << 16 {
                 // One-shot baseline: mutate the raw weights, then run the
@@ -78,39 +56,5 @@ fn bench_dynamic_engines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_sampling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dynamic_batch");
-    group.warm_up_time(Duration::from_millis(150));
-    group.measurement_time(Duration::from_millis(400));
-    let n = 1usize << 14;
-    let arena = ShardedArena::from_weights(workload(n), 16).unwrap();
-    let fenwick = FenwickSampler::from_weights(workload(n)).unwrap();
-    for &trials in &[1_000u64, 10_000] {
-        group.bench_with_input(
-            BenchmarkId::new("arena_batch", trials),
-            &trials,
-            |b, &trials| {
-                let mut seed = 0u64;
-                b.iter(|| {
-                    seed = seed.wrapping_add(1);
-                    lrb_dynamic::batch_sample_counts(&arena, trials, seed).unwrap()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fenwick_batch", trials),
-            &trials,
-            |b, &trials| {
-                let mut seed = 0u64;
-                b.iter(|| {
-                    seed = seed.wrapping_add(1);
-                    lrb_dynamic::batch_sample_counts(&fenwick, trials, seed).unwrap()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dynamic_engines, bench_batch_sampling);
+criterion_group!(benches, bench_dynamic_engines);
 criterion_main!(benches);

@@ -6,8 +6,8 @@
 //!         --max-p99-us 5000 --json 1]
 //! ```
 //!
-//! Spins up a [`ShardedService`] fronted by a [`ServiceServer`] (UDS on
-//! Unix, TCP loopback elsewhere) with per-shard publisher threads and a
+//! Spins up a [`ShardedService`] fronted by a [`ServiceServer`] on a
+//! Unix-domain socket, with per-shard publisher threads and a
 //! background writer churning weights, then drives it with the **open-loop**
 //! [`service_workload`](lrb_bench::service_workload) driver: request `j` is
 //! scheduled at `start + j/rate` and latency is measured from that scheduled
@@ -39,12 +39,13 @@
 //! * `service_pipeline_speedup` — the pipelined client must push at least
 //!   `--min-pipeline-speedup`× the serialized client's single-draw
 //!   throughput on one connection (closed loop, batch 1).
-//! * `service_batch_speedup` — the in-process v2 parallel batch planner
-//!   must push at least `--min-batch-speedup`× the v1 sequential oracle's
-//!   draw throughput at `--plan-batch` draws per batch (fenwick pinned on
-//!   both sides). **Core-gated**: enforced only when the host has at
-//!   least 4 threads — on fewer cores the fan-out pool has no parallelism
-//!   to spend and the margin is advisory.
+//! * `service_batch_speedup` — the in-process batch planner at its auto
+//!   fan-out lane count must push at least `--min-batch-speedup`× the
+//!   same planner's draw throughput held to one lane, at `--plan-batch`
+//!   draws per batch (fenwick pinned on both sides). **Core-gated**:
+//!   enforced only when the host has at least 4 threads — on fewer cores
+//!   the fan-out pool has no parallelism to spend and the margin is
+//!   advisory.
 //! * `service_batch_speedup_pinned` — advisory only: the same comparison
 //!   with the parallel side's threads pinned via
 //!   [`CoreMap::Spread`], reported so the
@@ -75,7 +76,6 @@ struct QuickReport {
     categories: u64,
     shards: u64,
     publish_interval_ms: u64,
-    transport: String,
     max_p99_us: f64,
     max_fanin_p99_us: f64,
     max_threads: f64,
@@ -236,20 +236,9 @@ fn main() {
     )
     .expect("service construction cannot fail for linear weights");
 
-    #[cfg(unix)]
-    let (server, transport) = {
-        let path =
-            std::env::temp_dir().join(format!("lrb-service-quick-{}.sock", std::process::id()));
-        let server = ServiceServer::bind_uds(service.core(), &path, seed)
-            .expect("unix-domain bind cannot fail in temp dir");
-        (server, "uds".to_string())
-    };
-    #[cfg(not(unix))]
-    let (server, transport) = (
-        ServiceServer::bind_tcp(service.core(), "127.0.0.1:0", seed)
-            .expect("loopback bind cannot fail"),
-        "tcp".to_string(),
-    );
+    let path = std::env::temp_dir().join(format!("lrb-service-quick-{}.sock", std::process::id()));
+    let server = ServiceServer::bind_uds(service.core(), &path, seed)
+        .expect("unix-domain bind cannot fail in temp dir");
     let addr = server.local_addr().clone();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -401,9 +390,9 @@ fn main() {
         }
     );
 
-    // The planner comparison is in-process (it builds its own services);
-    // it runs after the server is down so the storm's threads don't
-    // contend with the fan-out lanes. Core-gated like the engine's reader
+    // The lane comparison is in-process (it builds its own services); it
+    // runs after the server is down so the storm's threads don't contend
+    // with the fan-out lanes. Core-gated like the engine's reader
     // scaling: with fewer than 4 host threads the pool has no parallelism
     // to spend, so the margin is recorded but advisory. Retry once on an
     // enforced miss (same jitter policy as every other gate).
@@ -436,13 +425,13 @@ fn main() {
         }
     };
     println!(
-        "  batch plan({plan_batch}) parallel {:>9.0} draws/s  sequential {:>9.0} draws/s  speedup {:.2}x  lanes {}",
-        batch_plan.parallel_rps, batch_plan.sequential_rps, batch_plan.speedup, batch_plan.lanes,
+        "  batch plan({plan_batch}) {} lanes {:>9.0} draws/s  1 lane {:>9.0} draws/s  speedup {:.2}x",
+        batch_plan.lanes, batch_plan.parallel_rps, batch_plan.one_lane_rps, batch_plan.speedup,
     );
     // Pinned advisory: same comparison with the fan-out lanes spread
     // across cores. Never enforced — pinning payoff is host- and
-    // permission-dependent (the pinner no-ops when the syscall is denied
-    // or off Linux, and `pinned_threads` records what actually stuck).
+    // permission-dependent (the pinner no-ops when the syscall is denied,
+    // and `pinned_threads` records what actually stuck).
     let batch_plan_pinned =
         measure_batch_speedup(categories, shards, plan_batch, plan_iters, CoreMap::Spread)
             .unwrap_or_else(|error| {
@@ -450,8 +439,11 @@ fn main() {
                 std::process::exit(1);
             });
     println!(
-        "  batch plan pinned          parallel {:>9.0} draws/s  speedup {:.2}x  pinned threads {}",
-        batch_plan_pinned.parallel_rps, batch_plan_pinned.speedup, batch_plan_pinned.pinned_threads,
+        "  batch plan pinned     {} lanes {:>9.0} draws/s  speedup {:.2}x  pinned threads {}",
+        batch_plan_pinned.lanes,
+        batch_plan_pinned.parallel_rps,
+        batch_plan_pinned.speedup,
+        batch_plan_pinned.pinned_threads,
     );
 
     // Every gate except the planner speedup is absolute or statistical —
@@ -515,7 +507,6 @@ fn main() {
             categories: categories as u64,
             shards: shards as u64,
             publish_interval_ms,
-            transport,
             max_p99_us,
             max_fanin_p99_us,
             max_threads,

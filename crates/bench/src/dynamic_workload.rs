@@ -1,7 +1,6 @@
 //! The shared mutate-and-sample workload used by the dynamic-selection
-//! benches, the `dynamic_quick` regression gate and the `dynamic_updates`
-//! example — one definition so the CI gate, the criterion sweep and the
-//! example all measure the same regime.
+//! benches and the `dynamic_updates` example — one definition so the
+//! criterion sweep and the example measure the same regime.
 
 use std::time::Instant;
 

@@ -13,8 +13,7 @@
 //! * [`cli`] — a tiny argument parser shared by the three experiment
 //!   binaries (`table1`, `table2`, `theorem1`).
 //! * [`dynamic_workload`] — the shared mutate-and-sample churn workload
-//!   behind the dynamic benches, the `dynamic_quick` gate and the
-//!   `dynamic_updates` example.
+//!   behind the dynamic benches and the `dynamic_updates` example.
 //! * [`engine_workload`] — the closed-loop reader/writer throughput driver
 //!   for the `lrb-engine` serving layer, behind the `engine_quick` gate and
 //!   the `BENCH_engine.json` baseline.

@@ -398,11 +398,11 @@ pub fn measure_pipeline_speedup(
     })
 }
 
-/// In-process comparison of the v2 parallel batch planner against the v1
-/// sequential oracle: same weights, same per-shard engines (fenwick
-/// pinned — see [`measure_batch_speedup`]), draws measured through
-/// [`ServiceCore::draw_into_with_plan`] with a warm
-/// [`DrawPlan`](lrb_service::DrawPlan) on each side.
+/// In-process comparison of the batch planner at its auto lane count
+/// against the same planner held to one lane: same weights, same
+/// per-shard engines (fenwick pinned — see [`measure_batch_speedup`]),
+/// draws measured through [`ServiceCore::draw_into_with_plan`] with a
+/// warm [`DrawPlan`](lrb_service::DrawPlan) on each side.
 ///
 /// [`ServiceCore::draw_into_with_plan`]: lrb_service::ServiceCore::draw_into_with_plan
 #[derive(Debug, Clone, Serialize)]
@@ -422,20 +422,20 @@ pub struct BatchPlanReport {
     /// policy is [`CoreMap::None`](lrb_service::CoreMap::None) or the
     /// host refuses the syscall).
     pub pinned_threads: u64,
-    /// Parallel-planner draws per second.
+    /// Auto-lane planner draws per second.
     pub parallel_rps: f64,
-    /// Sequential-oracle draws per second.
-    pub sequential_rps: f64,
-    /// `parallel_rps / sequential_rps`.
+    /// One-lane planner draws per second.
+    pub one_lane_rps: f64,
+    /// `parallel_rps / one_lane_rps`.
     pub speedup: f64,
 }
 
-/// Measure [`BatchPlanReport`]: two identical in-process services — one on
-/// [`RouteLayout::V2Parallel`](lrb_service::RouteLayout::V2Parallel) with
-/// auto fan-out, one on
-/// [`RouteLayout::V1Sequential`](lrb_service::RouteLayout::V1Sequential) —
+/// Measure [`BatchPlanReport`]: two identical in-process services — one
+/// with auto fan-out (`fanout_workers: 0`), one held to a single lane
+/// (`fanout_workers: 1`, every fill inline on the submitting thread) —
 /// each timed over `iters` warm batches of `batch` draws (best of two
-/// rounds per side).
+/// rounds per side). Both run the same layout, so their draws are
+/// bit-identical and only the lane count differs.
 ///
 /// Both sides pin the **fenwick** backend: under the auto heuristic a
 /// draw-only workload drifts to stochastic acceptance, whose O(1) fills
@@ -450,28 +450,27 @@ pub fn measure_batch_speedup(
 ) -> Result<BatchPlanReport, ServiceError> {
     use lrb_engine::{BackendChoice, EngineConfig};
     use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-    use lrb_service::{DrawPlan, RouteLayout, ServiceConfig, ShardedService};
+    use lrb_service::{DrawPlan, ServiceConfig, ShardedService};
 
     let weights: Vec<f64> = (0..categories).map(|i| ((i % 97) + 1) as f64).collect();
     let engine = EngineConfig {
         backend: BackendChoice::Fixed("fenwick"),
         ..EngineConfig::default()
     };
-    let build = |layout: RouteLayout, core_map: lrb_service::CoreMap| {
+    let build = |fanout_workers: usize, core_map: lrb_service::CoreMap| {
         ShardedService::new(
             weights.clone(),
             ServiceConfig {
                 shards,
                 engine: engine.clone(),
-                route_layout: layout,
-                fanout_workers: 0,
+                fanout_workers,
                 core_map,
                 ..ServiceConfig::default()
             },
         )
     };
-    let parallel = build(RouteLayout::V2Parallel, core_map)?;
-    let sequential = build(RouteLayout::V1Sequential, lrb_service::CoreMap::None)?;
+    let parallel = build(0, core_map)?;
+    let one_lane = build(1, lrb_service::CoreMap::None)?;
 
     let mut out = vec![0usize; batch.max(1)];
     let iters = iters.max(1);
@@ -499,7 +498,7 @@ pub fn measure_batch_speedup(
     };
 
     let parallel_rps = time_side(&parallel, 0x5eed_0001);
-    let sequential_rps = time_side(&sequential, 0x5eed_0002);
+    let one_lane_rps = time_side(&one_lane, 0x5eed_0002);
     Ok(BatchPlanReport {
         categories: categories as u64,
         shards: shards as u64,
@@ -508,8 +507,8 @@ pub fn measure_batch_speedup(
         lanes: parallel.fanout_lanes() as u64,
         pinned_threads: parallel.pinner().pinned_threads(),
         parallel_rps,
-        sequential_rps,
-        speedup: parallel_rps / sequential_rps.max(f64::MIN_POSITIVE),
+        one_lane_rps,
+        speedup: parallel_rps / one_lane_rps.max(f64::MIN_POSITIVE),
     })
 }
 
@@ -607,7 +606,7 @@ mod tests {
         assert_eq!(report.batch, 512);
         assert!(report.lanes >= 1);
         assert!(report.parallel_rps > 0.0);
-        assert!(report.sequential_rps > 0.0);
+        assert!(report.one_lane_rps > 0.0);
         assert!(report.speedup > 0.0);
     }
 

@@ -1,8 +1,8 @@
 //! The shared deterministic batch kernel: run many independent draws at
 //! once, parallelised over disjoint chunks of one output buffer.
 //!
-//! The probability experiments (Tables I and II), the dynamic samplers'
-//! batch APIs and the `lrb-engine` snapshot readers all need millions of
+//! The probability experiments (Tables I and II) and the `lrb-engine`
+//! snapshot readers need millions of
 //! independent selections from one frozen state. They all reuse the one
 //! [`BatchDriver`] here: the output buffer is split into fixed-size chunks,
 //! chunk `c` draws from its own counter-based Philox substream
@@ -25,8 +25,8 @@ use crate::traits::Selector;
 /// that realistic batches produce many chunks to fan out over.
 pub const DEFAULT_CHUNK_SIZE: u64 = 1024;
 
-/// The deterministic Philox-substream batch driver shared by `lrb-core`,
-/// `lrb-dynamic` and `lrb-engine`.
+/// The deterministic Philox-substream batch driver shared by `lrb-core`
+/// and `lrb-engine`.
 ///
 /// # Example
 ///

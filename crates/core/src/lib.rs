@@ -26,8 +26,11 @@
 //!   ([`BatchDriver`](batch::BatchDriver)): buffer chunks filled from
 //!   counter-based Philox substreams through the traits' `select_into` /
 //!   `sample_into` primitives, schedule-independent at any thread count.
-//!   `lrb-dynamic` batches, `ShardedArena::sample_batch` and the
-//!   `lrb-engine` snapshot batches all run on it.
+//!   The probability experiments and the `lrb-engine` snapshot batches
+//!   run on it.
+//! * [`sharding`] — the level-one shard-total layer (lock-free per-shard
+//!   totals and a Fenwick cut over them) behind `lrb-service`'s two-level
+//!   draws.
 //! * [`analysis`] — closed-form selection probabilities of the independent
 //!   roulette, used to print the "analytic" column next to the empirical one.
 //! * [`without_replacement`] — Efraimidis–Spirakis weighted sampling without

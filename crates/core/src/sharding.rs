@@ -1,12 +1,11 @@
-//! The shared **shard-total layer** behind every two-level draw.
+//! The **shard-total layer** behind every two-level draw.
 //!
-//! Both the sharded dynamic arena (`lrb_dynamic::ShardedArena`) and the
-//! sharded selection service (`lrb-service`) partition the category space
-//! into contiguous shards and draw in two levels: pick the owning shard by
-//! total weight, then delegate the in-shard inverse-CDF descent — one
-//! uniform variate for the whole walk, so the composite distribution is
-//! exactly `F_i = w_i / Σ w_j`, identical to a flat tree over the same
-//! weights. This module is the level-one machinery they share:
+//! The sharded selection service (`lrb-service`) partitions the category
+//! space into contiguous shards and draws in two levels: pick the owning
+//! shard with probability proportional to its total weight, then draw
+//! inside it from the shard's own snapshot — so the composite
+//! distribution is exactly `F_i = w_i / Σ w_j`, the same law as a flat
+//! sampler over every weight. This module is the level-one machinery:
 //!
 //! * [`ShardTotals`] — per-shard total weights published as `f64` bits in
 //!   cache-padded atomics. Writers refresh their shard's cell after each
@@ -16,9 +15,10 @@
 //!   `O(log S)` descent (the paper's tree, one level up). A cut is built
 //!   once per draw batch and serves every pick in it.
 //!
-//! A pick returns the landing shard *and the residual mass* inside it, so
-//! the caller can continue the very same draw down the shard's own sampler
-//! (`residual / shard_total` is the uniform the in-shard descent expects).
+//! A pick returns the landing shard *and the residual mass* inside it
+//! (`residual / shard_total` is a uniform the in-shard draw could reuse);
+//! the service discards it and draws the second level from its own
+//! stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,8 +93,8 @@ impl ShardTotals {
 
     /// Freeze one consistent-enough cut of the totals into the level-one
     /// Fenwick (each cell is read atomically; cells move independently, so
-    /// the cut is the standard lock-free approximation both users accept —
-    /// exact whenever no writer races the snapshot).
+    /// the cut is the standard lock-free approximation the service accepts
+    /// — exact whenever no writer races the snapshot).
     pub fn cut(&self) -> TotalsCut {
         TotalsCut::from_totals(self.snapshot())
     }

@@ -108,8 +108,8 @@ pub trait PreparedSampler: Send + Sync {
 /// motivating workload — ant colony construction — mutates the fitness
 /// vector every round, and rebuilding a prepared sampler from scratch after
 /// every change costs `O(n)`. Implementations in the `lrb-dynamic` crate
-/// support `O(log n)` point updates (Fenwick tree), amortised rebuilds
-/// (dirty-tracked alias tables) and sharded concurrent updates.
+/// support `O(log n)` point updates (Fenwick tree) and `O(1)` typical
+/// updates (stochastic acceptance).
 ///
 /// The trait is object-safe; the random source is passed as
 /// `&mut dyn RandomSource` just like [`Selector::select`].
@@ -178,7 +178,7 @@ pub trait DynamicSampler: Send + Sync {
     ///
     /// The default loops over [`sample`](DynamicSampler::sample); samplers
     /// with per-draw setup (the Fenwick total, the stochastic-acceptance
-    /// regime check, the alias sampler's cache lock) override it to hoist
+    /// regime check) override it to hoist
     /// that work out of the loop. Overrides must consume randomness exactly
     /// like the one-at-a-time path, so a buffer fill and a `sample` loop on
     /// identically seeded generators agree draw for draw.
@@ -203,20 +203,6 @@ pub trait DynamicSampler: Send + Sync {
         let mut out = vec![0usize; count];
         self.sample_into(rng, &mut out)?;
         Ok(out)
-    }
-
-    /// A consistent copy of every current weight, `weights[i] = weight(i)`.
-    ///
-    /// This is the hand-off point between the mutable samplers and the
-    /// snapshot-isolated serving path: batch sampling and the `lrb-engine`
-    /// snapshots freeze this vector and draw against the frozen copy, so a
-    /// concurrent (or interleaved) update can never tear a batch.
-    ///
-    /// The default reads the weights one by one, which is consistent for
-    /// single-owner samplers; internally locked samplers (e.g. a sharded
-    /// arena) must override it to take a mutually consistent cut.
-    fn snapshot_weights(&self) -> Vec<f64> {
-        (0..self.len()).map(|i| self.weight(i)).collect()
     }
 }
 
@@ -414,14 +400,6 @@ mod tests {
             Err(SelectionError::AllZeroFitness)
         ));
         assert!(boxed.update(0, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn snapshot_weights_default_copies_every_weight() {
-        let sampler = TwoWeights {
-            weights: [1.5, 2.5],
-        };
-        assert_eq!(sampler.snapshot_weights(), vec![1.5, 2.5]);
     }
 
     #[test]

@@ -13,21 +13,16 @@
 //!   exact `F_i = f_i / Σ f_j` probabilities, `O(log n)` per draw **and**
 //!   `O(log n)` per single-weight update. The workhorse for
 //!   mutate-and-sample traffic.
-//! * [`RebuildingAliasSampler`] — Vose's alias method wrapped with dirty
-//!   tracking: `O(1)` draws while the weights rest, a deferred `O(n)` rebuild
-//!   on the first draw after a change. The right tool when updates are rare
-//!   and draws dominate, and the baseline the benches compare against.
 //! * [`StochasticAcceptanceSampler`] — stochastic acceptance (Lipowski &
 //!   Lipowska): `O(1)` expected draws by rejection against the maximum
 //!   weight, `O(1)` typical updates, with an exact linear-scan fallback for
 //!   degenerate (single-survivor or extremely skewed) weight vectors. The
 //!   cheapest backend when the weights are balanced.
-//! * [`ShardedArena`] — a concurrent engine that partitions the categories
-//!   across independently locked shards (each holding a [`FenwickSampler`]),
-//!   samples a shard by total weight and then delegates within it. Supports
-//!   deterministic rayon batch sampling through the shared
-//!   `lrb_core::batch::BatchDriver` (one Philox substream per buffer
-//!   chunk — the same determinism contract as `lrb_core::batch`).
+//!
+//! Both are also `lrb-engine` snapshot backends: the engine freezes them
+//! per publish and serves deterministic batches through
+//! `Snapshot::batch_indices`, and `lrb-service` shards the category space
+//! one level up.
 //!
 //! ## Quickstart
 //!
@@ -49,16 +44,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod batch;
 pub mod fenwick;
-pub mod rebuilding_alias;
 pub mod stochastic_acceptance;
 
-pub use arena::ShardedArena;
-pub use batch::{batch_sample_counts, batch_sample_indices};
 pub use fenwick::FenwickSampler;
-pub use rebuilding_alias::RebuildingAliasSampler;
 pub use stochastic_acceptance::StochasticAcceptanceSampler;
 
 use lrb_core::error::SelectionError;
@@ -77,25 +66,15 @@ mod tests {
     use lrb_core::{DynamicSampler, Fitness};
     use lrb_rng::{MersenneTwister64, SeedableSource};
 
-    use crate::{
-        FenwickSampler, RebuildingAliasSampler, ShardedArena, StochasticAcceptanceSampler,
-    };
+    use crate::{FenwickSampler, StochasticAcceptanceSampler};
 
     /// Every engine in the crate, behind the object-safe trait.
     fn engines(fitness: &Fitness) -> Vec<(&'static str, Box<dyn DynamicSampler>)> {
         vec![
             ("fenwick", Box::new(FenwickSampler::from_fitness(fitness))),
             (
-                "rebuilding-alias",
-                Box::new(RebuildingAliasSampler::from_fitness(fitness)),
-            ),
-            (
                 "stochastic-acceptance",
                 Box::new(StochasticAcceptanceSampler::from_fitness(fitness)),
-            ),
-            (
-                "sharded-arena",
-                Box::new(ShardedArena::from_fitness(fitness, 4)),
             ),
         ]
     }

@@ -191,9 +191,9 @@ impl FrozenBackend for FenwickBackend {
     }
 }
 
-/// A Vose alias table frozen at snapshot-build time, so readers never pay
-/// the lazy first-draw rebuild that `RebuildingAliasSampler` would do under
-/// its internal mutex.
+/// A Vose alias table frozen at snapshot-build time: the table is built
+/// once per publish, so readers never pay a rebuild and share it without
+/// a lock.
 struct FrozenAlias {
     weights: Vec<f64>,
     total: f64,

@@ -285,7 +285,7 @@ impl Snapshot {
     /// [`BatchDriver`]: rayon-parallel and deterministic — each buffer chunk
     /// uses its own counter-based Philox substream, so the result is a pure
     /// function of `(snapshot, master_seed, trials)` regardless of thread
-    /// count, the same contract as `lrb_dynamic::batch_sample_indices`.
+    /// count (the [`BatchDriver`] contract).
     pub fn batch_indices(
         &self,
         trials: u64,

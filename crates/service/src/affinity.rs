@@ -21,8 +21,8 @@
 //! 2. otherwise the [`CoreMap`] from `ServiceConfig` applies;
 //! 3. the default is [`CoreMap::None`] — pinning is strictly opt-in.
 //!
-//! **Failure is always graceful.** On non-Linux targets, when
-//! `/sys/devices/system/cpu` is unreadable, when a named core does not
+//! **Failure is always graceful.** When `/sys/devices/system/cpu` is
+//! unreadable, when a named core does not
 //! exist, or when `sched_setaffinity` is denied (e.g. a container's
 //! seccomp/cpuset policy), [`Pinner::pin_current`] reports `None` and the
 //! thread simply runs unpinned — the service never degrades because the
@@ -77,12 +77,12 @@ pub struct Topology {
 impl Topology {
     /// Discover the host topology.
     ///
-    /// On Linux this parses `/sys/devices/system/cpu/online` for the
-    /// online CPU set and `/sys/devices/system/node/node*/cpulist` for
-    /// node membership (absent node directories mean a single-node host).
-    /// Elsewhere — or when sysfs is unreadable — it falls back to
-    /// `available_parallelism` cores on one node, which keeps `Spread`
-    /// meaningful even without sysfs (the pin itself may still no-op).
+    /// This parses `/sys/devices/system/cpu/online` for the online CPU set
+    /// and `/sys/devices/system/node/node*/cpulist` for node membership
+    /// (absent node directories mean a single-node host). When sysfs is
+    /// unreadable it falls back to `available_parallelism` cores on one
+    /// node, which keeps `Spread` meaningful even without sysfs (the pin
+    /// itself may still no-op).
     pub fn discover() -> Self {
         Self::from_sysfs("/sys").unwrap_or_else(Self::fallback)
     }
@@ -237,7 +237,7 @@ impl Pinner {
 
     /// Pin the calling thread to the next core in the rotation. Returns
     /// the core id on success, `None` when pinning is disabled or the
-    /// syscall refused the mask (non-Linux, denied, unknown core) — in
+    /// syscall refused the mask (denied, unknown core) — in
     /// every failure mode the thread just keeps running unpinned.
     pub fn pin_current(&self) -> Option<usize> {
         if self.cores.is_empty() {
@@ -269,7 +269,6 @@ impl Pinner {
 /// copies the mask in and holds no reference past the call. A failed call
 /// returns -1 with `errno` set and changes nothing. No pointers outlive
 /// the call, no fds are created.
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod sys {
     use std::os::raw::{c_int, c_ulong};
@@ -297,15 +296,6 @@ mod sys {
         // copies the buffer and keeps no pointer to it.
         let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
         rc == 0
-    }
-}
-
-/// Non-Linux: affinity syscalls are not portable; pinning is a no-op that
-/// reports failure so callers (and telemetry) see exactly what happened.
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    pub(super) fn pin_to_core(_core: usize) -> bool {
-        false
     }
 }
 
@@ -367,7 +357,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn pinning_to_a_real_core_sticks_when_permitted() {
         // Pin to the first online core. Containers may deny the syscall;
         // both outcomes are legal, but they must agree with the counter.

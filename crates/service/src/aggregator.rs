@@ -6,8 +6,8 @@
 //! The shape is classic flat combining with channels instead of a
 //! publication list: a caller enqueues a reply slot, then tries to become
 //! the **combiner** (a `try_lock` on the shared RNG). Whoever holds the
-//! combiner lock drains the queue in [`max_batch`](DrawAggregator::max_batch)
-//! chunks, serves each chunk with **one** two-level batched draw
+//! combiner lock drains the queue in chunks of at most `COMBINE_CHUNK`
+//! draws, serves each chunk with **one** two-level batched draw
 //! ([`ServiceCore::draw_into`]), and posts every result back. Callers that
 //! lose the race just wait on their reply channel, re-contending for the
 //! combiner role on a short timeout so a combiner that drained the queue a
@@ -27,6 +27,10 @@ use crate::sharded::ServiceCore;
 /// the combiner role.
 const RECONTEND: Duration = Duration::from_micros(200);
 
+/// Largest number of queued draws one combiner pass serves with a single
+/// batched fill.
+const COMBINE_CHUNK: usize = 64;
+
 /// Coalesces concurrent single draws into batched two-level draws. See the
 /// module docs for the protocol.
 #[derive(Debug)]
@@ -37,8 +41,6 @@ pub struct DrawAggregator {
     /// The combiner role: whoever holds it owns the service-side RNG and
     /// must drain the queue before releasing it.
     combiner: Mutex<MersenneTwister64>,
-    /// Largest number of draws served by one batched fill.
-    pub max_batch: usize,
 }
 
 impl DrawAggregator {
@@ -49,7 +51,6 @@ impl DrawAggregator {
             core,
             queue: Mutex::new(VecDeque::new()),
             combiner: Mutex::new(MersenneTwister64::seed_from_u64(seed)),
-            max_batch: 64,
         }
     }
 
@@ -107,13 +108,13 @@ impl DrawAggregator {
         }
     }
 
-    /// Drain the queue in `max_batch` chunks, serving each with one
+    /// Drain the queue in [`COMBINE_CHUNK`] chunks, serving each with one
     /// batched two-level draw. Runs under the combiner lock.
     fn combine(&self, rng: &mut MersenneTwister64) {
         loop {
             let batch: Vec<SyncSender<Result<usize, SelectionError>>> = {
                 let mut queue = self.queue.lock().expect("aggregator queue poisoned");
-                let take = queue.len().min(self.max_batch);
+                let take = queue.len().min(COMBINE_CHUNK);
                 queue.drain(..take).collect()
             };
             if batch.is_empty() {

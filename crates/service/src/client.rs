@@ -39,7 +39,6 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
@@ -98,7 +97,6 @@ pub struct ClientStats {
 
 enum Transport {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(UnixStream),
 }
 
@@ -106,7 +104,6 @@ impl Read for Transport {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             Transport::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             Transport::Unix(s) => s.read(buf),
         }
     }
@@ -116,7 +113,6 @@ impl Write for Transport {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             Transport::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             Transport::Unix(s) => s.write(buf),
         }
     }
@@ -124,7 +120,6 @@ impl Write for Transport {
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Transport::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             Transport::Unix(s) => s.flush(),
         }
     }
@@ -152,7 +147,6 @@ impl std::fmt::Debug for ServiceClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self.transport {
             Some(Transport::Tcp(_)) => "tcp",
-            #[cfg(unix)]
             Some(Transport::Unix(_)) => "unix",
             None => "disconnected",
         };
@@ -181,7 +175,6 @@ impl ServiceClient {
 
     /// Connect over a Unix-domain socket with the default (legacy)
     /// [`ClientConfig`].
-    #[cfg(unix)]
     pub fn connect_uds(path: impl AsRef<Path>) -> Result<Self, ServiceError> {
         Self::connect_with(
             &ServerAddr::Unix(path.as_ref().to_path_buf()),
@@ -235,7 +228,6 @@ impl ServiceClient {
                 Self::apply_deadline_tcp(&stream, config)?;
                 Ok(Transport::Tcp(stream))
             }
-            #[cfg(unix)]
             ServerAddr::Unix(path) => {
                 let stream = UnixStream::connect(path)?;
                 stream.set_read_timeout(config.deadline)?;

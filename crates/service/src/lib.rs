@@ -15,6 +15,11 @@
 //! against the engine's fused batch path, and pipelined runs of draws
 //! per connection coalescing into fused batches.
 //!
+//! The crate is **Linux-only**: the reactor is built on `epoll` and the
+//! pinning on `sched_setaffinity`, and a build for any other target stops
+//! with a compile error. The library crates below it (`lrb-core`,
+//! `lrb-engine`, `lrb-dynamic`, `lrb-durable`, …) stay portable.
+//!
 //! * [`ShardedService`] / [`ServiceCore`] — the in-process sharded core:
 //!   partitioning, two-level draws, cross-shard atomic update batches,
 //!   per-shard publisher threads, merged metrics. Batched draws run
@@ -24,7 +29,7 @@
 //!   bit-deterministic at any lane count and allocation-free once warm.
 //! * [`affinity`] — core topology discovery and opt-in
 //!   [`CoreMap`]-driven pinning of the service's long-lived threads
-//!   (`LRB_PIN` overrides; a graceful no-op off Linux).
+//!   (`LRB_PIN` overrides; a graceful no-op when the host refuses).
 //! * [`DrawAggregator`] — flat combining for single draws.
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
 //!   [`protocol`] for the frame format).
@@ -63,6 +68,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("lrb-service runs on Linux only: its reactor is built on epoll");
+
 pub mod affinity;
 pub mod aggregator;
 pub mod client;
@@ -80,7 +88,5 @@ pub use aggregator::DrawAggregator;
 pub use client::{ClientConfig, ClientStats, ServiceClient};
 pub use error::ServiceError;
 pub use server::{ServerAddr, ServerConfig, ServiceServer};
-pub use sharded::{
-    DrawPlan, RouteLayout, ServiceConfig, ServiceCore, ShardedService, ROUTE_LAYOUT_VERSION,
-};
+pub use sharded::{DrawPlan, ServiceConfig, ServiceCore, ShardedService, ROUTE_LAYOUT_VERSION};
 pub use telemetry::{ServiceEvent, ServiceTelemetry, SERVICE_JOURNAL_CAPACITY};

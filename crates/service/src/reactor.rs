@@ -42,12 +42,10 @@
 //!   elsewhere, and its fields are only ever copied out, never
 //!   referenced.
 
-#[cfg(target_os = "linux")]
 pub(crate) use imp::{
     run_reactor, run_worker, JobQueue, ReactorContext, ReactorShared, Registration, Socket,
 };
 
-#[cfg(target_os = "linux")]
 mod imp {
     use std::collections::{HashMap, VecDeque};
     use std::fs::File;
@@ -554,7 +552,6 @@ mod imp {
 
 /// Raw epoll/eventfd syscall surface — the audited unsafe island (see the
 /// module docs for the safety argument).
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 pub(crate) mod sys {
     use std::fs::File;

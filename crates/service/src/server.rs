@@ -1,14 +1,13 @@
 //! The request layer: an event-driven TCP/UDS server speaking the
 //! length-prefixed binary protocol of [`crate::protocol`].
 //!
-//! On Linux the server runs [`ServerConfig::reactors`] epoll reactor
-//! threads (the private `reactor` module) multiplexing every connection, plus a
-//! small worker pool that executes decoded frames against the shard /
+//! The server runs [`ServerConfig::reactors`] epoll reactor threads (the
+//! private `reactor` module) multiplexing every connection, plus a small
+//! worker pool that executes decoded frames against the shard /
 //! aggregator machinery — total thread count is **O(reactors + workers +
 //! shards)** regardless of how many connections are open. Connections are
 //! nonblocking; idle ones cost nothing (no poll-loop wakeups, no thread
-//! stacks). On other platforms a blocking thread-per-connection fallback
-//! keeps the same wire behaviour.
+//! stacks).
 //!
 //! Request execution semantics per connection:
 //!
@@ -29,7 +28,6 @@
 //! [`ServiceEvent::SlowConsumer`]: crate::telemetry::ServiceEvent
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,13 +114,11 @@ pub enum ServerAddr {
     Tcp(SocketAddr),
     /// A Unix-domain socket path (use with
     /// [`crate::ServiceClient::connect_uds`]).
-    #[cfg(unix)]
     Unix(PathBuf),
 }
 
 enum Incoming {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix(UnixListener),
 }
 
@@ -177,7 +173,6 @@ impl ServiceServer {
 
     /// Bind a Unix-domain socket at `path` (removed on shutdown) and start
     /// serving `core` with default sizing.
-    #[cfg(unix)]
     pub fn bind_uds(
         core: Arc<ServiceCore>,
         path: impl Into<PathBuf>,
@@ -187,7 +182,6 @@ impl ServiceServer {
     }
 
     /// [`bind_uds`](Self::bind_uds) with explicit [`ServerConfig`] knobs.
-    #[cfg(unix)]
     pub fn bind_uds_with(
         core: Arc<ServiceCore>,
         path: impl Into<PathBuf>,
@@ -254,10 +248,6 @@ impl ServiceServer {
     /// abandoned in the journaled
     /// [`ServiceEvent::Drained`](crate::ServiceEvent::Drained) (one entry
     /// per reactor). Also safe to call after a shutdown (no-op).
-    ///
-    /// On non-Linux hosts (the thread-per-connection fallback) this is
-    /// plain [`shutdown`](Self::shutdown): in-flight requests there
-    /// complete on their own threads anyway.
     pub fn shutdown_within(&mut self, deadline: Duration) {
         if self.stop_accepting() {
             self.runtime.shutdown_within(deadline);
@@ -277,7 +267,6 @@ impl ServiceServer {
             ServerAddr::Tcp(addr) => {
                 let _ = TcpStream::connect_timeout(addr, SHUTDOWN_CONNECT_TIMEOUT);
             }
-            #[cfg(unix)]
             ServerAddr::Unix(path) => {
                 let _ = UnixStream::connect(path);
             }
@@ -289,7 +278,6 @@ impl ServiceServer {
     }
 
     fn cleanup_socket(&self) {
-        #[cfg(unix)]
         if let ServerAddr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
         }
@@ -310,10 +298,9 @@ fn connection_seed(seed: u64, token: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Linux: epoll reactor runtime.
+// The epoll reactor runtime.
 // ---------------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
 struct Runtime {
     reactors: Vec<Arc<crate::reactor::ReactorShared>>,
     reactor_threads: Vec<JoinHandle<()>>,
@@ -321,7 +308,6 @@ struct Runtime {
     worker_threads: Vec<JoinHandle<()>>,
 }
 
-#[cfg(target_os = "linux")]
 impl Runtime {
     fn start(
         core: Arc<ServiceCore>,
@@ -418,7 +404,6 @@ impl Runtime {
     }
 }
 
-#[cfg(target_os = "linux")]
 fn accept_loop(
     listener: Incoming,
     reactors: Arc<Vec<Arc<crate::reactor::ReactorShared>>>,
@@ -435,7 +420,6 @@ fn accept_loop(
                 s.set_nonblocking(true)?;
                 Ok(Socket::Tcp(s))
             }),
-            #[cfg(unix)]
             Incoming::Unix(l) => l.accept().and_then(|(s, _)| {
                 s.set_nonblocking(true)?;
                 Ok(Socket::Unix(s))
@@ -465,125 +449,7 @@ fn accept_loop(
 }
 
 // ---------------------------------------------------------------------------
-// Fallback (non-Linux): blocking thread-per-connection, same wire
-// behaviour, no backpressure beyond the socket buffers.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(target_os = "linux"))]
-struct Runtime {
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Runtime {
-    fn start(
-        core: Arc<ServiceCore>,
-        aggregator: Arc<DrawAggregator>,
-        listener: Incoming,
-        stop: Arc<AtomicBool>,
-        seed: u64,
-        _config: ServerConfig,
-    ) -> std::io::Result<(Self, JoinHandle<()>)> {
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let handlers = Arc::clone(&handlers);
-            std::thread::spawn(move || {
-                fallback_accept_loop(listener, core, aggregator, stop, seed, handlers)
-            })
-        };
-        Ok((Self { handlers }, accept))
-    }
-
-    fn shutdown(&mut self) {
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-
-    /// The fallback's handlers each complete their current request before
-    /// observing the stop flag, so the plain shutdown already drains.
-    fn shutdown_within(&mut self, _deadline: Duration) {
-        self.shutdown();
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn fallback_accept_loop(
-    listener: Incoming,
-    core: Arc<ServiceCore>,
-    aggregator: Arc<DrawAggregator>,
-    stop: Arc<AtomicBool>,
-    seed: u64,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    use std::io::Write;
-
-    /// Shutdown-observation latency of the blocking fallback.
-    const READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-    trait Conn: std::io::Read + Write + Send {}
-    impl Conn for TcpStream {}
-    #[cfg(unix)]
-    impl Conn for UnixStream {}
-
-    let mut next_token: u64 = 1;
-    loop {
-        let stream: std::io::Result<Box<dyn Conn>> = match &listener {
-            Incoming::Tcp(l) => l.accept().and_then(|(s, _)| {
-                s.set_nodelay(true)?;
-                s.set_read_timeout(Some(READ_TIMEOUT))?;
-                Ok(Box::new(s) as Box<dyn Conn>)
-            }),
-            #[cfg(unix)]
-            Incoming::Unix(l) => l.accept().and_then(|(s, _)| {
-                s.set_read_timeout(Some(READ_TIMEOUT))?;
-                Ok(Box::new(s) as Box<dyn Conn>)
-            }),
-        };
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let mut stream = match stream {
-            Ok(stream) => stream,
-            Err(_) => {
-                std::thread::sleep(ACCEPT_RETRY_DELAY);
-                continue;
-            }
-        };
-        let token = next_token;
-        next_token += 1;
-        let rng = Arc::new(Mutex::new(lrb_rng::SeedableSource::seed_from_u64(
-            connection_seed(seed, token),
-        )));
-        let handler = {
-            let core = Arc::clone(&core);
-            let aggregator = Arc::clone(&aggregator);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut reader = crate::protocol::FrameReader::new();
-                while !stop.load(Ordering::Acquire) {
-                    let frame = match reader.poll(&mut stream) {
-                        Ok(Some(frame)) => frame,
-                        Ok(None) => continue,
-                        Err(_) => return,
-                    };
-                    let bytes = execute_run(std::slice::from_ref(&frame), &core, &aggregator, &rng);
-                    if stream.write_all(&bytes).is_err() {
-                        return;
-                    }
-                }
-            })
-        };
-        let mut handlers = handlers.lock().expect("handler list poisoned");
-        handlers.push(handler);
-        handlers.retain(|h| !h.is_finished());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame execution (shared by the reactor workers and the fallback).
+// Frame execution (run by the reactor workers).
 // ---------------------------------------------------------------------------
 
 /// Execute a run of frames from one connection, in order, and return the

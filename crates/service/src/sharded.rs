@@ -23,27 +23,24 @@
 //! ## Batch planning: `ROUTE_LAYOUT` v2
 //!
 //! Batched draws ([`ServiceCore::draw_into`]) run through a versioned
-//! **batch planner**. The current layout, v2
-//! ([`RouteLayout::V2Parallel`]), consumes exactly **one** master `u64`
-//! from the caller's RNG and derives everything else from counter-based
-//! Philox substreams: substream 0 yields the level-one assignment
-//! uniforms, substream `1 + s` yields shard `s`'s in-shard fill stream.
-//! Because each shard's stream is independent of execution order, the
-//! per-shard fills can run **in parallel** across the service's fan-out
-//! lanes while the result stays a pure function of `(snapshots, master
-//! draw)` — bit-identical at any lane count, the same contract discipline
-//! as the engine's `STREAM_LAYOUT_VERSION = 2` batch driver. The previous
-//! sequential layout ([`RouteLayout::V1Sequential`]) threads the caller's
-//! RNG through every pick and fill in shard order; it is kept as the
-//! deterministic oracle the parity tests diff against.
+//! **batch planner**. The layout ([`ROUTE_LAYOUT_VERSION`] = 2) consumes
+//! exactly **one** master `u64` from the caller's RNG and derives
+//! everything else from counter-based Philox substreams: substream 0
+//! yields the level-one assignment uniforms, substream `1 + s` yields
+//! shard `s`'s in-shard fill stream. Because each shard's stream is
+//! independent of execution order, the per-shard fills can run **in
+//! parallel** across the service's fan-out lanes while the result stays a
+//! pure function of `(snapshots, master draw)` — bit-identical at any lane
+//! count, the same contract discipline as the engine's
+//! `STREAM_LAYOUT_VERSION = 2` batch driver. `tests/service_planner.rs`
+//! rebuilds the layout from public pieces and diffs it draw for draw.
 //!
-//! Both layouts share the same three-phase shape over a reusable
-//! [`DrawPlan`]: assign (one level-one pick per slot, counting per-shard
-//! draws), fill (per touched shard, **one** fused
-//! [`Snapshot::sample_into`] into that shard's contiguous segment of the
-//! plan's fill buffer) and a **single-pass cursor scatter** back to slot
-//! order — `O(batch + shards)`, not the old `O(shards · batch)` rescan.
-//! With a warm plan the whole path performs no allocation (see
+//! A batch runs in three phases over a reusable [`DrawPlan`]: assign (one
+//! level-one pick per slot, counting per-shard draws), fill (per touched
+//! shard, **one** fused [`Snapshot::sample_into`] into that shard's
+//! contiguous segment of the plan's fill buffer) and a **single-pass
+//! cursor scatter** back to slot order — `O(batch + shards)`. With a warm
+//! plan the whole path performs no allocation (see
 //! `tests/service_alloc.rs`).
 //!
 //! [`Snapshot::sample_into`]: lrb_engine::Snapshot::sample_into
@@ -59,7 +56,7 @@ use lrb_core::sharding::{ShardTotals, TotalsCut};
 use lrb_core::SelectionError;
 use lrb_engine::{EngineConfig, SelectionEngine};
 use lrb_obs::MetricsSnapshot;
-use lrb_rng::RandomSource;
+use lrb_rng::{Philox4x32, RandomSource};
 
 use crate::affinity::{CoreMap, Pinner};
 use crate::fanout::FanoutPool;
@@ -67,7 +64,7 @@ use crate::telemetry::ServiceTelemetry;
 
 /// Version of the batch-planner route layout (how a batch's randomness is
 /// laid out across level-one picks and per-shard fills). Bumped when the
-/// derivation changes; [`RouteLayout::V2Parallel`] is this version.
+/// derivation changes; see the module docs for the current one.
 pub const ROUTE_LAYOUT_VERSION: u32 = 2;
 
 /// Substream of the master draw that yields level-one assignment uniforms.
@@ -77,25 +74,10 @@ const ASSIGN_SUBSTREAM: u64 = 0;
 /// `SHARD_SUBSTREAM_BASE + s`.
 const SHARD_SUBSTREAM_BASE: u64 = 1;
 
-/// Batches smaller than this run their v2 fills inline even when fan-out
+/// Batches smaller than this run their fills inline even when fan-out
 /// lanes exist: below it, the hand-off latency outweighs the parallel fill
 /// (determinism is unaffected — lane count never changes results).
 const FANOUT_MIN_BATCH: usize = 1024;
-
-/// Which batch-planner layout [`ServiceCore::draw_into`] uses. See the
-/// module docs for the derivation of each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteLayout {
-    /// v1: the caller's RNG is threaded through every level-one pick and
-    /// then through each shard's fill, in shard order — strictly
-    /// sequential by construction. Kept as the parity oracle.
-    V1Sequential,
-    /// v2 (default, [`ROUTE_LAYOUT_VERSION`]): one master draw, substream
-    /// 0 for assignment, substream `1 + s` per shard — per-shard fills
-    /// are order-free and run across the fan-out lanes.
-    #[default]
-    V2Parallel,
-}
 
 /// Tuning knobs for a [`ShardedService`].
 #[derive(Debug, Clone, PartialEq)]
@@ -111,10 +93,7 @@ pub struct ServiceConfig {
     /// only through [`ServiceCore::publish_all`] /
     /// [`ServiceCore::publish_shard`].
     pub publish_interval: Option<Duration>,
-    /// Which batch-planner layout draws use (default
-    /// [`RouteLayout::V2Parallel`]; see the module docs).
-    pub route_layout: RouteLayout,
-    /// Parallel fan-out lanes for the v2 planner, **including** the
+    /// Parallel fan-out lanes for the batch planner, **including** the
     /// submitting thread (`lanes - 1` helper threads are spawned once at
     /// construction). `0` = auto: `min(shards, thread budget)`, where the
     /// thread budget is the `LRB_THREADS` environment variable when set,
@@ -134,7 +113,6 @@ impl Default for ServiceConfig {
             shards: 4,
             engine: EngineConfig::default(),
             publish_interval: None,
-            route_layout: RouteLayout::default(),
             fanout_workers: 0,
             core_map: CoreMap::None,
         }
@@ -241,9 +219,7 @@ pub struct ServiceCore {
     offsets: Vec<usize>,
     totals: ShardTotals,
     telemetry: ServiceTelemetry,
-    /// Which batch-planner layout draws run through.
-    layout: RouteLayout,
-    /// Persistent lanes for the v2 planner's parallel per-shard fills.
+    /// Persistent lanes for the batch planner's parallel per-shard fills.
     fanout: FanoutPool,
     /// The service's core-pinning policy, shared with every long-lived
     /// thread the service (or the server on top of it) spawns.
@@ -298,7 +274,6 @@ impl ServiceCore {
             offsets,
             totals: ShardTotals::from_totals(&initial),
             telemetry,
-            layout: config.route_layout,
             fanout,
             pinner,
         })
@@ -325,12 +300,7 @@ impl ServiceCore {
         &self.telemetry
     }
 
-    /// The batch-planner layout this service draws through.
-    pub fn route_layout(&self) -> RouteLayout {
-        self.layout
-    }
-
-    /// Fan-out lanes available to the v2 planner (including the
+    /// Fan-out lanes available to the batch planner (including the
     /// submitting thread).
     pub fn fanout_lanes(&self) -> usize {
         self.fanout.lanes()
@@ -418,8 +388,7 @@ impl ServiceCore {
     /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
     /// engine's fused batch path — so an aggregated batch costs one
     /// snapshot acquisition and one streamed fill per touched shard
-    /// instead of a draw-by-draw walk. Under the default
-    /// [`RouteLayout::V2Parallel`] the per-shard fills run across the
+    /// instead of a draw-by-draw walk. The per-shard fills run across the
     /// fan-out lanes and the result is bit-identical at any lane count
     /// (see the module docs).
     ///
@@ -464,21 +433,9 @@ impl ServiceCore {
         result
     }
 
-    fn try_draw_into(
-        &self,
-        rng: &mut dyn RandomSource,
-        out: &mut [usize],
-        plan: &mut DrawPlan,
-    ) -> Result<(), SelectionError> {
-        match self.layout {
-            RouteLayout::V1Sequential => self.try_draw_into_v1(rng, out, plan),
-            RouteLayout::V2Parallel => self.try_draw_into_v2(rng, out, plan),
-        }
-    }
-
-    /// Phase one of both layouts: refresh the plan's cut from the live
-    /// cells, assign every slot a shard with `pick(u)` over per-slot
-    /// uniforms, count per-shard draws, turn the counts into ascending
+    /// Phase one: refresh the plan's cut from the live cells, assign every
+    /// slot a shard with `pick(u)` over per-slot uniforms from
+    /// `assign_rng`, count per-shard draws, turn the counts into ascending
     /// `(start, len)` segments of the fill buffer and seed the scatter
     /// cursors with the segment starts. Also records per-shard routing
     /// telemetry (deterministically, in shard order).
@@ -486,7 +443,7 @@ impl ServiceCore {
         &self,
         plan: &mut DrawPlan,
         batch: usize,
-        mut uniform: impl FnMut() -> f64,
+        assign_rng: &mut Philox4x32,
     ) -> Result<(), SelectionError> {
         let shard_count = self.shards.len();
         self.totals.refill_cut(&mut plan.cut);
@@ -495,7 +452,7 @@ impl ServiceCore {
         plan.counts.clear();
         plan.counts.resize(shard_count, 0);
         for _ in 0..batch {
-            let Some((shard, _)) = plan.cut.pick_uniform(uniform()) else {
+            let Some((shard, _)) = plan.cut.pick_uniform(assign_rng.next_f64()) else {
                 return Err(SelectionError::AllZeroFitness);
             };
             plan.assignment.push(shard as u32);
@@ -519,10 +476,9 @@ impl ServiceCore {
         Ok(())
     }
 
-    /// Phase three of both layouts: one pass over the assignment, writing
-    /// each slot from its shard's segment through that shard's cursor —
-    /// `O(batch + shards)` total, replacing the old per-shard rescan of
-    /// the whole assignment (`O(shards · batch)`).
+    /// Phase three: one pass over the assignment, writing each slot from
+    /// its shard's segment through that shard's cursor —
+    /// `O(batch + shards)` total.
     fn scatter_fill(&self, plan: &mut DrawPlan, out: &mut [usize]) {
         for (slot, &owner) in plan.assignment.iter().enumerate() {
             let shard = owner as usize;
@@ -532,42 +488,21 @@ impl ServiceCore {
         }
     }
 
-    /// The v1 (sequential oracle) layout: the caller's RNG is threaded
-    /// through every level-one pick, then through each touched shard's
-    /// fill in shard order — draw-for-draw identical to the service's
-    /// historical batch path.
-    fn try_draw_into_v1(
-        &self,
-        rng: &mut dyn RandomSource,
-        out: &mut [usize],
-        plan: &mut DrawPlan,
-    ) -> Result<(), SelectionError> {
-        self.plan_assignments(plan, out.len(), || rng.next_f64())?;
-        for (k, &(start, len)) in plan.segments.iter().enumerate() {
-            let shard = plan.segment_shards[k];
-            self.shards[shard]
-                .engine
-                .read(|snapshot| snapshot.sample_into(rng, &mut plan.fill[start..start + len]))?;
-        }
-        self.scatter_fill(plan, out);
-        Ok(())
-    }
-
-    /// The v2 (parallel) layout: exactly one `rng.next_u64()` master
+    /// One batch through the planner: exactly one `rng.next_u64()` master
     /// draw; assignment uniforms from Philox substream
     /// [`ASSIGN_SUBSTREAM`], shard `s`'s fill from substream
     /// `SHARD_SUBSTREAM_BASE + s`. Per-shard fills are pure functions of
     /// `(snapshot, master)`, so they run across the fan-out lanes in any
     /// order — or inline for small batches — with bit-identical results.
-    fn try_draw_into_v2(
+    fn try_draw_into(
         &self,
         rng: &mut dyn RandomSource,
         out: &mut [usize],
         plan: &mut DrawPlan,
     ) -> Result<(), SelectionError> {
         let master = rng.next_u64();
-        let mut assign_rng = lrb_rng::Philox4x32::for_substream(master, ASSIGN_SUBSTREAM);
-        self.plan_assignments(plan, out.len(), || assign_rng.next_f64())?;
+        let mut assign_rng = Philox4x32::for_substream(master, ASSIGN_SUBSTREAM);
+        self.plan_assignments(plan, out.len(), &mut assign_rng)?;
         self.telemetry.record_planner_batch();
         {
             let mut slot = plan.error.lock().unwrap_or_else(PoisonError::into_inner);
@@ -741,7 +676,7 @@ impl ServiceCore {
             )
             .counter(
                 "lrb_service_planner_batches_total",
-                "Batches routed through the v2 parallel draw planner",
+                "Batches routed through the parallel draw planner",
                 t.planner_batches(),
             )
             .counter(

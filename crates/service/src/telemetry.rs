@@ -71,7 +71,7 @@ pub struct ServiceTelemetry {
     draw_ns: Histogram,
     /// Update/scale enqueue latency at the service layer.
     update_ns: Histogram,
-    /// Single draws served.
+    /// Draws served, single and batched alike.
     draws: Counter,
     /// Weight updates accepted.
     updates: Counter,
@@ -81,7 +81,7 @@ pub struct ServiceTelemetry {
     batches: Counter,
     /// Single-draw requests that rode in a coalesced batch.
     batched_draws: Counter,
-    /// Batches routed through the v2 parallel draw planner.
+    /// Batches routed through the parallel draw planner.
     planner_batches: Counter,
     /// Max-over-mean of the per-shard totals (1.0 = perfectly balanced).
     imbalance: Gauge,
@@ -168,7 +168,7 @@ impl ServiceTelemetry {
         self.journal.push(ServiceEvent::Route { shard, draws });
     }
 
-    /// Record one batch planned through the v2 parallel layout.
+    /// Record one batch routed through the parallel draw planner.
     pub(crate) fn record_planner_batch(&self) {
         self.planner_batches.incr();
     }
@@ -193,12 +193,13 @@ impl ServiceTelemetry {
         self.read_deferrals.incr();
     }
 
-    /// Record a slow-consumer disconnect and journal the reason.
+    /// Journal one reactor's finished graceful drain.
     pub(crate) fn record_drained(&self, conns: u64, abandoned: u64) {
         self.journal
             .push(ServiceEvent::Drained { conns, abandoned });
     }
 
+    /// Record a slow-consumer disconnect and journal the reason.
     pub(crate) fn record_slow_consumer(&self, token: u64, buffered: u64) {
         self.slow_consumer_disconnects.incr();
         self.journal
@@ -252,7 +253,7 @@ impl ServiceTelemetry {
         self.publishes.get()
     }
 
-    /// Batches routed through the v2 parallel draw planner so far.
+    /// Batches routed through the parallel draw planner so far.
     pub fn planner_batches(&self) -> u64 {
         self.planner_batches.get()
     }

@@ -1,14 +1,14 @@
 //! The dynamic-selection subsystem in action: mutate-and-sample traffic
-//! against the three `lrb-dynamic` engines, showing why `O(log n)` updates
-//! matter when the fitness vector changes every round (the paper's ACO
-//! setting).
+//! against the two `lrb-dynamic` engines, showing what `O(log n)` and
+//! `O(1)` updates cost when the fitness vector changes every round (the
+//! paper's ACO setting).
 //!
 //! ```text
 //! cargo run -p lrb-integration --release --example dynamic_updates
 //! ```
 
 use lrb_bench::dynamic_workload::{time_churn, workload};
-use lrb_dynamic::{batch_sample_counts, FenwickSampler, RebuildingAliasSampler, ShardedArena};
+use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
 
 fn main() {
     let n = 1 << 15;
@@ -20,40 +20,15 @@ fn main() {
     let mut fenwick = FenwickSampler::from_weights(weights.clone()).expect("valid weights");
     let fenwick_s = time_churn(&mut fenwick, rounds, 1);
     println!(
-        "fenwick        {:>9.1} µs/round",
+        "fenwick                {:>9.2} µs/round",
         fenwick_s / rounds as f64 * 1e6
     );
 
-    let mut arena = ShardedArena::from_weights(weights.clone(), 16).expect("valid weights");
-    let arena_s = time_churn(&mut arena, rounds, 1);
+    let mut acceptance = StochasticAcceptanceSampler::from_weights(weights).expect("valid weights");
+    let acceptance_s = time_churn(&mut acceptance, rounds, 1);
     println!(
-        "sharded-arena  {:>9.1} µs/round",
-        arena_s / rounds as f64 * 1e6
-    );
-
-    let alias_rounds = 300;
-    let mut alias = RebuildingAliasSampler::from_weights(weights).expect("valid weights");
-    let alias_s = time_churn(&mut alias, alias_rounds, 1) * rounds as f64 / alias_rounds as f64;
-    println!(
-        "alias-rebuild  {:>9.1} µs/round   ({} rebuilds in {alias_rounds} rounds)",
-        alias_s / rounds as f64 * 1e6,
-        alias.rebuild_count(),
-    );
-    println!(
-        "\nfenwick speedup over alias-rebuild at 1:1 churn: {:.0}x",
-        alias_s / fenwick_s
-    );
-
-    // Deterministic batch sampling: one Philox stream per trial.
-    let counts = batch_sample_counts(&fenwick, 100_000, 7).expect("positive mass");
-    let max_index = counts
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, c)| *c)
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    println!(
-        "\nbatch of 100k draws (seed 7): hottest index {max_index} with {} hits",
-        counts[max_index]
+        "stochastic-acceptance  {:>9.2} µs/round   ({:.2} expected rejection rounds per draw)",
+        acceptance_s / rounds as f64 * 1e6,
+        acceptance.expected_rounds(),
     );
 }

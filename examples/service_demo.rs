@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Builds a 4-shard [`ShardedService`] over 1 000 categories with per-shard
-//! publisher threads, fronts it with a [`ServiceServer`] (UDS on Unix, TCP
-//! loopback elsewhere), then exercises the protocol from a few concurrent
+//! publisher threads, fronts it with a [`ServiceServer`] on a Unix-domain
+//! socket, then exercises the protocol from a few concurrent
 //! [`ServiceClient`]s: coalesced single draws, batch draws, weight updates
 //! and an evaporation scale. Finishes by printing the merged service
 //! metrics (per-shard publish/read histograms included).
@@ -27,14 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
 
-    #[cfg(unix)]
-    let server = {
-        let path =
-            std::env::temp_dir().join(format!("lrb-service-demo-{}.sock", std::process::id()));
-        ServiceServer::bind_uds(service.core(), &path, 42)?
-    };
-    #[cfg(not(unix))]
-    let server = ServiceServer::bind_tcp(service.core(), "127.0.0.1:0", 42)?;
+    let path = std::env::temp_dir().join(format!("lrb-service-demo-{}.sock", std::process::id()));
+    let server = ServiceServer::bind_uds(service.core(), &path, 42)?;
     println!("serving at {:?}", server.local_addr());
 
     // A handful of concurrent clients issuing single draws: the server's

@@ -9,9 +9,7 @@ mod support;
 use lrb_core::batch::BatchDriver;
 use lrb_core::sequential::{AliasSampler, CdfSampler, StochasticAcceptanceSelector};
 use lrb_core::{DynamicSampler, Fitness, PreparedSampler, Selector};
-use lrb_dynamic::{
-    FenwickSampler, RebuildingAliasSampler, ShardedArena, StochasticAcceptanceSampler,
-};
+use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
 use lrb_engine::{BackendChoice, BackendRegistry, EngineConfig, SelectionEngine};
 use lrb_rng::Philox4x32;
 use proptest::prelude::*;
@@ -32,10 +30,6 @@ proptest! {
             (
                 "stochastic-acceptance",
                 Box::new(StochasticAcceptanceSampler::from_weights(weights.clone()).unwrap()),
-            ),
-            (
-                "rebuilding-alias",
-                Box::new(RebuildingAliasSampler::from_weights(weights.clone()).unwrap()),
             ),
         ];
         for (name, sampler) in samplers {
@@ -151,21 +145,17 @@ proptest! {
 
 #[test]
 fn one_driver_serves_core_dynamic_and_engine_identically() {
-    // The three layers all freeze the same weights into Fenwick-CDF
-    // inversion and run the same BatchDriver, so their per-trial indices
-    // must be identical.
+    // The core BatchDriver over a dynamic Fenwick sampler and the engine's
+    // fenwick snapshot batch both invert the same CDF through the same
+    // driver, so their per-trial indices must be identical.
     let weights: Vec<f64> = (0..600).map(|i| ((i % 13) as f64) * 0.5).collect();
     let trials = 20_000u64;
     let seed = 99u64;
 
     let fenwick = FenwickSampler::from_weights(weights.clone()).unwrap();
-    let from_dynamic = lrb_dynamic::batch_sample_indices(&fenwick, trials, seed).unwrap();
-
-    let arena = ShardedArena::from_weights(weights.clone(), 7).unwrap();
-    let from_arena = arena.sample_batch(trials, seed).unwrap();
 
     let engine = SelectionEngine::new(
-        weights.clone(),
+        weights,
         EngineConfig {
             backend: BackendChoice::Fixed("fenwick"),
             ..EngineConfig::default()
@@ -178,8 +168,6 @@ fn one_driver_serves_core_dynamic_and_engine_identically() {
         .drive_indices(seed, trials, |rng, out| fenwick.sample_into(rng, out))
         .unwrap();
 
-    assert_eq!(from_dynamic, from_driver);
-    assert_eq!(from_arena, from_driver);
     assert_eq!(from_engine, from_driver);
 }
 
@@ -221,23 +209,24 @@ fn driver_batches_are_thread_count_invariant_at_every_layer() {
     let weights: Vec<f64> = (0..2_048).map(|i| ((i % 31) + 1) as f64).collect();
     let engine = SelectionEngine::new(weights.clone(), EngineConfig::default()).unwrap();
     let snapshot = engine.snapshot();
-    let arena = ShardedArena::from_weights(weights, 16).unwrap();
+    let fenwick = FenwickSampler::from_weights(weights).unwrap();
     let trials = 40_000u64;
+    let drive = || {
+        BatchDriver::new()
+            .drive_indices(5, trials, |rng, out| fenwick.sample_into(rng, out))
+            .unwrap()
+    };
 
     let engine_reference = snapshot.batch_indices(trials, 5).unwrap();
-    let arena_reference = arena.sample_batch(trials, 5).unwrap();
+    let driver_reference = drive();
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let (from_engine, from_arena) = pool.install(|| {
-            (
-                snapshot.batch_indices(trials, 5).unwrap(),
-                arena.sample_batch(trials, 5).unwrap(),
-            )
-        });
+        let (from_engine, from_driver) =
+            pool.install(|| (snapshot.batch_indices(trials, 5).unwrap(), drive()));
         assert_eq!(from_engine, engine_reference, "{threads} threads (engine)");
-        assert_eq!(from_arena, arena_reference, "{threads} threads (arena)");
+        assert_eq!(from_driver, driver_reference, "{threads} threads (driver)");
     }
 }

@@ -1,15 +1,13 @@
 //! Integration tests for the `lrb-dynamic` crate: Fenwick exactness under
 //! chi-square against the sequential ground truth (before and after a burst
-//! of random updates), degenerate-weight edge cases, and the sharded arena's
-//! batch determinism across rayon thread counts.
+//! of random updates), degenerate-weight edge cases, and chi-square
+//! agreement of every dynamic sampler with the exact law.
 
 mod support;
 
 use lrb_core::sequential::LinearScanSelector;
 use lrb_core::{DynamicSampler, Fitness, SelectionError, Selector};
-use lrb_dynamic::{
-    batch_sample_counts, batch_sample_indices, FenwickSampler, RebuildingAliasSampler, ShardedArena,
-};
+use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
 use lrb_rng::{MersenneTwister64, RandomSource, SeedableSource};
 use support::assert_conformance;
 
@@ -104,12 +102,8 @@ fn all_dynamic_engines_agree_in_distribution() {
             Box::new(FenwickSampler::from_weights(weights.clone()).unwrap()),
         ),
         (
-            "alias-rebuild",
-            Box::new(RebuildingAliasSampler::from_weights(weights.clone()).unwrap()),
-        ),
-        (
-            "sharded-arena",
-            Box::new(ShardedArena::from_weights(weights.clone(), 3).unwrap()),
+            "stochastic-acceptance",
+            Box::new(StochasticAcceptanceSampler::from_weights(weights.clone()).unwrap()),
         ),
     ];
     for (name, engine) in engines {
@@ -118,71 +112,4 @@ fn all_dynamic_engines_agree_in_distribution() {
         assert_eq!(counts[0], 0, "{name} drew a zero-weight index");
         assert_eq!(counts[4], 0, "{name} drew a zero-weight index");
     }
-}
-
-#[test]
-fn sharded_arena_batches_are_identical_across_rayon_thread_counts() {
-    let weights: Vec<f64> = (0..4_096).map(|i| ((i % 31) + 1) as f64).collect();
-    let arena = ShardedArena::from_weights(weights, 16).unwrap();
-    // Both batch APIs fan out per trial (counts delegates to indices), so
-    // 30k trials sit far above the rayon shim's parallel threshold and the
-    // work is really split differently for each thread count below.
-    let trials = 30_000;
-    let master_seed = 99;
-
-    let reference = batch_sample_indices(&arena, trials, master_seed).unwrap();
-    assert_eq!(reference.len(), trials as usize);
-    let reference_counts = batch_sample_counts(&arena, trials, master_seed).unwrap();
-    assert_eq!(reference_counts.iter().sum::<u64>(), trials);
-
-    for threads in [1usize, 2, 3, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
-        let (indices, counts) = pool.install(|| {
-            (
-                batch_sample_indices(&arena, trials, master_seed).unwrap(),
-                batch_sample_counts(&arena, trials, master_seed).unwrap(),
-            )
-        });
-        assert_eq!(
-            indices, reference,
-            "per-trial indices changed with {threads} rayon threads"
-        );
-        assert_eq!(
-            counts, reference_counts,
-            "batch counts changed with {threads} rayon threads"
-        );
-    }
-
-    // The two batch APIs must agree with each other as well.
-    let mut recount = vec![0u64; arena.len()];
-    for &i in &reference {
-        recount[i] += 1;
-    }
-    assert_eq!(recount, reference_counts);
-}
-
-#[test]
-fn sharded_arena_batch_matches_flat_fenwick_batch() {
-    // Same weights, same master seed: the arena's two-level walk must give
-    // the same per-trial indices as a flat Fenwick tree, because both invert
-    // the same CDF with the same uniform draw.
-    let weights: Vec<f64> = (0..1_000).map(|i| ((i % 11) as f64) * 0.5).collect();
-    let arena = ShardedArena::from_weights(weights.clone(), 8).unwrap();
-    let fenwick = FenwickSampler::from_weights(weights).unwrap();
-    let arena_counts = batch_sample_counts(&arena, 20_000, 7).unwrap();
-    let fenwick_counts = batch_sample_counts(&fenwick, 20_000, 7).unwrap();
-    let diff: u64 = arena_counts
-        .iter()
-        .zip(&fenwick_counts)
-        .map(|(a, b)| a.abs_diff(*b))
-        .sum();
-    // Identical up to floating-point edge draws (division re-quantisation in
-    // the arena's shard delegation); allow a vanishing fraction.
-    assert!(
-        diff <= 4,
-        "arena and fenwick disagreed on {diff} of 20000 draws"
-    );
 }

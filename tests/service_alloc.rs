@@ -7,8 +7,7 @@
 //! reused storage. This test installs a counting global allocator (this
 //! test binary only; each integration-test target is its own process) and
 //! asserts **zero** submitter-side allocator events across thousands of
-//! warm batches, for the inline v2 path, the pooled v2 path and the v1
-//! sequential oracle.
+//! warm batches, for the inline path and the pooled fan-out path.
 //!
 //! Counting is **per thread** (a `const`-initialised `thread_local`, so
 //! the counter itself never allocates): fan-out helper threads own their
@@ -58,14 +57,13 @@ fn allocator_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-use lrb_service::{DrawPlan, RouteLayout, ServiceConfig, ShardedService};
+use lrb_service::{DrawPlan, ServiceConfig, ShardedService};
 
-fn build(layout: RouteLayout, fanout_workers: usize) -> ShardedService {
+fn build(fanout_workers: usize) -> ShardedService {
     ShardedService::new(
         (0..1_024).map(|i| ((i % 13) + 1) as f64).collect(),
         ServiceConfig {
             shards: 4,
-            route_layout: layout,
             fanout_workers,
             ..ServiceConfig::default()
         },
@@ -114,9 +112,8 @@ fn assert_zero_alloc_steady_state(
 #[test]
 fn inline_v2_batches_allocate_nothing_once_warm() {
     // One lane = the planner runs entirely inline on the calling thread,
-    // so this covers the whole v2 path: assignment, substream fills,
-    // scatter.
-    let service = build(RouteLayout::V2Parallel, 1);
+    // so this covers the whole path: assignment, substream fills, scatter.
+    let service = build(1);
     assert_zero_alloc_steady_state(&service, 512, 2_000, "inline v2");
 }
 
@@ -126,16 +123,8 @@ fn pooled_v2_batches_allocate_nothing_on_the_submitter() {
     // pool; the submission, wait and scatter must stay silent on the
     // calling thread (helpers own their warm-up, counted on their own
     // thread-local counters).
-    let service = build(RouteLayout::V2Parallel, 4);
+    let service = build(4);
     assert_zero_alloc_steady_state(&service, 4_096, 500, "pooled v2");
-}
-
-#[test]
-fn sequential_v1_batches_allocate_nothing_once_warm() {
-    // The oracle path shares the plan scratch and the cursor scatter, so
-    // it inherits the zero-allocation property too.
-    let service = build(RouteLayout::V1Sequential, 1);
-    assert_zero_alloc_steady_state(&service, 512, 2_000, "sequential v1");
 }
 
 #[test]
@@ -143,7 +132,7 @@ fn thread_local_plan_path_is_quiet_after_first_use() {
     // The public `draw_into` borrows a per-thread plan; after the first
     // call warms it, the convenience path is as silent as the explicit
     // one.
-    let service = build(RouteLayout::V2Parallel, 1);
+    let service = build(1);
     let mut rng = Philox4x32::seed_from_u64(0x71A);
     let mut out = vec![0usize; 256];
     for _ in 0..4 {

@@ -11,7 +11,6 @@ use lrb_stats::chi_square_gof;
 
 /// A per-test UDS path under the system temp dir (PID + name keyed, so
 /// parallel tests never collide).
-#[cfg(unix)]
 fn socket_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("lrb-service-{}-{name}.sock", std::process::id()))
 }
@@ -20,7 +19,6 @@ fn weights_1_to_24() -> Vec<f64> {
     (1..=24).map(f64::from).collect()
 }
 
-#[cfg(unix)]
 #[test]
 fn uds_two_level_draws_match_the_flat_distribution() {
     let weights = weights_1_to_24();
@@ -57,7 +55,6 @@ fn uds_two_level_draws_match_the_flat_distribution() {
     drop(server);
 }
 
-#[cfg(unix)]
 #[test]
 fn uds_mixed_traffic_stays_coherent() {
     let service = ShardedService::new(
@@ -144,7 +141,6 @@ fn uds_mixed_traffic_stays_coherent() {
     drop(server);
 }
 
-#[cfg(unix)]
 #[test]
 fn uds_errors_map_to_wire_codes() {
     let service = ShardedService::new(vec![1.0, 2.0], ServiceConfig::default()).unwrap();

@@ -1,17 +1,14 @@
-//! Cross-shard batch-planner contract tests: the v2 parallel layout must
-//! be a pure function of `(snapshots, master draw)` — bit-identical at
-//! any fan-out lane count and any `LRB_THREADS` budget — the v1
-//! sequential layout must stay draw-for-draw identical to a hand-rolled
-//! reference of the service's historical batch path, the two-level law
-//! must survive the parallel path statistically, and core-pinning must
-//! degrade to a graceful no-op when the policy names cores the host does
-//! not have.
+//! Cross-shard batch-planner contract tests: the layout that
+//! `ROUTE_LAYOUT_VERSION = 2` names must match a hand-rolled reference
+//! built from public pieces draw for draw, be a pure function of
+//! `(snapshots, master draw)` — bit-identical at any fan-out lane count
+//! and any `LRB_THREADS` budget — and carry the two-level law through the
+//! parallel path statistically; core-pinning must degrade to a graceful
+//! no-op when the policy names cores the host does not have.
 
 use lrb_core::sharding::TotalsCut;
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-use lrb_service::{
-    parse_cpu_list, CoreMap, RouteLayout, ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION,
-};
+use lrb_service::{parse_cpu_list, CoreMap, ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION};
 use lrb_stats::chi_square_gof;
 use proptest::prelude::*;
 
@@ -29,17 +26,11 @@ fn test_weights(categories: usize) -> Vec<f64> {
         .collect()
 }
 
-fn service(
-    categories: usize,
-    shards: usize,
-    layout: RouteLayout,
-    fanout_workers: usize,
-) -> ShardedService {
+fn service(categories: usize, shards: usize, fanout_workers: usize) -> ShardedService {
     ShardedService::new(
         test_weights(categories),
         ServiceConfig {
             shards,
-            route_layout: layout,
             fanout_workers,
             ..ServiceConfig::default()
         },
@@ -47,13 +38,69 @@ fn service(
     .expect("planner test service construction cannot fail")
 }
 
+/// Layout v2 rebuilt from public pieces: one `next_u64` master draw from
+/// the caller's generator; Philox substream 0 of the master yields one
+/// level-one uniform per slot, picked through a cut of the shard totals;
+/// each touched shard `s` fills its draws from substream `1 + s`; the
+/// grouped fills scatter back to slot order.
+fn v2_reference(service: &ShardedService, rng: &mut Philox4x32, batch: usize) -> Vec<usize> {
+    let shards = service.shard_count();
+    let master = rng.next_u64();
+    let mut assign_rng = Philox4x32::for_substream(master, 0);
+    let cut = TotalsCut::from_totals(service.shard_totals());
+    let assignment: Vec<usize> = (0..batch)
+        .map(|_| {
+            cut.pick_uniform(assign_rng.next_f64())
+                .expect("live totals cannot be all-zero")
+                .0
+        })
+        .collect();
+    // Shard starts within each shard's contiguous category range.
+    let (base, extra) = (service.len() / shards, service.len() % shards);
+    let offsets: Vec<usize> = (0..shards).map(|s| s * base + s.min(extra)).collect();
+    let fills: Vec<Vec<usize>> = (0..shards)
+        .map(|s| {
+            let mut fill = vec![0usize; assignment.iter().filter(|&&a| a == s).count()];
+            if !fill.is_empty() {
+                service
+                    .shard_engine(s)
+                    .read(|snapshot| {
+                        snapshot.sample_into_substream(master, 1 + s as u64, &mut fill)
+                    })
+                    .expect("reference shard fill failed");
+            }
+            fill
+        })
+        .collect();
+    let mut cursors = vec![0usize; shards];
+    assignment
+        .iter()
+        .map(|&s| {
+            let local = fills[s][cursors[s]];
+            cursors[s] += 1;
+            offsets[s] + local
+        })
+        .collect()
+}
+
 #[test]
 fn route_layout_is_versioned_and_defaults_to_parallel() {
+    // One layout is left and `ROUTE_LAYOUT_VERSION` names it; a default
+    // config (auto lanes) must serve exactly that layout, above the inline
+    // threshold so the pooled fan-out runs wherever there are lanes.
     assert_eq!(ROUTE_LAYOUT_VERSION, 2);
-    assert_eq!(RouteLayout::default(), RouteLayout::V2Parallel);
-    let service = service(64, 4, RouteLayout::default(), 0);
-    assert_eq!(service.route_layout(), RouteLayout::V2Parallel);
+    assert_eq!(ServiceConfig::default().fanout_workers, 0);
+    let service = ShardedService::new(test_weights(64), ServiceConfig::default())
+        .expect("default-config service construction cannot fail");
     assert!(service.fanout_lanes() >= 1);
+    let mut reference_rng = Philox4x32::seed_from_u64(0x5EED);
+    let expected = v2_reference(&service, &mut reference_rng, 2_048);
+    let mut rng = Philox4x32::seed_from_u64(0x5EED);
+    let mut out = vec![0usize; 2_048];
+    service
+        .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
+        .expect("default-config batch draw failed");
+    assert_eq!(out, expected);
 }
 
 proptest! {
@@ -69,7 +116,7 @@ proptest! {
         for batch in [small_batch, 2_048] {
             let mut reference: Option<Vec<usize>> = None;
             for lanes in [1usize, 2, 8] {
-                let service = service(384, 6, RouteLayout::V2Parallel, lanes);
+                let service = service(384, 6, lanes);
                 let mut rng = Philox4x32::seed_from_u64(seed);
                 let mut out = vec![0usize; batch];
                 service
@@ -89,83 +136,50 @@ proptest! {
         }
     }
 
-    /// The v1 oracle must be draw-for-draw identical to the service's
-    /// historical batch path, reconstructed here from public pieces: the
-    /// caller's RNG threads through one level-one pick per slot, then
-    /// through each touched shard's fused fill in shard order, and the
-    /// grouped fills scatter back to slot order.
+    /// The planner must be draw-for-draw identical to the hand-rolled
+    /// layout-v2 reference and consume exactly one word of the caller's
+    /// generator, inline (lanes 1, and batches under the 1024-draw
+    /// threshold) and through the pooled fan-out (lanes 4 above it).
     #[test]
-    fn prop_v1_matches_the_handrolled_sequential_reference(
+    fn prop_v2_matches_the_handrolled_substream_reference(
         seed: u64,
-        batch in 1usize..512,
+        small_batch in 1usize..512,
     ) {
-        let categories = 300;
-        let shards = 5;
-        let service = service(categories, shards, RouteLayout::V1Sequential, 1);
+        for lanes in [1usize, 4] {
+            let service = service(300, 5, lanes);
+            for batch in [small_batch, 2_048] {
+                let mut reference_rng = Philox4x32::seed_from_u64(seed);
+                let expected = v2_reference(&service, &mut reference_rng, batch);
 
-        let mut expected = vec![0usize; batch];
-        {
-            let mut rng = Philox4x32::seed_from_u64(seed);
-            let cut = TotalsCut::from_totals(service.shard_totals());
-            let mut assignment = vec![0usize; batch];
-            let mut counts = vec![0usize; shards];
-            for slot in assignment.iter_mut() {
-                let (shard, _) = cut
-                    .pick_uniform(rng.next_f64())
-                    .expect("live totals cannot be all-zero");
-                *slot = shard;
-                counts[shard] += 1;
-            }
-            // Shard starts within each shard's contiguous category range.
-            let offsets: Vec<usize> = {
-                let base = categories / shards;
-                let extra = categories % shards;
-                let mut offsets = vec![0usize];
-                for s in 0..shards {
-                    offsets.push(offsets[s] + base + usize::from(s < extra));
-                }
-                offsets
-            };
-            let mut buffer = Vec::new();
-            for (shard, &count) in counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                buffer.resize(count, 0usize);
+                let mut rng = Philox4x32::seed_from_u64(seed);
+                let mut out = vec![0usize; batch];
                 service
-                    .shard_engine(shard)
-                    .read(|snapshot| snapshot.sample_into(&mut rng, &mut buffer))
-                    .expect("reference shard fill failed");
-                let mut filled = 0usize;
-                for (slot, &owner) in assignment.iter().enumerate() {
-                    if owner == shard {
-                        expected[slot] = offsets[shard] + buffer[filled];
-                        filled += 1;
-                    }
-                }
+                    .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
+                    .expect("planner batch draw failed");
+                prop_assert_eq!(
+                    &out,
+                    &expected,
+                    "planner diverged from the v2 reference (lanes {}, batch {})",
+                    lanes,
+                    batch
+                );
+                prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
             }
         }
-
-        let mut rng = Philox4x32::seed_from_u64(seed);
-        let mut out = vec![0usize; batch];
-        service
-            .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-            .expect("v1 batch draw failed");
-        prop_assert_eq!(out, expected);
     }
 }
 
 #[test]
 fn v2_output_is_invariant_in_the_lrb_threads_budget() {
     // `fanout_workers: 0` resolves the lane count from `LRB_THREADS`;
-    // the drawn indices must not notice. (Only this test builds services
-    // with the auto budget while mutating the variable; every other test
-    // in this binary passes an explicit lane count.)
+    // the drawn indices must not notice. (Only this test mutates the
+    // variable; the one other auto-budget service, in the default-config
+    // test, checks nothing a lane count could change.)
     let saved = std::env::var("LRB_THREADS").ok();
     let mut reference: Option<Vec<usize>> = None;
     for budget in ["1", "2", "8"] {
         std::env::set_var("LRB_THREADS", budget);
-        let service = service(512, 8, RouteLayout::V2Parallel, 0);
+        let service = service(512, 8, 0);
         let mut rng = Philox4x32::seed_from_u64(0xBEEF);
         let mut out = vec![0usize; 4_096];
         service
@@ -187,7 +201,7 @@ fn v2_output_is_invariant_in_the_lrb_threads_budget() {
 #[test]
 fn two_level_law_survives_the_parallel_path() {
     // Chi-square conformance of the end-to-end two-level distribution
-    // through the v2 planner with real fan-out (4 lanes, batches above
+    // through the planner with real fan-out (4 lanes, batches above
     // the inline threshold). Best of two seeds: a correct sampler fails
     // both at the 1% level with probability ~1e-4.
     let weights: Vec<f64> = (1..=24).map(f64::from).collect();
@@ -198,7 +212,6 @@ fn two_level_law_survives_the_parallel_path() {
             weights.clone(),
             ServiceConfig {
                 shards: 6,
-                route_layout: RouteLayout::V2Parallel,
                 fanout_workers: 4,
                 ..ServiceConfig::default()
             },

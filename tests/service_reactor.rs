@@ -4,8 +4,6 @@
 //! the slow-consumer disconnect policy, response ordering under
 //! pipelining, and torn-frame trickle delivery through the reactor path.
 
-#![cfg(unix)]
-
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 
