@@ -12,9 +12,9 @@
 //! [`service_workload`](lrb_bench::service_workload) driver: request `j` is
 //! scheduled at `start + j/rate` and latency is measured from that scheduled
 //! instant, so a stalled write path surfaces in the tail instead of being
-//! hidden by coordinated omission. Two sections run: coalesced single draws
-//! (the flat-combining aggregator) and batch draws (the fused buffer-fill
-//! path).
+//! hidden by coordinated omission. Two sections run: single draws (each
+//! from its connection's server-side RNG, executed on the reactor that
+//! read it) and batch draws (the fused buffer-fill path).
 //!
 //! Gates (all recorded as [`GateMargin`]s in the `--json 1` report, the
 //! `BENCH_service.json` baseline):
@@ -35,7 +35,7 @@
 //!   reactor's reason to exist).
 //! * `service_fanin_threads` — the process thread count observed with
 //!   every storm connection open must stay under `--max-threads`:
-//!   O(reactors + workers + shards), never O(connections).
+//!   O(reactors + shards), never O(connections).
 //! * `service_pipeline_speedup` — the pipelined client must push at least
 //!   `--min-pipeline-speedup`× the serialized client's single-draw
 //!   throughput on one connection (closed loop, batch 1).

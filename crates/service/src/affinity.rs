@@ -2,8 +2,8 @@
 //! service's long-lived threads.
 //!
 //! The sharded service runs a fixed cast of threads — per-shard publisher
-//! ("writer") threads, epoll reactor threads, request workers and the
-//! batch planner's fan-out lanes. Letting the scheduler migrate them costs
+//! ("writer") threads, epoll reactor threads (which also execute the
+//! requests they read) and the batch planner's fan-out lanes. Letting the scheduler migrate them costs
 //! cache and (on multi-socket hosts) NUMA locality: a shard's publisher
 //! rebuilds that shard's snapshot from the pending batch, and the fan-out
 //! lane that fills from the snapshot wants to be where those lines are.
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///
 /// The policy is deliberately coarse: pinned threads take cores
 /// round-robin from the resolved list in start order (publishers first,
-/// then reactors/workers/fan-out lanes as they spawn). With more threads
+/// then reactors/fan-out lanes as they spawn). With more threads
 /// than cores the assignment wraps — two threads sharing a core is still
 /// better than all of them migrating.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -12,6 +12,11 @@
 //! lose the race just wait on their reply channel, re-contending for the
 //! combiner role on a short timeout so a combiner that drained the queue a
 //! hair before their enqueue can never strand them.
+//!
+//! The server does not use it: each reactor draws from the requesting
+//! connection's own RNG, so one connection's draws never depend on
+//! another's. The type stays because the end-to-end benchmark's layer
+//! replay still builds one to time the coalescing layer.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError};

@@ -452,7 +452,7 @@ impl ServiceClient {
         Ok(indices)
     }
 
-    /// One draw (server-side RNG, coalesced by the server's aggregator).
+    /// One draw from this connection's server-side RNG stream.
     pub fn draw(&mut self) -> Result<usize, ServiceError> {
         let payload = self.call(OpCode::Draw, &[])?;
         let mut cursor = Cursor::new(&payload);

@@ -1,32 +1,31 @@
 //! Per-connection state machine for the event-driven server: a resumable
 //! [`FrameReader`] on the inbound side, an [`OutBuf`] write buffer with
-//! partial-write handling on the outbound side, and the **bounded
-//! in-flight budget** between them.
+//! partial-write handling on the outbound side, and the **per-pass frame
+//! cap** between them.
 //!
-//! The budget is the server's connection-level backpressure: a connection
-//! may have at most [`ServerConfig::inflight_budget`] decoded frames that
-//! have not yet been answered (queued + executing). Once the budget is
-//! reached the reactor stops reading that connection — the `k+1`st frame
-//! stays in the kernel socket buffer (and ultimately pushes back on the
-//! client through TCP flow control) until responses drain. Thread-per-
-//! connection needed an unbounded thread stack per client to get the same
-//! effect; here it is one counter.
+//! The reactor runs every request to completion on its own thread: one
+//! readiness pass decodes at most [`ServerConfig::inflight_budget`] frames,
+//! executes them and queues their responses before it moves on, so nothing
+//! is in flight across loop iterations. Frames past the cap stay in the
+//! kernel socket buffer; level-triggered epoll reports the connection again
+//! on the next iteration, after every other ready connection had its turn.
+//! A client that blasts requests therefore backs up in its own socket
+//! buffer (and ultimately pushes back through TCP flow control), not in
+//! server memory.
 //!
 //! Responses are correlated **by order**: frames execute strictly in the
-//! order they arrived on the connection (one run of frames is in flight at
-//! a time), so a pipelining client matches the `n`th response to the `n`th
-//! request without any message ids on the wire.
+//! order they arrived on the connection, so a pipelining client matches
+//! the `n`th response to the `n`th request without any message ids on the
+//! wire.
 //!
-//! Everything here is transport-generic (`S: Read + Write`), so the budget
+//! Everything here is transport-generic (`S: Read + Write`), so the cap
 //! and partial-write behaviour are unit-tested against in-memory streams —
 //! no sockets required — and the same state machine drives TCP and UDS
 //! connections identically.
 //!
 //! [`ServerConfig::inflight_budget`]: crate::server::ServerConfig
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
 
 use lrb_rng::{MersenneTwister64, SeedableSource};
 
@@ -61,16 +60,14 @@ impl OutBuf {
         self.pos == self.buf.len()
     }
 
-    /// Queue `bytes` behind whatever is still unwritten.
-    pub(crate) fn append(&mut self, bytes: &[u8]) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= COMPACT_THRESHOLD {
+    /// The buffer new responses encode into, behind whatever is still
+    /// unwritten (a long already-written prefix is compacted away first).
+    pub(crate) fn queue(&mut self) -> &mut Vec<u8> {
+        if self.pos >= COMPACT_THRESHOLD {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        &mut self.buf
     }
 
     /// Write as much as the sink accepts. Returns `Ok(true)` when the
@@ -98,12 +95,9 @@ impl OutBuf {
     }
 }
 
-/// One multiplexed connection owned by a reactor thread.
-///
-/// The reactor does **all** socket I/O for the connection; workers only see
-/// cloned handles to [`rng`](Self::rng) and post finished response bytes
-/// back through the reactor's completion queue. That keeps every `read`/
-/// `write` on a given fd on one thread — no fd races with teardown.
+/// One multiplexed connection owned by a reactor thread, which does all
+/// of its socket I/O and executes all of its requests — every `read`/
+/// `write` on a given fd stays on one thread, so teardown cannot race one.
 #[derive(Debug)]
 pub(crate) struct Connection<S> {
     /// The nonblocking socket (TCP or UDS).
@@ -111,19 +105,10 @@ pub(crate) struct Connection<S> {
     /// Resumable frame parser (survives frames split across segments).
     reader: FrameReader,
     /// Outbound responses, in request order.
-    out: OutBuf,
-    /// Decoded frames waiting for a worker (order preserved).
-    pending: VecDeque<Frame>,
-    /// Whether a run of frames is currently out with a worker.
-    executing: bool,
-    /// Decoded-but-unanswered frames (pending + executing run).
-    inflight: usize,
-    /// Per-connection RNG for `DRAW_BATCH` and coalesced draw runs;
-    /// shared with the worker executing this connection's current run
-    /// (runs are serial per connection, so the lock is never contended).
-    pub(crate) rng: Arc<Mutex<MersenneTwister64>>,
-    /// Reading is paused because the in-flight budget is exhausted.
-    pub(crate) read_deferred: bool,
+    pub(crate) out: OutBuf,
+    /// The connection's server-side RNG: every draw it requests comes
+    /// from this stream.
+    pub(crate) rng: MersenneTwister64,
     /// The epoll interest mask currently registered for this connection.
     pub(crate) interest: u32,
 }
@@ -136,18 +121,9 @@ impl<S: Read + Write> Connection<S> {
             sock,
             reader: FrameReader::new(),
             out: OutBuf::default(),
-            pending: VecDeque::new(),
-            executing: false,
-            inflight: 0,
-            rng: Arc::new(Mutex::new(MersenneTwister64::seed_from_u64(rng_seed))),
-            read_deferred: false,
+            rng: MersenneTwister64::seed_from_u64(rng_seed),
             interest: 0,
         }
-    }
-
-    /// Decoded-but-unanswered frames on this connection.
-    pub(crate) fn inflight(&self) -> usize {
-        self.inflight
     }
 
     /// Whether unwritten response bytes are buffered (the reactor keeps
@@ -156,56 +132,22 @@ impl<S: Read + Write> Connection<S> {
         !self.out.is_empty()
     }
 
-    /// Read and decode frames until the socket drains (`WouldBlock`) or
-    /// the in-flight `budget` is reached. Returns `Ok(true)` if reading
-    /// was *newly* deferred by the budget — the caller must drop read
-    /// interest until [`complete`](Self::complete) frees budget —
-    /// `Ok(false)` when the kernel buffer drained (or the deferral was
-    /// already in force, so it must not be counted again), and `Err` on
-    /// EOF / framing violation / transport error (the caller closes the
-    /// connection).
-    pub(crate) fn read_frames(&mut self, budget: usize) -> io::Result<bool> {
-        if self.read_deferred {
-            // EPOLLRDHUP stays armed while reads are deferred, so a
-            // half-close can land here with the budget still exhausted;
-            // the deferral is already accounted for.
-            return Ok(false);
-        }
-        while self.inflight < budget {
+    /// One readiness pass: replace `frames` with the frames decoded until
+    /// the socket drains (`WouldBlock`) or `cap` frames are decoded.
+    /// Returns `Ok(true)` when the pass stopped at the cap — whatever the
+    /// socket still holds stays in the kernel, and level-triggered epoll
+    /// reports it on a later pass — `Ok(false)` when the socket drained,
+    /// and `Err` on EOF / framing violation / transport error (the caller
+    /// closes the connection).
+    pub(crate) fn read_frames(&mut self, cap: usize, frames: &mut Vec<Frame>) -> io::Result<bool> {
+        frames.clear();
+        while frames.len() < cap {
             match self.reader.poll(&mut self.sock)? {
-                Some(frame) => {
-                    self.pending.push_back(frame);
-                    self.inflight += 1;
-                }
+                Some(frame) => frames.push(frame),
                 None => return Ok(false),
             }
         }
-        self.read_deferred = true;
         Ok(true)
-    }
-
-    /// Take the next run of frames for a worker: everything pending, in
-    /// arrival order, if no run is already executing. At most one run per
-    /// connection is in flight at a time, which is what makes response
-    /// order == request order without sequence numbers.
-    pub(crate) fn take_run(&mut self) -> Option<Vec<Frame>> {
-        if self.executing || self.pending.is_empty() {
-            return None;
-        }
-        self.executing = true;
-        Some(self.pending.drain(..).collect())
-    }
-
-    /// Accept a finished run's response bytes: `frames` requests are now
-    /// answered and their encoded responses queue for write. The caller
-    /// flushes and then checks [`outbound_len`](Self::outbound_len)
-    /// against the slow-consumer cap — the cap judges the backlog the
-    /// socket refused, not the size of a single response.
-    pub(crate) fn complete(&mut self, bytes: &[u8], frames: usize) {
-        debug_assert!(self.executing, "completion without an executing run");
-        self.executing = false;
-        self.inflight = self.inflight.saturating_sub(frames);
-        self.out.append(bytes);
     }
 
     /// Bytes buffered for write (the slow-consumer backlog).
@@ -290,47 +232,27 @@ mod tests {
     }
 
     #[test]
-    fn budget_defers_the_k_plus_first_frame_until_a_response_drains() {
-        // Six frames arrive at once; with a budget of 4 the reactor must
-        // decode exactly 4 and leave the rest unread in the "kernel".
-        let sock = FakeSock::with_input(draw_frames(6));
-        let mut conn = Connection::new(sock, 7);
-        let deferred = conn.read_frames(4).unwrap();
-        assert!(deferred, "budget was reached, reading must defer");
-        assert!(conn.read_deferred);
-        assert_eq!(conn.inflight(), 4);
-        // A second readiness event while deferred (e.g. EPOLLRDHUP on a
-        // half-close) must not report the deferral a second time.
+    fn read_pass_stops_at_the_cap_and_the_next_pass_takes_the_rest() {
+        // Six frames arrive at once; with a cap of 4 one pass must decode
+        // exactly 4 and leave the rest unread in the "kernel".
+        let mut conn = Connection::new(FakeSock::with_input(draw_frames(6)), 7);
+        let mut frames = Vec::new();
         assert!(
-            !conn.read_frames(4).unwrap(),
-            "an in-force deferral is not a new deferral"
+            conn.read_frames(4, &mut frames).unwrap(),
+            "the pass must report stopping at the cap"
         );
-        assert!(conn.read_deferred, "the deferral itself stays in force");
+        assert_eq!(frames.len(), 4);
         assert_eq!(
             conn.sock.unread(),
             draw_frames(2).len(),
             "the 5th and 6th frames must stay unread in the socket buffer"
         );
 
-        // A worker takes the run; nothing more is readable until it
-        // completes.
-        let run = conn.take_run().unwrap();
-        assert_eq!(run.len(), 4);
-        assert!(conn.take_run().is_none(), "one run in flight at a time");
-
-        // Responses drain the budget: now (and only now) the remaining
-        // frames may be read.
-        let mut ok = Vec::new();
-        crate::protocol::encode_ok(&mut ok, &0u64.to_le_bytes());
-        let bytes: Vec<u8> = ok.repeat(4);
-        conn.complete(&bytes, 4);
-        conn.read_deferred = false;
-        assert_eq!(conn.inflight(), 0);
-        let deferred = conn.read_frames(4).unwrap();
-        assert!(!deferred);
-        assert_eq!(conn.inflight(), 2);
+        // Level-triggered epoll reports the rest; the next pass decodes
+        // both and finds the socket drained.
+        assert!(!conn.read_frames(4, &mut frames).unwrap());
+        assert_eq!(frames.len(), 2);
         assert_eq!(conn.sock.unread(), 0);
-        assert_eq!(conn.take_run().unwrap().len(), 2);
     }
 
     #[test]
@@ -338,19 +260,21 @@ mod tests {
         // A frame split at every byte must decode once the bytes arrive.
         let wire = draw_frames(2);
         let mut conn = Connection::new(FakeSock::with_input(Vec::new()), 1);
+        let mut frames = Vec::new();
+        let mut decoded = 0;
         for &byte in &wire {
             conn.sock.input.push(byte);
-            let _ = conn.read_frames(64).unwrap();
+            conn.read_frames(64, &mut frames).unwrap();
+            decoded += frames.len();
         }
-        assert_eq!(conn.inflight(), 2);
-        assert_eq!(conn.take_run().unwrap().len(), 2);
+        assert_eq!(decoded, 2);
     }
 
     #[test]
     fn out_buf_survives_partial_writes_and_compaction() {
         let mut out = OutBuf::default();
         let payload: Vec<u8> = (0..=255u8).cycle().take(40_000).collect();
-        out.append(&payload);
+        out.queue().extend_from_slice(&payload);
         let mut sink = FakeSock::with_input(Vec::new());
         sink.write_cap = 3; // 3 bytes per write, WouldBlock in between
         let mut rounds = 0usize;
@@ -359,7 +283,7 @@ mod tests {
             assert!(rounds < 100_000, "flush never completed");
             if rounds == 5 {
                 // Mid-flush append must not corrupt the stream.
-                out.append(&[0xAA, 0xBB]);
+                out.queue().extend_from_slice(&[0xAA, 0xBB]);
             }
         }
         assert!(out.is_empty());
@@ -370,15 +294,11 @@ mod tests {
 
     #[test]
     fn slow_consumer_backlog_is_what_the_socket_refused() {
-        let sock = FakeSock::with_input(draw_frames(1));
-        let mut conn = Connection::new(sock, 3);
-        conn.read_frames(64).unwrap();
-        conn.take_run().unwrap();
+        let mut conn = Connection::new(FakeSock::with_input(Vec::new()), 3);
         // The peer accepts 100 bytes and then stalls: the backlog the cap
         // judges is what remains after flushing, not the response size.
         conn.sock.write_cap = 100;
-        let big = vec![0u8; 4096];
-        conn.complete(&big, 1);
+        conn.out.queue().extend_from_slice(&[0u8; 4096]);
         assert_eq!(conn.outbound_len(), 4096);
         assert!(
             !conn.flush().unwrap(),
@@ -400,7 +320,7 @@ mod tests {
             }
         }
         let mut out = OutBuf::default();
-        out.append(&[1, 2, 3]);
+        out.queue().extend_from_slice(&[1, 2, 3]);
         assert_eq!(
             out.flush(&mut Dead).unwrap_err().kind(),
             io::ErrorKind::WriteZero

@@ -10,10 +10,10 @@
 //! protocol over TCP or Unix-domain sockets served by hand-rolled
 //! **epoll reactor threads** (raw syscalls, no async runtime, no
 //! thread-per-connection — see [`server`] for the sizing and
-//! backpressure knobs), with a **flat-combining aggregator** that
-//! coalesces concurrent single-draw requests into batched buffer fills
-//! against the engine's fused batch path, and pipelined runs of draws
-//! per connection coalescing into fused batches.
+//! backpressure knobs). Each reactor runs every request it reads to
+//! completion on its own thread, drawing from the connection's own RNG
+//! stream; pipelined runs of draws on a connection coalesce into one
+//! fused batch.
 //!
 //! The crate is **Linux-only**: the reactor is built on `epoll` and the
 //! pinning on `sched_setaffinity`, and a build for any other target stops
@@ -30,7 +30,8 @@
 //! * [`affinity`] — core topology discovery and opt-in
 //!   [`CoreMap`]-driven pinning of the service's long-lived threads
 //!   (`LRB_PIN` overrides; a graceful no-op when the host refuses).
-//! * [`DrawAggregator`] — flat combining for single draws.
+//! * [`DrawAggregator`] — flat combining for in-process single draws
+//!   from many threads (the server does not use it).
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
 //!   [`protocol`] for the frame format).
 //! * [`ServiceTelemetry`] — request/draw/update histograms, routing

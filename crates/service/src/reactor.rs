@@ -1,29 +1,31 @@
 //! The event-driven service front: N reactor threads multiplex every
-//! connection over raw `epoll`, and a small worker pool executes decoded
-//! frames — server threads are **O(reactors + workers)**, never
+//! connection over raw `epoll` and run every request to completion on the
+//! thread that read it — server threads are **O(reactors)**, never
 //! O(connections).
 //!
 //! ## Shape
 //!
 //! ```text
 //!  accept thread ──round-robin──▶ reactor 0..R   (epoll_wait loop)
-//!                                   │  ▲
-//!                       decoded     │  │ completions (response bytes)
-//!                       frame runs  ▼  │ + eventfd wakeup
-//!                                 worker pool 0..W ──▶ ServiceCore /
-//!                                                      DrawAggregator
+//!                                   │
+//!                  readable socket: decode ≤ budget frames,
+//!                  execute_run ──▶ ServiceCore (connection's own RNG),
+//!                  encode into the connection's OutBuf, flush
 //! ```
 //!
 //! Each reactor thread owns an epoll instance and the [`Connection`] state
 //! of every socket registered with it. The loop is purely event-driven
-//! (`epoll_wait` with no timeout): readable sockets feed the resumable
-//! `FrameReader`, complete frames queue per connection, and a **run** of
-//! consecutive frames goes to the worker pool as one job. Workers never
-//! touch a socket — they post encoded response bytes back through the
-//! reactor's completion queue and ring its eventfd, and the reactor alone
-//! writes (so fd lifetime is single-threaded and teardown cannot race a
-//! write). Backpressure, ordering and partial-write handling live in
-//! [`crate::conn`]; this module is the readiness loop and the thread pool.
+//! (`epoll_wait` with no timeout): a readable socket feeds the resumable
+//! `FrameReader`, and the frames one readiness pass decoded execute right
+//! there, in arrival order, as one **run**; their responses encode straight
+//! into the connection's outbound buffer, which is flushed before the loop
+//! moves on. Nothing crosses a thread between read and write, and fd
+//! lifetime is single-threaded, so teardown cannot race a write. The flip
+//! side: a slow request (a `PUBLISH`, a `METRICS` scrape) holds every other
+//! connection on its reactor for its duration. The eventfd wakes the
+//! reactor for new registrations, shutdown and drain. The per-pass frame
+//! cap, ordering and partial-write handling live in [`crate::conn`]; this
+//! module is the readiness loop.
 //!
 //! ## Safety
 //!
@@ -42,24 +44,19 @@
 //!   elsewhere, and its fields are only ever copied out, never
 //!   referenced.
 
-pub(crate) use imp::{
-    run_reactor, run_worker, JobQueue, ReactorContext, ReactorShared, Registration, Socket,
-};
+pub(crate) use imp::{run_reactor, ReactorContext, ReactorShared, Registration, Socket};
 
 mod imp {
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::HashMap;
     use std::fs::File;
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Mutex};
     use std::time::Instant;
 
-    use lrb_rng::MersenneTwister64;
-
-    use crate::aggregator::DrawAggregator;
     use crate::conn::Connection;
     use crate::protocol::Frame;
     use crate::server::execute_run;
@@ -129,39 +126,17 @@ mod imp {
         pub(crate) rng_seed: u64,
     }
 
-    /// A finished run's response bytes, posted by a worker.
-    pub(crate) struct Completion {
-        /// The connection the run belonged to.
-        pub(crate) token: u64,
-        /// Encoded response frames, in request order.
-        pub(crate) bytes: Vec<u8>,
-        /// How many requests the run answered.
-        pub(crate) frames: usize,
-    }
-
-    /// One frame run headed for the worker pool.
-    pub(crate) struct Job {
-        /// Index of the reactor that owns the connection.
-        pub(crate) reactor: usize,
-        /// The connection's token.
-        pub(crate) token: u64,
-        /// The frames to execute, in arrival order.
-        pub(crate) frames: Vec<Frame>,
-        /// The connection's RNG (uncontended: one run per connection).
-        pub(crate) rng: Arc<Mutex<MersenneTwister64>>,
-    }
-
     /// The shared face of one reactor thread: its epoll instance, its
-    /// eventfd, and the queues other threads feed it through.
+    /// eventfd, and the registration queue the accept thread feeds it
+    /// through.
     pub(crate) struct ReactorShared {
         epoll: sys::Epoll,
         /// Nonblocking eventfd; any writer rings it to wake `epoll_wait`.
         wake: File,
         registrations: Mutex<Vec<Registration>>,
-        completions: Mutex<Vec<Completion>>,
         shutdown: AtomicBool,
-        /// Graceful-drain mode: stop reading new requests, let in-flight
-        /// runs complete and responses flush, then exit.
+        /// Graceful-drain mode: stop reading new requests, let buffered
+        /// responses flush, then exit.
         draining: AtomicBool,
         /// Wall-clock bound on the drain; connections still busy past it
         /// are abandoned.
@@ -174,7 +149,6 @@ mod imp {
                 epoll: sys::Epoll::new()?,
                 wake: sys::new_eventfd()?,
                 registrations: Mutex::new(Vec::new()),
-                completions: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
                 drain_deadline: Mutex::new(None),
@@ -195,15 +169,6 @@ mod imp {
             self.wake();
         }
 
-        /// Post a finished run's responses.
-        pub(crate) fn post_completion(&self, completion: Completion) {
-            self.completions
-                .lock()
-                .expect("completion queue poisoned")
-                .push(completion);
-            self.wake();
-        }
-
         /// Ask the reactor thread to exit (it closes every connection).
         pub(crate) fn request_shutdown(&self) {
             self.shutdown.store(true, Ordering::Release);
@@ -211,8 +176,8 @@ mod imp {
         }
 
         /// Ask the reactor to drain gracefully: stop reading requests,
-        /// complete in-flight runs, flush responses, then exit — or
-        /// abandon whatever is still busy at `deadline`.
+        /// flush buffered responses, then exit — or abandon whatever is
+        /// still unflushed at `deadline`.
         pub(crate) fn request_drain(&self, deadline: Instant) {
             *self.drain_deadline.lock().expect("drain deadline poisoned") = Some(deadline);
             self.draining.store(true, Ordering::Release);
@@ -228,84 +193,16 @@ mod imp {
         }
     }
 
-    /// The worker pool's shared injection queue. FIFO, so a burst of
-    /// arrivals cannot starve the oldest waiting connection.
-    pub(crate) struct JobQueue {
-        queue: Mutex<VecDeque<Job>>,
-        available: Condvar,
-        stop: AtomicBool,
-    }
-
-    impl JobQueue {
-        pub(crate) fn new() -> Self {
-            Self {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                stop: AtomicBool::new(false),
-            }
-        }
-
-        fn push(&self, job: Job) {
-            self.queue
-                .lock()
-                .expect("job queue poisoned")
-                .push_back(job);
-            self.available.notify_one();
-        }
-
-        fn pop(&self) -> Option<Job> {
-            let mut queue = self.queue.lock().expect("job queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    return Some(job);
-                }
-                if self.stop.load(Ordering::Acquire) {
-                    return None;
-                }
-                queue = self.available.wait(queue).expect("job queue wait poisoned");
-            }
-        }
-
-        /// Stop every worker once the queue drains.
-        pub(crate) fn shutdown(&self) {
-            self.stop.store(true, Ordering::Release);
-            self.available.notify_all();
-        }
-    }
-
     /// Everything one reactor thread needs.
     pub(crate) struct ReactorContext {
         /// This reactor's shared face.
         pub(crate) shared: Arc<ReactorShared>,
-        /// This reactor's index (stamped into jobs for completion routing).
-        pub(crate) index: usize,
-        /// The service core (telemetry only, on this thread).
+        /// The service core every request executes against.
         pub(crate) core: Arc<ServiceCore>,
-        /// The worker pool's injection queue.
-        pub(crate) jobs: Arc<JobQueue>,
-        /// Per-connection in-flight frame budget.
+        /// Frames decoded per connection per readiness pass.
         pub(crate) budget: usize,
         /// Slow-consumer cap on buffered outbound bytes per connection.
         pub(crate) max_outbound: usize,
-    }
-
-    /// Worker-pool thread body: pop a run, execute it against the core,
-    /// post the encoded responses back to the owning reactor.
-    pub(crate) fn run_worker(
-        jobs: Arc<JobQueue>,
-        reactors: Arc<Vec<Arc<ReactorShared>>>,
-        core: Arc<ServiceCore>,
-        aggregator: Arc<DrawAggregator>,
-    ) {
-        while let Some(job) = jobs.pop() {
-            let bytes = execute_run(&job.frames, &core, &aggregator, &job.rng);
-            let frames = job.frames.len();
-            reactors[job.reactor].post_completion(Completion {
-                token: job.token,
-                bytes,
-                frames,
-            });
-        }
     }
 
     /// What an I/O step decided about a connection's fate.
@@ -326,6 +223,9 @@ mod imp {
             return; // nothing can wake us; the server start aborts
         }
         let mut events = vec![sys::EpollEvent::zeroed(); MAX_EVENTS];
+        // Scratch for the frames one readiness pass decodes, reused across
+        // passes and connections.
+        let mut frames = Vec::new();
         // Whether the one-shot entry into drain mode has run (read
         // interest dropped on every connection).
         let mut drain_started = false;
@@ -339,12 +239,12 @@ mod imp {
             for event in &events[..n] {
                 let (bits, token) = event.parts();
                 if token == WAKE_TOKEN {
-                    // Drain the eventfd counter; queues are drained below.
+                    // Drain the eventfd counter; the queue is drained below.
                     let mut scratch = [0u8; 8];
                     let _ = (&ctx.shared.wake).read(&mut scratch);
                     continue;
                 }
-                let fate = handle_io(&ctx, &mut conns, token, bits);
+                let fate = handle_io(&ctx, &mut conns, token, bits, &mut frames);
                 if matches!(fate, Fate::Close) {
                     close_conn(&ctx, &mut conns, token);
                 }
@@ -352,9 +252,9 @@ mod imp {
             if ctx.shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            // New connections and finished runs arrive through the queues;
-            // drain them every iteration (they are usually empty, and the
-            // eventfd guarantees a wakeup whenever they are not).
+            // New connections arrive through the queue; drain it every
+            // iteration (it is usually empty, and the eventfd guarantees a
+            // wakeup whenever it is not).
             let registrations: Vec<Registration> = std::mem::take(
                 &mut ctx
                     .shared
@@ -364,19 +264,6 @@ mod imp {
             );
             for registration in registrations {
                 install(&ctx, &mut conns, registration);
-            }
-            let completions: Vec<Completion> = std::mem::take(
-                &mut ctx
-                    .shared
-                    .completions
-                    .lock()
-                    .expect("completion queue poisoned"),
-            );
-            for completion in completions {
-                let token = completion.token;
-                if matches!(handle_completion(&ctx, &mut conns, completion), Fate::Close) {
-                    close_conn(&ctx, &mut conns, token);
-                }
             }
             if ctx.shared.is_draining() {
                 if !drain_started {
@@ -388,10 +275,7 @@ mod imp {
                         update_interest(&ctx, conn, token);
                     }
                 }
-                let busy = conns
-                    .values()
-                    .filter(|conn| conn.inflight() > 0 || conn.wants_write())
-                    .count();
+                let busy = conns.values().filter(|conn| conn.wants_write()).count();
                 let expired = ctx
                     .shared
                     .deadline()
@@ -433,12 +317,16 @@ mod imp {
         conns.insert(registration.token, conn);
     }
 
-    /// React to readiness bits on a connection.
+    /// React to readiness bits on a connection: flush on writability;
+    /// on readability run one pass — decode up to the budget, execute the
+    /// run, queue and flush its responses, then apply the slow-consumer
+    /// cap.
     fn handle_io(
         ctx: &ReactorContext,
         conns: &mut HashMap<u64, Connection<Socket>>,
         token: u64,
         bits: u32,
+        frames: &mut Vec<Frame>,
     ) -> Fate {
         let Some(conn) = conns.get_mut(&token) else {
             return Fate::Keep; // closed earlier this iteration
@@ -450,81 +338,47 @@ mod imp {
             return Fate::Close;
         }
         // While draining, requests still sitting in the kernel buffer are
-        // not accepted — the drain completes what is in flight, nothing
+        // not accepted — the drain flushes what was answered, nothing
         // more. (A peer hangup still closes via EPOLLHUP/EPOLLERR above.)
         if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !ctx.shared.is_draining() {
-            match conn.read_frames(ctx.budget) {
-                Ok(deferred) => {
-                    if deferred {
-                        ctx.core.telemetry().record_read_deferred();
+            let telemetry = ctx.core.telemetry();
+            match conn.read_frames(ctx.budget, frames) {
+                Ok(capped) => {
+                    if capped {
+                        telemetry.record_read_deferral();
                     }
                 }
                 // EOF, framing violation or transport error: the protocol
-                // has no half-close, so any pending responses die with the
+                // has no half-close, so the pass's frames die with the
                 // connection.
                 Err(_) => return Fate::Close,
             }
-            submit_run(ctx, conn, token);
+            if !frames.is_empty() {
+                telemetry.record_submit_depth(frames.len() as u64);
+                execute_run(frames, &ctx.core, &mut conn.rng, conn.out.queue());
+                if conn.flush().is_err() {
+                    return Fate::Close;
+                }
+                // The slow-consumer cap judges the backlog the socket
+                // refused to take, so a fast consumer may receive
+                // responses of any size while a stalled one cannot pin
+                // unbounded memory.
+                if conn.outbound_len() > ctx.max_outbound {
+                    telemetry.record_slow_consumer(token, conn.outbound_len() as u64);
+                    return Fate::Close;
+                }
+            }
         }
         update_interest(ctx, conn, token);
         Fate::Keep
     }
 
-    /// Hand the connection's next pending run to the worker pool.
-    fn submit_run(ctx: &ReactorContext, conn: &mut Connection<Socket>, token: u64) {
-        let depth = conn.inflight();
-        if let Some(frames) = conn.take_run() {
-            ctx.core.telemetry().record_submit_depth(depth as u64);
-            ctx.jobs.push(Job {
-                reactor: ctx.index,
-                token,
-                frames,
-                rng: Arc::clone(&conn.rng),
-            });
-        }
-    }
-
-    /// Fold a finished run back into its connection: queue the responses,
-    /// flush, re-open the read side if the budget freed, start the next
-    /// run.
-    fn handle_completion(
-        ctx: &ReactorContext,
-        conns: &mut HashMap<u64, Connection<Socket>>,
-        completion: Completion,
-    ) -> Fate {
-        let Some(conn) = conns.get_mut(&completion.token) else {
-            return Fate::Keep; // connection died while the run executed
-        };
-        conn.complete(&completion.bytes, completion.frames);
-        if conn.flush().is_err() {
-            return Fate::Close;
-        }
-        // The slow-consumer cap judges the backlog the socket refused to
-        // take, so a fast consumer may receive responses of any size while
-        // a stalled one cannot pin unbounded memory.
-        if conn.outbound_len() > ctx.max_outbound {
-            ctx.core
-                .telemetry()
-                .record_slow_consumer(completion.token, conn.outbound_len() as u64);
-            return Fate::Close;
-        }
-        if conn.read_deferred && conn.inflight() < ctx.budget {
-            // Budget freed: re-arm EPOLLIN below. Level-triggered epoll
-            // re-fires immediately if the kernel buffer still holds the
-            // frames we deferred.
-            conn.read_deferred = false;
-        }
-        submit_run(ctx, conn, completion.token);
-        update_interest(ctx, conn, completion.token);
-        Fate::Keep
-    }
-
     /// Reconcile the connection's epoll interest mask with its state:
-    /// read interest unless the budget deferred it (or a drain closed the
-    /// read side for good), write interest while responses are buffered.
+    /// read interest unless a drain closed the read side for good, write
+    /// interest while responses are buffered.
     fn update_interest(ctx: &ReactorContext, conn: &mut Connection<Socket>, token: u64) {
         let mut desired = sys::EPOLLRDHUP;
-        if !conn.read_deferred && !ctx.shared.is_draining() {
+        if !ctx.shared.is_draining() {
             desired |= sys::EPOLLIN;
         }
         if conn.wants_write() {

@@ -2,25 +2,25 @@
 //! length-prefixed binary protocol of [`crate::protocol`].
 //!
 //! The server runs [`ServerConfig::reactors`] epoll reactor threads (the
-//! private `reactor` module) multiplexing every connection, plus a small
-//! worker pool that executes decoded frames against the shard /
-//! aggregator machinery — total thread count is **O(reactors + workers +
-//! shards)** regardless of how many connections are open. Connections are
-//! nonblocking; idle ones cost nothing (no poll-loop wakeups, no thread
-//! stacks).
+//! private `reactor` module) multiplexing every connection, and each
+//! reactor executes the requests it reads itself — total thread count is
+//! **O(reactors + shards)** regardless of how many connections are open.
+//! Connections are nonblocking; idle ones cost nothing (no poll-loop
+//! wakeups, no thread stacks).
 //!
 //! Request execution semantics per connection:
 //!
 //! * frames execute strictly in arrival order and responses are written in
 //!   that order, so a pipelining client correlates by position;
-//! * a **run** of consecutive `DRAW` frames from one connection coalesces
-//!   into a single fused two-level batch ([`ServiceCore::draw_many`]) —
-//!   pipelined single draws get batch-draw throughput automatically;
-//! * a lone `DRAW` goes through the shared [`DrawAggregator`], so
-//!   concurrent *connections* still coalesce with each other;
-//! * at most [`ServerConfig::inflight_budget`] decoded-but-unanswered
-//!   frames per connection; beyond that the reactor stops reading the
-//!   connection (TCP flow control pushes back on the client);
+//! * every draw comes from the connection's own server-side RNG stream,
+//!   and a **run** of consecutive `DRAW` frames decoded in one readiness
+//!   pass becomes a single two-level batch ([`ServiceCore::draw_into`]) —
+//!   a lone `DRAW` is a run of one, and pipelined single draws get batch
+//!   throughput automatically;
+//! * one readiness pass decodes at most [`ServerConfig::inflight_budget`]
+//!   frames per connection; the rest wait in the kernel socket buffer
+//!   until the reactor's next turn (TCP flow control pushes back on the
+//!   client);
 //! * a connection whose buffered responses exceed
 //!   [`ServerConfig::max_outbound_bytes`] is disconnected (slow-consumer
 //!   policy) with a journaled [`ServiceEvent::SlowConsumer`] reason.
@@ -31,13 +31,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lrb_rng::MersenneTwister64;
 
-use crate::aggregator::DrawAggregator;
 use crate::protocol::{codes, encode_err, encode_ok, error_code, Cursor, Frame, OpCode, MAX_BATCH};
 use crate::sharded::ServiceCore;
 
@@ -53,17 +52,14 @@ const SHUTDOWN_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 ///
 /// The defaults suit a small host: reactors scale with cores up to 4
 /// (thousands of mostly-idle connections per reactor are fine — each costs
-/// one epoll registration and a couple of buffers, not a thread), workers
-/// with cores up to 8 (workers run the actual draws; more than cores just
-/// adds contention on the shard snapshots).
+/// one epoll registration and a couple of buffers, not a thread).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Reactor (event-loop) threads; `0` = `min(4, cores)`.
     pub reactors: usize,
-    /// Worker (request-execution) threads; `0` = `max(2, min(8, cores))`.
-    pub workers: usize,
-    /// Max decoded-but-unanswered frames per connection before the server
-    /// stops reading it (connection-level backpressure).
+    /// Max frames one readiness pass decodes and executes per connection;
+    /// the rest wait in the kernel socket buffer for the next pass, so
+    /// other connections on the reactor get a turn first.
     pub inflight_budget: usize,
     /// Max buffered outbound response bytes per connection before the
     /// slow-consumer policy disconnects it.
@@ -74,7 +70,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             reactors: 0,
-            workers: 0,
             inflight_budget: 64,
             max_outbound_bytes: 16 << 20,
         }
@@ -82,28 +77,23 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn cores() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
     /// The reactor-thread count after resolving the `0 = auto` default.
     pub fn resolved_reactors(&self) -> usize {
         if self.reactors > 0 {
             self.reactors
         } else {
-            Self::cores().min(4)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(4)
         }
     }
 
-    /// The worker-thread count after resolving the `0 = auto` default.
+    /// Always 0: reactors execute every request themselves, so there is
+    /// no worker pool. Kept because the end-to-end benchmark stamps it
+    /// into each run's config line.
     pub fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            Self::cores().clamp(2, 8)
-        }
+        0
     }
 }
 
@@ -123,9 +113,8 @@ enum Incoming {
 }
 
 /// A running selection server. Dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops the accept loop, the reactors and
-/// the worker pool, closes every connection and, for UDS, removes the
-/// socket file.
+/// [`shutdown`](Self::shutdown)) stops the accept loop and the reactors,
+/// closes every connection and, for UDS, removes the socket file.
 pub struct ServiceServer {
     addr: ServerAddr,
     stop: Arc<AtomicBool>,
@@ -210,9 +199,7 @@ impl ServiceServer {
         config: ServerConfig,
     ) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
-        let aggregator = Arc::new(DrawAggregator::new(Arc::clone(&core), seed));
-        let (runtime, accept) =
-            Runtime::start(core, aggregator, listener, Arc::clone(&stop), seed, config)?;
+        let (runtime, accept) = Runtime::start(core, listener, Arc::clone(&stop), seed, config)?;
         Ok(Self {
             addr,
             stop,
@@ -227,13 +214,13 @@ impl ServiceServer {
         &self.addr
     }
 
-    /// Stop accepting, wake and join the reactors and workers, close every
-    /// connection and clean up the socket. Also runs on drop.
+    /// Stop accepting, wake and join the reactors, close every connection
+    /// and clean up the socket. Also runs on drop.
     ///
     /// This is the *abrupt* path: connections close regardless of
-    /// in-flight work. For a graceful stop that lets in-flight requests
-    /// finish and flushes their responses first, use
-    /// [`shutdown_within`](Self::shutdown_within).
+    /// buffered responses and of requests still in the kernel socket
+    /// buffers. For a graceful stop that flushes the answered requests'
+    /// responses first, use [`shutdown_within`](Self::shutdown_within).
     pub fn shutdown(&mut self) {
         if self.stop_accepting() {
             self.runtime.shutdown();
@@ -242,10 +229,10 @@ impl ServiceServer {
     }
 
     /// Gracefully drain and stop within `deadline`: stop accepting new
-    /// connections, stop *reading* on existing ones, let every in-flight
-    /// run complete and its response flush, then close. Connections still
-    /// busy when the deadline expires are closed anyway and counted as
-    /// abandoned in the journaled
+    /// connections, stop *reading* on existing ones, let every answered
+    /// request's response flush, then close. Connections still holding
+    /// unflushed responses when the deadline expires are closed anyway
+    /// and counted as abandoned in the journaled
     /// [`ServiceEvent::Drained`](crate::ServiceEvent::Drained) (one entry
     /// per reactor). Also safe to call after a shutdown (no-op).
     pub fn shutdown_within(&mut self, deadline: Duration) {
@@ -304,38 +291,29 @@ fn connection_seed(seed: u64, token: u64) -> u64 {
 struct Runtime {
     reactors: Vec<Arc<crate::reactor::ReactorShared>>,
     reactor_threads: Vec<JoinHandle<()>>,
-    jobs: Arc<crate::reactor::JobQueue>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Runtime {
     fn start(
         core: Arc<ServiceCore>,
-        aggregator: Arc<DrawAggregator>,
         listener: Incoming,
         stop: Arc<AtomicBool>,
         seed: u64,
         config: ServerConfig,
     ) -> std::io::Result<(Self, JoinHandle<()>)> {
-        use crate::reactor::{JobQueue, ReactorContext, ReactorShared};
+        use crate::reactor::{ReactorContext, ReactorShared};
 
         let reactor_count = config.resolved_reactors();
-        let worker_count = config.resolved_workers();
-        let jobs = Arc::new(JobQueue::new());
-
         let mut reactors = Vec::with_capacity(reactor_count);
         for _ in 0..reactor_count {
             reactors.push(Arc::new(ReactorShared::new()?));
         }
-        let reactors_shared = Arc::new(reactors.clone());
 
         let mut reactor_threads = Vec::with_capacity(reactor_count);
-        for (index, shared) in reactors.iter().enumerate() {
+        for shared in &reactors {
             let ctx = ReactorContext {
                 shared: Arc::clone(shared),
-                index,
                 core: Arc::clone(&core),
-                jobs: Arc::clone(&jobs),
                 budget: config.inflight_budget.max(1),
                 max_outbound: config.max_outbound_bytes.max(1),
             };
@@ -346,28 +324,14 @@ impl Runtime {
             }));
         }
 
-        let mut worker_threads = Vec::with_capacity(worker_count);
-        for _ in 0..worker_count {
-            let jobs = Arc::clone(&jobs);
-            let reactors = Arc::clone(&reactors_shared);
-            let core = Arc::clone(&core);
-            let aggregator = Arc::clone(&aggregator);
-            worker_threads.push(std::thread::spawn(move || {
-                core.pinner().pin_current();
-                crate::reactor::run_worker(jobs, reactors, core, aggregator)
-            }));
-        }
-
         let accept = {
-            let reactors = Arc::clone(&reactors_shared);
+            let reactors = reactors.clone();
             std::thread::spawn(move || accept_loop(listener, reactors, stop, seed))
         };
         Ok((
             Self {
                 reactors,
                 reactor_threads,
-                jobs,
-                worker_threads,
             },
             accept,
         ))
@@ -380,11 +344,10 @@ impl Runtime {
         self.join_all();
     }
 
-    /// Graceful drain: the reactors keep running (and the workers keep
-    /// executing their in-flight runs) until every connection is idle or
-    /// `deadline` elapses, then everything joins.
+    /// Graceful drain: the reactors keep running until every connection's
+    /// responses are flushed or `deadline` elapses, then they join.
     fn shutdown_within(&mut self, deadline: Duration) {
-        let by = std::time::Instant::now() + deadline;
+        let by = Instant::now() + deadline;
         for reactor in &self.reactors {
             reactor.request_drain(by);
         }
@@ -395,18 +358,12 @@ impl Runtime {
         for handle in self.reactor_threads.drain(..) {
             let _ = handle.join();
         }
-        // Workers stop only after the reactors exit: a draining reactor
-        // depends on them to finish the runs it is waiting on.
-        self.jobs.shutdown();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
 fn accept_loop(
     listener: Incoming,
-    reactors: Arc<Vec<Arc<crate::reactor::ReactorShared>>>,
+    reactors: Vec<Arc<crate::reactor::ReactorShared>>,
     stop: Arc<AtomicBool>,
     seed: u64,
 ) {
@@ -449,77 +406,66 @@ fn accept_loop(
 }
 
 // ---------------------------------------------------------------------------
-// Frame execution (run by the reactor workers).
+// Frame execution (run inline on the reactor that read the frames).
 // ---------------------------------------------------------------------------
 
-/// Execute a run of frames from one connection, in order, and return the
-/// encoded responses (one per frame, same order).
+/// Execute a run of frames from one connection, in order, encoding one
+/// response per frame into `out`.
 ///
-/// Consecutive `DRAW` frames coalesce into one fused two-level batch; a
-/// lone `DRAW` rides the cross-connection [`DrawAggregator`]. Protocol and
-/// selection errors are answered in-band, so this never fails — transport
-/// problems are the caller's (the reactor's) concern.
+/// Each run of consecutive `DRAW` frames becomes one two-level batch of
+/// that many slots from the connection's `rng`. Protocol and selection
+/// errors are answered in-band, so this never fails — transport problems
+/// are the caller's (the reactor's) concern.
 pub(crate) fn execute_run(
     frames: &[Frame],
-    core: &Arc<ServiceCore>,
-    aggregator: &Arc<DrawAggregator>,
-    rng: &Arc<Mutex<MersenneTwister64>>,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    // Runs are serial per connection, so this lock is never contended.
-    let mut rng = rng.lock().expect("connection rng poisoned");
-    let telemetry = core.telemetry();
-    let mut i = 0;
-    while i < frames.len() {
-        let started = Instant::now();
-        // Coalesce a run of consecutive single draws into one fused batch.
-        if frames[i].opcode == OpCode::Draw as u8 && frames[i].payload.is_empty() {
-            let mut j = i + 1;
-            while j < frames.len()
-                && frames[j].opcode == OpCode::Draw as u8
-                && frames[j].payload.is_empty()
-            {
-                j += 1;
-            }
-            let n = j - i;
-            if n >= 2 {
-                match core.draw_many(&mut *rng, n) {
-                    Ok(indices) => {
-                        for index in indices {
-                            encode_ok(&mut out, &(index as u64).to_le_bytes());
-                        }
-                    }
-                    Err(e) => {
-                        let code = error_code(&e);
-                        let message = e.to_string();
-                        for _ in 0..n {
-                            encode_err(&mut out, code, &message);
-                        }
-                    }
-                }
-                for _ in 0..n {
-                    telemetry.record_request_span(started);
-                }
-                i = j;
-                continue;
-            }
-        }
-        execute_one(&frames[i], core, aggregator, &mut rng, &mut out);
-        telemetry.record_request_span(started);
-        i += 1;
-    }
-    out
-}
-
-/// Handle one decoded frame, appending its encoded response to `out`.
-/// Protocol and selection errors are answered in-band.
-fn execute_one(
-    frame: &Frame,
-    core: &Arc<ServiceCore>,
-    aggregator: &Arc<DrawAggregator>,
+    core: &ServiceCore,
     rng: &mut MersenneTwister64,
     out: &mut Vec<u8>,
 ) {
+    let telemetry = core.telemetry();
+    let mut rest = frames;
+    while let Some(frame) = rest.first() {
+        let started = Instant::now();
+        let draws = rest
+            .iter()
+            .take_while(|f| f.opcode == OpCode::Draw as u8)
+            .count();
+        let answered = if draws > 0 {
+            execute_draws(draws, core, rng, out);
+            draws
+        } else {
+            execute_one(frame, core, rng, out);
+            1
+        };
+        for _ in 0..answered {
+            telemetry.record_request_span(started);
+        }
+        rest = &rest[answered..];
+    }
+}
+
+/// Answer `n` consecutive `DRAW` frames with one batch of `n` slots.
+fn execute_draws(n: usize, core: &ServiceCore, rng: &mut MersenneTwister64, out: &mut Vec<u8>) {
+    let mut slots = vec![0usize; n];
+    match core.draw_into(rng, &mut slots) {
+        Ok(()) => {
+            for index in slots {
+                encode_ok(out, &(index as u64).to_le_bytes());
+            }
+        }
+        Err(e) => {
+            let code = error_code(&e);
+            let message = e.to_string();
+            for _ in 0..n {
+                encode_err(out, code, &message);
+            }
+        }
+    }
+}
+
+/// Handle one decoded non-`DRAW` frame, appending its encoded response to
+/// `out`. Protocol and selection errors are answered in-band.
+fn execute_one(frame: &Frame, core: &ServiceCore, rng: &mut MersenneTwister64, out: &mut Vec<u8>) {
     let Some(opcode) = OpCode::from_u8(frame.opcode) else {
         encode_err(
             out,
@@ -530,10 +476,7 @@ fn execute_one(
     };
     // Decode-and-execute; any ServiceError becomes an in-band error frame.
     let outcome: Result<Vec<u8>, (u8, String)> = match opcode {
-        OpCode::Draw => aggregator
-            .draw()
-            .map(|index| (index as u64).to_le_bytes().to_vec())
-            .map_err(|e| (error_code(&e), e.to_string())),
+        OpCode::Draw => unreachable!("execute_run answers every DRAW in a run"),
         OpCode::DrawBatch => decode_count(&frame.payload).and_then(|count| {
             core.draw_many(rng, count as usize)
                 .map(|indices| {

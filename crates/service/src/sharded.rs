@@ -102,7 +102,7 @@ pub struct ServiceConfig {
     pub fanout_workers: usize,
     /// Core-pinning policy for the service's long-lived threads (shard
     /// publishers, fan-out lanes and — through
-    /// [`ServiceCore::pinner`] — the server's reactors and workers).
+    /// [`ServiceCore::pinner`] — the server's reactors).
     /// Overridable with `LRB_PIN`; see [`crate::affinity`].
     pub core_map: CoreMap,
 }
@@ -143,7 +143,7 @@ impl ServiceConfig {
 /// level-one cut — everything a batch needs, owned by the caller and
 /// reused across batches so the steady-state path never allocates.
 ///
-/// Hold one per worker/connection (the server's workers do, through a
+/// Hold one per thread (the server's reactors do, through a
 /// thread-local inside [`ServiceCore::draw_into`]) or pass your own to
 /// [`ServiceCore::draw_into_with_plan`]. Buffers grow to the largest
 /// batch/shard-count seen and stay there.
@@ -195,7 +195,7 @@ impl Default for DrawPlan {
 
 thread_local! {
     /// The per-thread plan behind [`ServiceCore::draw_into`] — one warm
-    /// scratch per server worker / publisher / caller thread.
+    /// scratch per server reactor / publisher / caller thread.
     static THREAD_PLAN: RefCell<DrawPlan> = const { RefCell::new(DrawPlan::new()) };
 }
 
@@ -209,8 +209,8 @@ struct Shard {
 
 /// The shared, thread-safe service state: shards, the level-one totals and
 /// the service telemetry. Everything on it is callable from any thread;
-/// clones of the `Arc<ServiceCore>` are what the server, the aggregator
-/// and the publisher threads hold.
+/// clones of the `Arc<ServiceCore>` are what the server's reactors and
+/// the publisher threads hold.
 #[derive(Debug)]
 pub struct ServiceCore {
     shards: Vec<Shard>,
@@ -307,7 +307,7 @@ impl ServiceCore {
     }
 
     /// The service's core-pinning policy. Long-lived threads built on top
-    /// of the core (the server's reactors and workers) call
+    /// of the core (the server's reactors) call
     /// [`Pinner::pin_current`] on it at startup; so do the service's own
     /// publisher and fan-out threads.
     pub fn pinner(&self) -> &Arc<Pinner> {
@@ -386,9 +386,9 @@ impl ServiceCore {
     /// grouped per shard and each group is served by **one** buffer fill
     /// through the shard's
     /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
-    /// engine's fused batch path — so an aggregated batch costs one
-    /// snapshot acquisition and one streamed fill per touched shard
-    /// instead of a draw-by-draw walk. The per-shard fills run across the
+    /// engine's fused batch path — so a batch costs one snapshot
+    /// acquisition and one streamed fill per touched shard instead of a
+    /// draw-by-draw walk. The per-shard fills run across the
     /// fan-out lanes and the result is bit-identical at any lane count
     /// (see the module docs).
     ///
@@ -665,16 +665,6 @@ impl ServiceCore {
                 t.publishes(),
             )
             .counter(
-                "lrb_service_agg_batches_total",
-                "Coalesced draw batches executed by the aggregator",
-                t.batches(),
-            )
-            .counter(
-                "lrb_service_agg_batched_draws_total",
-                "Single-draw requests served inside a coalesced batch",
-                t.batched_draws(),
-            )
-            .counter(
                 "lrb_service_planner_batches_total",
                 "Batches routed through the parallel draw planner",
                 t.planner_batches(),
@@ -691,7 +681,7 @@ impl ServiceCore {
             )
             .counter(
                 "lrb_service_read_deferrals_total",
-                "Times a connection's reads were paused by the in-flight budget",
+                "Readiness passes that stopped at the per-pass frame cap (inflight_budget)",
                 t.read_deferrals(),
             )
             .counter(
@@ -736,7 +726,7 @@ impl ServiceCore {
             )
             .histogram(
                 "lrb_service_submit_depth",
-                "In-flight frame depth when runs were handed to workers",
+                "Frames executed per readiness pass",
                 &t.submit_depth(),
             );
         for (s, shard) in self.shards.iter().enumerate() {
@@ -770,8 +760,8 @@ impl ServiceCore {
 /// The owning handle: the shared [`ServiceCore`] plus the per-shard
 /// publisher threads (when [`ServiceConfig::publish_interval`] is set).
 /// Dropping it stops and joins the publishers; clones of
-/// [`core`](Self::core) handed to servers/aggregators keep the shards
-/// alive independently.
+/// [`core`](Self::core) handed to servers keep the shards alive
+/// independently.
 #[derive(Debug)]
 pub struct ShardedService {
     core: Arc<ServiceCore>,
@@ -808,7 +798,7 @@ impl ShardedService {
         })
     }
 
-    /// A clone of the shared core for servers, aggregators and tests.
+    /// A clone of the shared core for servers and tests.
     pub fn core(&self) -> Arc<ServiceCore> {
         Arc::clone(&self.core)
     }

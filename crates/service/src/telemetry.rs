@@ -48,13 +48,12 @@ pub enum ServiceEvent {
     },
     /// One reactor finished a graceful drain
     /// ([`ServiceServer::shutdown_within`](crate::ServiceServer::shutdown_within)):
-    /// it stopped reading, let in-flight runs complete and flushed
-    /// buffered responses before closing.
+    /// it stopped reading and flushed buffered responses before closing.
     Drained {
         /// Connections the reactor held when the drain ended.
         conns: u64,
-        /// Connections closed with work still in flight or responses
-        /// still buffered because the drain deadline expired.
+        /// Connections closed with responses still buffered because the
+        /// drain deadline expired.
         abandoned: u64,
     },
 }
@@ -77,9 +76,12 @@ pub struct ServiceTelemetry {
     updates: Counter,
     /// Shard publishes performed through the service.
     publishes: Counter,
-    /// Coalesced batches executed by the draw aggregator.
+    /// Coalesced batches executed by a [`DrawAggregator`]; the server
+    /// never uses one, so wire traffic leaves this at 0.
+    ///
+    /// [`DrawAggregator`]: crate::DrawAggregator
     batches: Counter,
-    /// Single-draw requests that rode in a coalesced batch.
+    /// Single-draw requests that rode in an aggregator batch.
     batched_draws: Counter,
     /// Batches routed through the parallel draw planner.
     planner_batches: Counter,
@@ -89,12 +91,13 @@ pub struct ServiceTelemetry {
     connects: Counter,
     /// Connections closed (any reason).
     disconnects: Counter,
-    /// Times a connection's reading was paused by the in-flight budget.
+    /// Readiness passes that stopped at the per-pass frame cap
+    /// (`inflight_budget`) with the socket possibly holding more.
     read_deferrals: Counter,
     /// Connections disconnected by the slow-consumer outbound cap.
     slow_consumer_disconnects: Counter,
-    /// In-flight frame depth observed when runs were handed to workers
-    /// (queue-depth distribution: how deep pipelining actually runs).
+    /// Frames executed per readiness pass (how deep pipelining actually
+    /// runs).
     submit_depth: Histogram,
     /// Last-`SERVICE_JOURNAL_CAPACITY` service events.
     journal: FlightRecorder<ServiceEvent>,
@@ -156,8 +159,7 @@ impl ServiceTelemetry {
             .push(ServiceEvent::ShardPublish { shard, version });
     }
 
-    /// Record one coalesced aggregator batch of `draws` single-draw
-    /// requests.
+    /// Record one aggregator batch of `draws` single-draw requests.
     pub(crate) fn record_batch(&self, draws: u64) {
         self.batches.incr();
         self.batched_draws.add(draws);
@@ -188,8 +190,8 @@ impl ServiceTelemetry {
         self.disconnects.incr();
     }
 
-    /// Record one budget-induced read deferral (backpressure engaged).
-    pub(crate) fn record_read_deferred(&self) {
+    /// Record one readiness pass that stopped at the frame cap.
+    pub(crate) fn record_read_deferral(&self) {
         self.read_deferrals.incr();
     }
 
@@ -206,7 +208,7 @@ impl ServiceTelemetry {
             .push(ServiceEvent::SlowConsumer { token, buffered });
     }
 
-    /// Record the in-flight depth at which a run was handed to a worker.
+    /// Record how many frames one readiness pass executed.
     pub(crate) fn record_submit_depth(&self, depth: u64) {
         self.submit_depth.record(depth);
     }
@@ -258,12 +260,12 @@ impl ServiceTelemetry {
         self.planner_batches.get()
     }
 
-    /// Coalesced aggregator batches so far.
+    /// Aggregator batches so far (0 under wire traffic alone).
     pub fn batches(&self) -> u64 {
         self.batches.get()
     }
 
-    /// Single draws that were served inside a coalesced batch.
+    /// Single draws served inside an aggregator batch.
     pub fn batched_draws(&self) -> u64 {
         self.batched_draws.get()
     }
@@ -284,8 +286,8 @@ impl ServiceTelemetry {
         self.disconnects.get()
     }
 
-    /// Budget-induced read deferrals so far (how often backpressure
-    /// engaged).
+    /// Readiness passes so far that stopped at the per-pass frame cap
+    /// (how often backpressure engaged).
     pub fn read_deferrals(&self) -> u64 {
         self.read_deferrals.get()
     }
@@ -295,7 +297,7 @@ impl ServiceTelemetry {
         self.slow_consumer_disconnects.get()
     }
 
-    /// Distribution of in-flight depth when runs went to workers.
+    /// Distribution of frames executed per readiness pass.
     pub fn submit_depth(&self) -> HistogramSnapshot {
         self.submit_depth.snapshot()
     }

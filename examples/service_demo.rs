@@ -7,7 +7,7 @@
 //! Builds a 4-shard [`ShardedService`] over 1 000 categories with per-shard
 //! publisher threads, fronts it with a [`ServiceServer`] on a Unix-domain
 //! socket, then exercises the protocol from a few concurrent
-//! [`ServiceClient`]s: coalesced single draws, batch draws, weight updates
+//! [`ServiceClient`]s: single draws, batch draws, weight updates
 //! and an evaporation scale. Finishes by printing the merged service
 //! metrics (per-shard publish/read histograms included).
 
@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = ServiceServer::bind_uds(service.core(), &path, 42)?;
     println!("serving at {:?}", server.local_addr());
 
-    // A handful of concurrent clients issuing single draws: the server's
-    // flat-combining aggregator coalesces them into batched fills.
+    // A handful of concurrent clients issuing single draws: each draw
+    // comes from its connection's own server-side RNG stream.
     let mut readers = Vec::new();
     for _ in 0..4 {
         let addr = server.local_addr().clone();

@@ -1,9 +1,13 @@
 //! End-to-end tests of the sharded selection service over real sockets:
 //! a Unix-domain server under mixed single/batch/update traffic, exact
-//! two-level conformance (service draws vs the flat distribution), wire
-//! error mapping, and a TCP smoke test.
+//! two-level conformance (service draws vs the flat distribution),
+//! per-connection draw streams, wire error mapping, and a TCP smoke test.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use lrb_core::SelectionError;
+use lrb_engine::{BackendChoice, EngineConfig};
 use lrb_service::{
     protocol, ServiceClient, ServiceConfig, ServiceError, ServiceServer, ShardedService,
 };
@@ -68,8 +72,8 @@ fn uds_mixed_traffic_stays_coherent() {
     let path = socket_path("mixed");
     let server = ServiceServer::bind_uds(service.core(), &path, 0x11FE).unwrap();
 
-    // Concurrent clients: two single-draw loops (exercising the
-    // aggregator), one batch-draw loop, one writer doing updates.
+    // Concurrent clients: two single-draw loops, one batch-draw loop, one
+    // writer doing updates.
     let mut handles = Vec::new();
     for _ in 0..2 {
         let path = path.clone();
@@ -118,27 +122,86 @@ fn uds_mixed_traffic_stays_coherent() {
     assert_eq!(totals[0], 31.0);
     assert_eq!(totals[3], (19..24).map(f64::from).sum::<f64>() + 50.0);
 
-    // The aggregator actually coalesced work and the metrics document
-    // reports it.
+    // The metrics document reports the traffic, and wire draws come from
+    // each connection's own RNG: nothing rides the cross-connection
+    // aggregator.
     let metrics = client.metrics_json().unwrap();
     for needle in [
         "lrb_service_draws_total",
-        "lrb_service_agg_batched_draws_total",
         "lrb_service_shard0_publish_ns",
         "lrb_service_shard_imbalance",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in metrics");
     }
     let telemetry = service.telemetry();
-    assert!(
-        telemetry.batched_draws() >= 200,
-        "single draws bypassed the aggregator"
+    assert!(telemetry.draws() >= 200 + 20 * 64, "draws went uncounted");
+    assert_eq!(
+        telemetry.batched_draws(),
+        0,
+        "wire draws went through the aggregator"
     );
     assert!(
         telemetry.publishes() >= 40,
         "publishes were not routed per shard"
     );
     drop(server);
+}
+
+#[test]
+fn serial_draws_on_a_connection_ignore_other_connections() {
+    const DRAWS: usize = 300;
+    const SEED: u64 = 0x5E41;
+    // One fresh service and server per run, both with the same server
+    // seed; fenwick is pinned so calibration cannot pick a different
+    // backend for the second run.
+    let run = |name: &str, with_neighbour: bool| -> Vec<usize> {
+        let service = ShardedService::new(
+            weights_1_to_24(),
+            ServiceConfig {
+                shards: 4,
+                engine: EngineConfig {
+                    backend: BackendChoice::Fixed("fenwick"),
+                    ..EngineConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let path = socket_path(name);
+        let server = ServiceServer::bind_uds(service.core(), &path, SEED).unwrap();
+        // A connects first and finishes a round trip, so it is accepted
+        // first and keeps the same connection token in both runs.
+        let mut a = ServiceClient::connect_uds(&path).unwrap();
+        a.totals().unwrap();
+        let stop = AtomicBool::new(false);
+        let overlap = Barrier::new(2);
+        let picks = std::thread::scope(|scope| {
+            if with_neighbour {
+                // B draws from before A's first draw until after its last.
+                scope.spawn(|| {
+                    let mut b = ServiceClient::connect_uds(&path).unwrap();
+                    b.draw().unwrap();
+                    overlap.wait();
+                    while !stop.load(Ordering::Acquire) {
+                        b.draw().unwrap();
+                    }
+                    b.draw().unwrap();
+                });
+                overlap.wait();
+            }
+            let picks: Vec<usize> = (0..DRAWS).map(|_| a.draw().unwrap()).collect();
+            stop.store(true, Ordering::Release);
+            picks
+        });
+        drop(server);
+        picks
+    };
+    let alone = run("serial-alone", false);
+    let beside = run("serial-beside", true);
+    assert_eq!(
+        alone, beside,
+        "another connection's draws changed this connection's serial draws"
+    );
 }
 
 #[test]

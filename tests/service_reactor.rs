@@ -330,8 +330,8 @@ fn graceful_drain_flushes_pipelined_responses_then_closes() {
     const FRAMES: usize = 32;
     let mut stream = UnixStream::connect(&path).unwrap();
     write_draw_batches(&mut stream, &[3; FRAMES]);
-    // Let the burst reach the reactor and its runs reach the workers
-    // before the drain stops reading new requests.
+    // Let the burst reach the reactor and execute before the drain stops
+    // reading new requests.
     std::thread::sleep(std::time::Duration::from_millis(200));
     server.shutdown_within(std::time::Duration::from_secs(5));
 
