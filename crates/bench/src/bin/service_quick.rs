@@ -46,11 +46,6 @@
 //!   enforced only when the host has at least 4 threads — on fewer cores
 //!   the fan-out pool has no parallelism to spend and the margin is
 //!   advisory.
-//! * `service_batch_speedup_pinned` — advisory only: the same comparison
-//!   with the parallel side's threads pinned via
-//!   [`CoreMap::Spread`], reported so the
-//!   pinning payoff (or its absence, e.g. syscall denied) is visible in
-//!   the baseline.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -62,9 +57,7 @@ use lrb_bench::service_workload::{
     measure_batch_speedup, measure_pipeline_speedup, run_fan_in, run_open_loop, BatchPlanReport,
     FanInConfig, FanInReport, PipelineReport, ServiceLoadConfig, ServiceLoadReport,
 };
-use lrb_service::{
-    CoreMap, ServerAddr, ServiceClient, ServiceConfig, ServiceServer, ShardedService,
-};
+use lrb_service::{ServerAddr, ServiceClient, ServiceConfig, ServiceServer, ShardedService};
 use lrb_stats::chi_square_gof;
 use serde::Serialize;
 
@@ -88,7 +81,6 @@ struct QuickReport {
     fanin_pipelined: FanInReport,
     pipeline: PipelineReport,
     batch_plan: BatchPlanReport,
-    batch_plan_pinned: BatchPlanReport,
     chi_square_consistent: bool,
     margins: Vec<GateMargin>,
 }
@@ -398,12 +390,11 @@ fn main() {
     // enforced miss (same jitter policy as every other gate).
     let batch_speedup_enforced = host_threads >= 4;
     let batch_plan = {
-        let first =
-            measure_batch_speedup(categories, shards, plan_batch, plan_iters, CoreMap::None)
-                .unwrap_or_else(|error| {
-                    eprintln!("batch-plan section failed: {error}");
-                    std::process::exit(1);
-                });
+        let first = measure_batch_speedup(categories, shards, plan_batch, plan_iters)
+            .unwrap_or_else(|error| {
+                eprintln!("batch-plan section failed: {error}");
+                std::process::exit(1);
+            });
         if !batch_speedup_enforced || first.speedup >= min_batch_speedup {
             first
         } else {
@@ -411,12 +402,11 @@ fn main() {
                 "  (batch-plan speedup {:.2}x under the {min_batch_speedup:.1}x bar; re-measuring once)",
                 first.speedup
             );
-            let second =
-                measure_batch_speedup(categories, shards, plan_batch, plan_iters, CoreMap::None)
-                    .unwrap_or_else(|error| {
-                        eprintln!("batch-plan section failed: {error}");
-                        std::process::exit(1);
-                    });
+            let second = measure_batch_speedup(categories, shards, plan_batch, plan_iters)
+                .unwrap_or_else(|error| {
+                    eprintln!("batch-plan section failed: {error}");
+                    std::process::exit(1);
+                });
             if second.speedup > first.speedup {
                 second
             } else {
@@ -427,23 +417,6 @@ fn main() {
     println!(
         "  batch plan({plan_batch}) {} lanes {:>9.0} draws/s  1 lane {:>9.0} draws/s  speedup {:.2}x",
         batch_plan.lanes, batch_plan.parallel_rps, batch_plan.one_lane_rps, batch_plan.speedup,
-    );
-    // Pinned advisory: same comparison with the fan-out lanes spread
-    // across cores. Never enforced — pinning payoff is host- and
-    // permission-dependent (the pinner no-ops when the syscall is denied,
-    // and `pinned_threads` records what actually stuck).
-    let batch_plan_pinned =
-        measure_batch_speedup(categories, shards, plan_batch, plan_iters, CoreMap::Spread)
-            .unwrap_or_else(|error| {
-                eprintln!("pinned batch-plan section failed: {error}");
-                std::process::exit(1);
-            });
-    println!(
-        "  batch plan pinned     {} lanes {:>9.0} draws/s  speedup {:.2}x  pinned threads {}",
-        batch_plan_pinned.lanes,
-        batch_plan_pinned.parallel_rps,
-        batch_plan_pinned.speedup,
-        batch_plan_pinned.pinned_threads,
     );
 
     // Every gate except the planner speedup is absolute or statistical —
@@ -489,12 +462,6 @@ fn main() {
             min_batch_speedup,
             batch_speedup_enforced,
         ),
-        GateMargin::at_least(
-            "service_batch_speedup_pinned",
-            batch_plan_pinned.speedup,
-            min_batch_speedup,
-            false,
-        ),
         GateMargin::conformance("service_chi_square", chi_square_consistent, true),
     ];
     print_margins(&margins);
@@ -519,7 +486,6 @@ fn main() {
             fanin_pipelined,
             pipeline,
             batch_plan,
-            batch_plan_pinned,
             chi_square_consistent,
             margins,
         };

@@ -418,10 +418,6 @@ pub struct BatchPlanReport {
     /// Fan-out lanes the parallel side resolved to (including the
     /// submitting thread).
     pub lanes: u64,
-    /// Threads the parallel side's pinner actually pinned (0 when the
-    /// policy is [`CoreMap::None`](lrb_service::CoreMap::None) or the
-    /// host refuses the syscall).
-    pub pinned_threads: u64,
     /// Auto-lane planner draws per second.
     pub parallel_rps: f64,
     /// One-lane planner draws per second.
@@ -446,7 +442,6 @@ pub fn measure_batch_speedup(
     shards: usize,
     batch: usize,
     iters: usize,
-    core_map: lrb_service::CoreMap,
 ) -> Result<BatchPlanReport, ServiceError> {
     use lrb_engine::{BackendChoice, EngineConfig};
     use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
@@ -457,20 +452,19 @@ pub fn measure_batch_speedup(
         backend: BackendChoice::Fixed("fenwick"),
         ..EngineConfig::default()
     };
-    let build = |fanout_workers: usize, core_map: lrb_service::CoreMap| {
+    let build = |fanout_workers: usize| {
         ShardedService::new(
             weights.clone(),
             ServiceConfig {
                 shards,
                 engine: engine.clone(),
                 fanout_workers,
-                core_map,
                 ..ServiceConfig::default()
             },
         )
     };
-    let parallel = build(0, core_map)?;
-    let one_lane = build(1, lrb_service::CoreMap::None)?;
+    let parallel = build(0)?;
+    let one_lane = build(1)?;
 
     let mut out = vec![0usize; batch.max(1)];
     let iters = iters.max(1);
@@ -505,7 +499,6 @@ pub fn measure_batch_speedup(
         batch: out.len() as u64,
         iters: iters as u64,
         lanes: parallel.fanout_lanes() as u64,
-        pinned_threads: parallel.pinner().pinned_threads(),
         parallel_rps,
         one_lane_rps,
         speedup: parallel_rps / one_lane_rps.max(f64::MIN_POSITIVE),
@@ -600,7 +593,7 @@ mod tests {
 
     #[test]
     fn batch_speedup_measures_both_planners() {
-        let report = measure_batch_speedup(256, 4, 512, 4, lrb_service::CoreMap::None).unwrap();
+        let report = measure_batch_speedup(256, 4, 512, 4).unwrap();
         assert_eq!(report.categories, 256);
         assert_eq!(report.shards, 4);
         assert_eq!(report.batch, 512);

@@ -48,7 +48,7 @@
 //! [`Durability::Off`] carries no state and costs the publish path one
 //! branch on a `None` — the zero-overhead default.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

@@ -1,16 +1,17 @@
 //! The concurrent selection engine: coalescing writers, atomically swapped
-//! immutable snapshots, lock-free-in-spirit readers, and a telemetry-driven
-//! backend decider.
+//! immutable snapshots, readers that take no lock in steady state, and a
+//! telemetry-driven backend decider.
 //!
 //! ## Concurrency protocol
 //!
-//! * **Readers** acquire the current snapshot with **no locks at all**:
-//!   the engine's current `Arc<Snapshot>` lives in a hand-rolled
-//!   `hot_swap` cell (an `AtomicPtr` swap with
-//!   generation-checked deferred reclamation), and each reader thread keeps
-//!   a **thread-local, version-checked snapshot cache** so the steady-state
+//! * **Readers** acquire the current snapshot through a **thread-local,
+//!   version-checked snapshot cache**: the engine's current
+//!   `Arc<Snapshot>` lives in the `hot_swap` cell (a `Mutex<Arc<Snapshot>>`
+//!   plus a generation counter), and while the generation is unchanged the
 //!   acquisition is one relaxed generation load plus a TLS lookup — no
-//!   shared RMW whatsoever. [`SelectionEngine::read`] samples against the
+//!   lock, no shared RMW. Only a cache refresh (the first read on a thread
+//!   after a publish) or a reentrant read takes the cell's mutex, for one
+//!   `Arc` clone. [`SelectionEngine::read`] samples against the
 //!   cached snapshot by reference (the fastest path);
 //!   [`SelectionEngine::snapshot`] clones the `Arc` out for callers that
 //!   want to hold a version across publishes. Either way a reader keeps its
@@ -242,8 +243,9 @@ struct DeciderState {
 /// # Ok::<(), lrb_core::SelectionError>(())
 /// ```
 pub struct SelectionEngine {
-    /// The current snapshot, behind the lock-free swap cell. Readers
-    /// acquire it without locks; writers swap it under the `publish_lock`.
+    /// The current snapshot, behind the swap cell. Readers reach it
+    /// through the thread-local cache; writers swap it under the
+    /// `publish_lock`.
     current: HotSwap<Snapshot>,
     /// This engine's key in the thread-local snapshot caches.
     engine_id: u64,
@@ -441,11 +443,12 @@ impl SelectionEngine {
         &self.registry
     }
 
-    /// The current snapshot, acquired lock-free. Steady state (no publish
-    /// since this thread's last acquisition) touches no shared mutable
-    /// line at all: one relaxed generation load, a thread-local cache hit
-    /// and an `Arc` clone. All sampling happens against the returned
-    /// immutable snapshot.
+    /// The current snapshot. Steady state (no publish since this thread's
+    /// last acquisition) takes no lock: one relaxed generation load, a
+    /// thread-local cache hit and an `Arc` clone. The first acquisition on
+    /// a thread after a publish refreshes the cache under the swap cell's
+    /// mutex. All sampling happens against the returned immutable
+    /// snapshot.
     ///
     /// The thread-local cache pins at most one snapshot per engine per
     /// thread; an idle thread can therefore keep the previous snapshot
@@ -472,7 +475,9 @@ impl SelectionEngine {
     /// ```
     ///
     /// Reentrant calls (an `f` that itself acquires from an engine on the
-    /// same thread) are safe; the inner call simply bypasses the cache.
+    /// same thread) are safe; the inner call bypasses the cache and takes
+    /// the swap cell's mutex for one `Arc` clone, which it releases before
+    /// running its own closure.
     pub fn read<R>(&self, f: impl FnOnce(&Snapshot) -> R) -> R {
         self.with_current(|snapshot| f(snapshot))
     }
@@ -510,7 +515,8 @@ impl SelectionEngine {
                 f(&entry.snapshot)
             }
             // The cache is already borrowed on this thread (reentrant
-            // read): acquire directly from the swap cell.
+            // read): acquire directly from the swap cell. `load` releases
+            // the cell's lock before `f` runs.
             Err(_) => f(&self.current.load()),
         })
     }
@@ -520,7 +526,8 @@ impl SelectionEngine {
         self.with_current(|snapshot| snapshot.version())
     }
 
-    /// Total weight of the current snapshot, acquired lock-free. This is
+    /// Total weight of the current snapshot, through the same cached path
+    /// as [`read`](SelectionEngine::read). This is
     /// the hook a sharding router needs after each publish: the shard's
     /// published mass, fed into the two-level (Fenwick-over-shard-totals)
     /// draw without forcing the router through `snapshot()`'s `Arc` clone.
@@ -1096,20 +1103,7 @@ impl SelectionEngine {
             "WAL tail bytes discarded during recovery",
             self.obs.recovery_truncated_bytes(),
         );
-        // Process-wide bid-kernel counters (shared across engines): the
-        // direct measurement of the lazy-ln filter's O(log n) claim.
-        let kernel = lrb_core::parallel::kernel_counters();
-        out.counter(
-            "lrb_bid_ln_calls_total",
-            "ln evaluations the lazy bid filter paid for (process-wide)",
-            kernel.ln_calls,
-        )
-        .counter(
-            "lrb_bid_refine_hits_total",
-            "Rows the fused row filter admitted for refinement (process-wide)",
-            kernel.refine_hits,
-        )
-        .gauge(
+        out.gauge(
             "lrb_snapshot_version",
             "Current snapshot version",
             version as f64,
@@ -1406,6 +1400,36 @@ mod tests {
         let new = e.snapshot();
         let new_draws = new.sample_many(&mut rng, 500).unwrap();
         assert!(!new_draws.contains(&1));
+    }
+
+    #[test]
+    fn reentrant_reads_bypass_the_cache_and_see_publishes() {
+        let a = engine(vec![1.0, 2.0]);
+        let b = engine(vec![5.0]);
+        a.read(|outer| {
+            // The outer read holds this thread's cache borrow, so every
+            // acquisition below goes straight to the swap cell.
+            assert_eq!(a.read(|s| (s.version(), s.weight(0))), (0, 1.0));
+            assert_eq!(b.read(|s| s.weight(0)), 5.0);
+            assert_eq!(a.version(), 0);
+            assert_eq!(a.snapshot().weight(0), 1.0);
+            // A publish from another thread while the outer read is still
+            // running must neither block on it nor be missed by it.
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    a.enqueue(0, 7.0).unwrap();
+                    assert_eq!(a.publish().unwrap(), 1);
+                });
+            });
+            assert_eq!(a.read(|s| (s.version(), s.weight(0))), (1, 7.0));
+            assert_eq!(a.version(), 1);
+            assert_eq!(a.snapshot().weight(0), 7.0);
+            assert_eq!(b.read(|s| s.version()), 0);
+            // The outer snapshot is isolated from the publish.
+            assert_eq!(outer.version(), 0);
+            assert_eq!(outer.weight(0), 1.0);
+        });
+        assert_eq!(a.read(|s| (s.version(), s.weight(0))), (1, 7.0));
     }
 
     #[test]

@@ -1,112 +1,60 @@
-//! A hand-rolled lock-free atomic `Arc` swap with generation-checked
-//! reclamation — the cell under [`SelectionEngine`]'s current snapshot.
+//! The swappable `Arc` cell under [`SelectionEngine`]'s current snapshot:
+//! a `Mutex<Arc<T>>` plus a generation counter, in safe Rust.
 //!
 //! [`SelectionEngine`]: crate::SelectionEngine
 //!
-//! ## Why not `RwLock<Arc<T>>`
+//! ## Why a lock is enough
 //!
-//! The engine's read side previously cloned the current `Arc<Snapshot>`
-//! under a briefly-held `RwLock` read guard. Correct, but every reader
-//! acquisition performed two contended RMWs on the lock word *and* the lock
-//! made readers block behind a parked writer — the `engine_quick` scaling
-//! gate showed readers topping out well below linear. crates.io is not
-//! available here (no `arc-swap`), so this module implements the swap by
-//! hand on `AtomicPtr`.
+//! Readers do not come here on the steady-state path. The engine fronts
+//! the cell with a thread-local, version-checked snapshot cache: a reader
+//! probes [`HotSwap::generation`] (one relaxed load of a counter that only
+//! moves at publishes) and, while it is unchanged, reuses its cached `Arc`
+//! without touching the cell. [`HotSwap::load`] — and with it the mutex —
+//! runs only on a cache refresh (the first read on a thread after a
+//! publish) or on a reentrant read that bypasses the cache. A hand-rolled
+//! lock-free `AtomicPtr` swap with deferred reclamation measured the same
+//! as this cell within run-to-run noise (on a 2-vCPU host: `engine_quick`
+//! at 1 and 8 readers, and all three end-to-end benchmark workloads), so
+//! the engine stays in safe Rust.
 //!
 //! ## Protocol
 //!
-//! The cell stores `Arc::into_raw` of the current value in an [`AtomicPtr`]
-//! next to a monotone **generation** counter that is bumped *after* every
-//! swap. The unsafe step a reader must perform is
-//! `Arc::increment_strong_count(p)` on a pointer it loaded — which is only
-//! sound if `p` has not been dropped in between. Reclamation is deferred to
-//! make that window safe:
-//!
-//! * **Readers** ([`HotSwap::load`]) claim one of [`SLOTS`] padded hazard
-//!   slots by CAS-ing the observed generation `g` into it, then re-read the
-//!   generation until it is stable, then load the pointer and increment its
-//!   refcount, then vacate the slot. All slot/generation/pointer accesses
-//!   on this path are `SeqCst`.
-//! * **Writers** ([`HotSwap::store`]) swap the pointer, bump the
-//!   generation (`fetch_add` returning the generation `g_r` during which
-//!   the old pointer was last current), push the reconstructed old `Arc`
-//!   onto a mutex-guarded retired list tagged with `g_r`, and then reclaim
-//!   every retired entry whose tag is below the minimum generation
-//!   currently published in any slot.
-//!
-//! **Safety argument.** Suppose reader R claimed slot value `g` (and
-//! re-confirmed the generation is still `g` after the claim), then loaded
-//! pointer `P`. The writer W that retires `P` does so by a swap that must
-//! come after R's pointer load in the `SeqCst` total order (otherwise R
-//! would have loaded W's replacement); W's generation `fetch_add` follows
-//! its swap, hence follows R's generation re-check, so it returns
-//! `g_r ≥ g`. Reclaiming `P` requires every slot to be strictly above
-//! `g_r ≥ g` — but R's slot still holds `g` and is vacated only *after*
-//! the refcount increment. So `P` cannot be freed in R's window. The
-//! claim/re-check is the classic store-buffering pairing (R: store slot,
-//! load generation; W: store generation, load slots): under `SeqCst` at
-//! least one side observes the other, so a reader that raced a swap either
-//! retries with the new generation or is visible to the writer's scan.
-//!
-//! A reader that finds all slots busy falls back to incrementing under the
-//! retired-list mutex; frees also happen under that mutex and the pointer
-//! is re-loaded after acquiring it, so the fallback is trivially sound (and
-//! only reachable under > [`SLOTS`] *simultaneous* acquisitions — steady
-//! state readers hit the engine's thread-local snapshot cache and acquire
-//! rarely).
-//!
-//! The module is the one place in `lrb-engine` allowed to use `unsafe`
-//! (`Arc::into_raw` / `from_raw` / `increment_strong_count`); everything
-//! else in the crate stays `#![deny(unsafe_code)]`-clean.
+//! [`HotSwap::store`] swaps the `Arc` and bumps the generation inside the
+//! lock, so a reader that observes generation `g` and then loads sees the
+//! value published at `g` or a newer one — never an older one. The
+//! outgoing `Arc` is dropped after the lock is released, and no caller
+//! holds the lock while it runs anything but a pointer swap or a refcount
+//! increment.
 
-#![allow(unsafe_code)]
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Pads (and aligns) a value to a cache line, so two hazard slots — or two
-/// shards of a counter — can never produce false sharing.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-pub(crate) struct CachePadded<T>(pub T);
-
-/// Number of hazard slots. Bounds the number of *simultaneous* lock-free
-/// pointer acquisitions, not the number of reader threads: acquisitions
-/// outside the slots take the (correct, slower) mutex fallback.
-pub(crate) const SLOTS: usize = 64;
-
-/// Slot value meaning "no acquisition in flight".
-const VACANT: u64 = u64::MAX;
-
-/// A lock-free swappable `Arc<T>` cell. See the module docs for the
-/// protocol and its safety argument.
+/// A swappable `Arc<T>` cell with a monotone generation counter. See the
+/// module docs for the protocol.
 pub(crate) struct HotSwap<T> {
-    /// `Arc::into_raw` of the current value.
-    ptr: AtomicPtr<T>,
-    /// Generation of the current value; bumped after every swap. Readers
-    /// use it both as the hazard tag and as a cheap "has anything changed"
-    /// probe for snapshot caching (the counter mutates only on publish, so
-    /// polling it does not bounce the line the way a lock word would).
+    /// The current value.
+    current: Mutex<Arc<T>>,
+    /// Generation of the current value; bumped by every
+    /// [`store`](HotSwap::store) while `current` is locked. Readers poll it
+    /// as a cheap "has anything changed" probe for snapshot caching (the
+    /// counter mutates only on publish, so polling it does not bounce the
+    /// line the way a lock word would).
+    ///
+    /// `Relaxed` suffices on both sides: the counter publishes no data,
+    /// the value travels through the mutex (whose unlock/lock pair is the
+    /// release/acquire edge), and a reader that loads generation `g` and
+    /// then locks cannot be ordered before the critical section that wrote
+    /// `g` — it would then happen-before that write and could not have read
+    /// it — so it sees the value stored at `g` or a newer one.
     generation: AtomicU64,
-    /// Hazard slots: the generation each in-flight acquisition observed.
-    slots: Box<[CachePadded<AtomicU64>]>,
-    /// Values swapped out but possibly still being acquired, tagged with
-    /// the generation during which each was last current. The `Arc` is the
-    /// list's owning reference, dropped on reclaim.
-    retired: Mutex<Vec<(u64, Arc<T>)>>,
 }
 
 impl<T> HotSwap<T> {
     /// A cell currently holding `value`, at generation 0.
     pub(crate) fn new(value: Arc<T>) -> Self {
-        let slots: Vec<CachePadded<AtomicU64>> = (0..SLOTS)
-            .map(|_| CachePadded(AtomicU64::new(VACANT)))
-            .collect();
         Self {
-            ptr: AtomicPtr::new(Arc::into_raw(value) as *mut T),
+            current: Mutex::new(value),
             generation: AtomicU64::new(0),
-            slots: slots.into_boxed_slice(),
-            retired: Mutex::new(Vec::new()),
         }
     }
 
@@ -118,111 +66,27 @@ impl<T> HotSwap<T> {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Acquire the current value. Lock-free whenever a hazard slot is
-    /// available; never blocks behind a writer.
+    /// Acquire the current value: one lock acquisition and a refcount
+    /// increment.
     pub(crate) fn load(&self) -> Arc<T> {
-        // Claim any vacant hazard slot with the generation we observe.
-        for slot in self.slots.iter() {
-            let mut g = self.generation.load(Ordering::SeqCst);
-            if slot
-                .0
-                .compare_exchange(VACANT, g, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // Re-confirm: our published tag must match the generation, or a
-            // concurrent writer may already have scanned past us. Repeat
-            // until stable (bounded by writer progress).
-            loop {
-                let now = self.generation.load(Ordering::SeqCst);
-                if now == g {
-                    break;
-                }
-                g = now;
-                slot.0.store(g, Ordering::SeqCst);
-            }
-            let p = self.ptr.load(Ordering::SeqCst);
-            // SAFETY: `p` was stored by `Arc::into_raw` and, per the module
-            // safety argument, cannot have been reclaimed while our slot
-            // publishes a generation at or below its retirement tag.
-            let value = unsafe {
-                Arc::increment_strong_count(p);
-                Arc::from_raw(p)
-            };
-            slot.0.store(VACANT, Ordering::Release);
-            return value;
-        }
-        // All slots busy: acquire under the reclaim mutex instead. Frees
-        // only happen while this mutex is held, and the pointer is loaded
-        // after we hold it, so the increment below cannot race a drop.
-        let guard = self.retired.lock().expect("retired list poisoned");
-        let p = self.ptr.load(Ordering::SeqCst);
-        // SAFETY: see the comment above — reclamation is mutually excluded
-        // for the lifetime of `guard`.
-        let value = unsafe {
-            Arc::increment_strong_count(p);
-            Arc::from_raw(p)
-        };
-        drop(guard);
-        value
+        // The critical sections below cannot panic, so a poisoned lock
+        // still guards a valid `Arc`.
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Publish a new value, retiring the old one. Returns the generation of
-    /// the **new** value. Safe under concurrent stores (each swapped-out
-    /// pointer is retired exactly once, tagged at or above the generation
-    /// any in-flight reader could have used to acquire it).
+    /// Publish a new value. Returns the generation of the **new** value.
+    /// Safe under concurrent stores: each one swaps and bumps under the
+    /// lock, so generations and values advance together.
     pub(crate) fn store(&self, value: Arc<T>) -> u64 {
-        let new_raw = Arc::into_raw(value) as *mut T;
-        let old_raw = self.ptr.swap(new_raw, Ordering::SeqCst);
-        let retired_gen = self.generation.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: `old_raw` came from `Arc::into_raw` (at construction or a
-        // previous store) and the swap above removed the cell's claim on
-        // it; reconstructing transfers that single ownership to the
-        // retired list.
-        let old = unsafe { Arc::from_raw(old_raw) };
-        let mut retired = self.retired.lock().expect("retired list poisoned");
-        retired.push((retired_gen, old));
-        self.reclaim(&mut retired);
-        retired_gen + 1
-    }
-
-    /// Drop every retired value no in-flight acquisition can still reach.
-    fn reclaim(&self, retired: &mut Vec<(u64, Arc<T>)>) {
-        let min_active = self
-            .slots
-            .iter()
-            .map(|slot| slot.0.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(VACANT);
-        // An entry retired at generation g is reachable only by slots at or
-        // below g; it is safe exactly when every active slot is above it.
-        retired.retain(|&(generation, _)| generation >= min_active);
-    }
-
-    /// Number of retired-but-not-yet-reclaimed values (telemetry/tests).
-    #[cfg(test)]
-    fn retired_len(&self) -> usize {
-        self.retired.lock().expect("retired list poisoned").len()
-    }
-}
-
-impl<T> Drop for HotSwap<T> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access (`&mut self`); the cell holds exactly
-        // one reference to the current pointer, reconstructed and dropped
-        // here. Retired entries drop with the Vec.
-        unsafe {
-            drop(Arc::from_raw(self.ptr.load(Ordering::SeqCst)));
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for HotSwap<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HotSwap")
-            .field("generation", &self.generation())
-            .finish()
+        let (old, generation) = {
+            let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+            let old = std::mem::replace(&mut *current, value);
+            (old, self.generation.fetch_add(1, Ordering::Relaxed) + 1)
+        };
+        // The outgoing value may be the last reference: drop it (and
+        // whatever its destructor runs) outside the lock.
+        drop(old);
+        generation
     }
 }
 
@@ -262,8 +126,7 @@ mod tests {
             assert_eq!(g1, 1);
             assert_eq!(cell.generation(), 1);
             assert_eq!(cell.load().id, 1);
-            // No reader holds the old value: it must already be reclaimed.
-            assert_eq!(cell.retired_len(), 0);
+            // No reader holds the old value: the store dropped it.
             assert_eq!(LIVE.load(Ordering::SeqCst), 1);
         }
         assert_eq!(LIVE.load(Ordering::SeqCst), 0, "drop leaked a value");
@@ -279,10 +142,10 @@ mod tests {
         }
         assert_eq!(held.id, 0, "held value mutated or freed");
         assert_eq!(cell.load().id, 100);
+        // Only the held value and the current one are alive.
+        assert_eq!(LIVE.load(Ordering::SeqCst), 2);
         drop(held);
-        // The cell only tracks the current value plus retirees; the held
-        // Arc's refcount kept value 0 alive independently of the list.
-        assert!(LIVE.load(Ordering::SeqCst) <= 2);
+        assert_eq!(LIVE.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -323,8 +186,11 @@ mod tests {
             for t in 0..4u64 {
                 let cell = &cell;
                 scope.spawn(move || {
+                    let mut last = 0u64;
                     for i in 0..200 {
-                        cell.store(Arc::new(Tracked::new(t * 1_000 + i, &LIVE)));
+                        let generation = cell.store(Arc::new(Tracked::new(t * 1_000 + i, &LIVE)));
+                        assert!(generation > last, "store returned a stale generation");
+                        last = generation;
                     }
                 });
             }

@@ -11,13 +11,13 @@
 //!   `DesirabilityTables` algebra lifted to the serving layer), then
 //!   [`publish`](SelectionEngine::publish) freezes the folded weights into
 //!   an immutable [`Snapshot`] and atomically swaps it in.
-//! * [`Snapshot`] — a versioned, immutable frozen sampler. Readers acquire
-//!   it **lock-free**: the current snapshot lives in a hand-rolled
-//!   `AtomicPtr` swap cell with generation-checked reclamation
-//!   (`hot_swap`, no crates.io dependency), fronted by a thread-local
-//!   version-checked cache, so the steady-state path of
-//!   [`SelectionEngine::read`] is one relaxed generation probe plus a TLS
-//!   hit — no shared RMW, no allocation. Draws fill whole buffers through
+//! * [`Snapshot`] — a versioned, immutable frozen sampler. The current
+//!   snapshot lives in a `Mutex<Arc<Snapshot>>` cell with a generation
+//!   counter (`hot_swap`), fronted by a thread-local version-checked
+//!   cache, so the steady-state path of [`SelectionEngine::read`] is one
+//!   relaxed generation probe plus a TLS hit — no lock, no shared RMW, no
+//!   allocation. Only the first read on a thread after a publish takes
+//!   the cell's mutex. Draws fill whole buffers through
 //!   [`Snapshot::sample_into`] (served-draws telemetry lands on per-reader
 //!   padded shards), or deterministic rayon batches through the shared
 //!   `lrb_core::batch::BatchDriver`; every draw is exact
@@ -68,10 +68,7 @@
 //! # Ok::<(), lrb_core::SelectionError>(())
 //! ```
 
-// `deny`, not `forbid`: the one module implementing the lock-free snapshot
-// swap (`hot_swap`) carries an audited `#[allow(unsafe_code)]` with its
-// safety argument in the module docs; everything else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -23,8 +23,12 @@ use lrb_core::traits::FrozenSampler;
 use lrb_rng::{Philox4x32, RandomSource};
 
 use crate::backend::FrozenBackend;
-use crate::hot_swap::CachePadded;
 use crate::telemetry::EngineTelemetry;
+
+/// Pads (and aligns) a value to a cache line, so two shards of a counter
+/// can never produce false sharing.
+#[repr(align(64))]
+struct CachePadded<T>(T);
 
 /// Shards of the served-draws counter. A power of two; each reader thread
 /// is pinned to one shard, so concurrent readers recording telemetry touch

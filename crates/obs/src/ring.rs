@@ -12,8 +12,9 @@
 //! ## Safety argument (audited `unsafe`)
 //!
 //! This module is the crate's single `#[allow(unsafe_code)]` island (the
-//! same policy as `lrb-engine`'s `hot_swap`). The unsafe surface is two
-//! operations on `Slot::value: UnsafeCell<MaybeUninit<T>>`:
+//! same policy as `lrb-service`'s `reactor::sys` and `fanout::job`). The
+//! unsafe surface is two operations on
+//! `Slot::value: UnsafeCell<MaybeUninit<T>>`:
 //!
 //! * **Writer writes** happen only between winning the slot's stamp CAS
 //!   (even → odd claim) and releasing it (odd → even). The CAS is the

@@ -6,8 +6,7 @@
 //! submitting thread every call). This pool spawns its helper threads
 //! **once** at service construction; submitting a batch afterwards is a
 //! mutex hand-off and two condvar signals — no allocation on the
-//! submitting thread, ever. Helper threads pin themselves through the
-//! service's [`Pinner`](crate::affinity::Pinner) on startup.
+//! submitting thread, ever.
 //!
 //! Execution model: [`FanoutPool::run`] publishes one job (`n` tasks,
 //! one shared `Fn(usize)`), every helper plus the submitting thread claim
@@ -27,11 +26,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::affinity::Pinner;
-
 /// Lifetime/type erasure for the current job, plus the disjoint-segment
-/// derivation — the audited unsafe island (same pattern as `reactor::sys`
-/// and `affinity::sys`).
+/// derivation — the audited unsafe island (same pattern as
+/// `reactor::sys`).
 ///
 /// Safety argument, shared by everything here:
 ///
@@ -144,9 +141,8 @@ impl std::fmt::Debug for FanoutPool {
 impl FanoutPool {
     /// A pool with `lanes` total parallel lanes (the submitting thread is
     /// lane 0, so `lanes - 1` helper threads are spawned; `lanes <= 1`
-    /// spawns none and every batch runs inline). Each helper pins itself
-    /// through `pinner` on startup.
-    pub(crate) fn start(lanes: usize, pinner: Arc<Pinner>) -> Self {
+    /// spawns none and every batch runs inline).
+    pub(crate) fn start(lanes: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 job: None,
@@ -162,10 +158,9 @@ impl FanoutPool {
         let helpers = (1..lanes.max(1))
             .map(|lane| {
                 let shared = Arc::clone(&shared);
-                let pinner = Arc::clone(&pinner);
                 std::thread::Builder::new()
                     .name(format!("lrb-fanout-{lane}"))
-                    .spawn(move || helper_loop(&shared, &pinner))
+                    .spawn(move || helper_loop(&shared))
                     .expect("spawning a fan-out lane cannot fail")
             })
             .collect();
@@ -277,8 +272,7 @@ impl Drop for FanoutPool {
     }
 }
 
-fn helper_loop(shared: &Shared, pinner: &Pinner) {
-    let _ = pinner.pin_current();
+fn helper_loop(shared: &Shared) {
     let mut state = lock(shared);
     loop {
         if state.shutdown {
@@ -315,14 +309,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn pool(lanes: usize) -> FanoutPool {
-        FanoutPool::start(lanes, Arc::new(Pinner::disabled()))
-    }
-
     #[test]
     fn every_task_runs_exactly_once_across_lane_counts() {
         for lanes in [1, 2, 4] {
-            let pool = pool(lanes);
+            let pool = FanoutPool::start(lanes);
             assert_eq!(pool.lanes(), lanes);
             for n in [0usize, 1, 2, 3, 7, 64] {
                 let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
@@ -339,7 +329,7 @@ mod tests {
 
     #[test]
     fn disjoint_segments_fill_without_aliasing() {
-        let pool = pool(4);
+        let pool = FanoutPool::start(4);
         let mut buf = vec![0usize; 100];
         // Segments with a deliberate gap (the gap stays untouched).
         let segments = [(0usize, 30usize), (30, 20), (60, 40)];
@@ -357,14 +347,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "disjoint")]
     fn overlapping_segments_are_rejected() {
-        let pool = pool(2);
+        let pool = FanoutPool::start(2);
         let mut buf = vec![0usize; 10];
         pool.run_disjoint(&mut buf, &[(0, 6), (5, 5)], &|_, _| {});
     }
 
     #[test]
     fn a_panicking_task_closes_the_batch_then_reraises() {
-        let pool = pool(3);
+        let pool = FanoutPool::start(3);
         let completed = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run(16, &|k| {
@@ -387,7 +377,7 @@ mod tests {
 
     #[test]
     fn pool_drop_joins_helpers_cleanly() {
-        let pool = pool(4);
+        let pool = FanoutPool::start(4);
         pool.run(8, &|_| {});
         drop(pool); // must not hang
     }

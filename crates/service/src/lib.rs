@@ -5,20 +5,19 @@
 //! (one writer thread per shard), cross-shard draws run as a **two-level
 //! selection** through the shared [`lrb_core::sharding`] layer — a Fenwick
 //! prefix tree over the lock-free per-shard totals picks the shard, the
-//! shard's own lock-free snapshot draw finishes inside it — and a
-//! request layer fronts the whole thing: a length-prefixed binary
-//! protocol over TCP or Unix-domain sockets served by hand-rolled
-//! **epoll reactor threads** (raw syscalls, no async runtime, no
-//! thread-per-connection — see [`server`] for the sizing and
-//! backpressure knobs). Each reactor runs every request it reads to
-//! completion on its own thread, drawing from the connection's own RNG
-//! stream; pipelined runs of draws on a connection coalesce into one
-//! fused batch.
+//! shard's own snapshot draw finishes inside it — and a request layer
+//! fronts the whole thing: a length-prefixed binary protocol over TCP or
+//! Unix-domain sockets served by hand-rolled **epoll reactor threads**
+//! (raw syscalls, no async runtime, no thread-per-connection — see
+//! [`server`] for the sizing and backpressure knobs). Each reactor runs
+//! every request it reads to completion on its own thread, drawing from
+//! the connection's own RNG stream; pipelined runs of draws on a
+//! connection coalesce into one fused batch.
 //!
-//! The crate is **Linux-only**: the reactor is built on `epoll` and the
-//! pinning on `sched_setaffinity`, and a build for any other target stops
-//! with a compile error. The library crates below it (`lrb-core`,
-//! `lrb-engine`, `lrb-dynamic`, `lrb-durable`, …) stay portable.
+//! The crate is **Linux-only**: the reactor is built on `epoll`, and a
+//! build for any other target stops with a compile error. The library
+//! crates below it (`lrb-core`, `lrb-engine`, `lrb-dynamic`,
+//! `lrb-durable`, …) stay portable.
 //!
 //! * [`ShardedService`] / [`ServiceCore`] — the in-process sharded core:
 //!   partitioning, two-level draws, cross-shard atomic update batches,
@@ -27,9 +26,6 @@
 //!   module docs): one master draw, per-shard Philox substreams,
 //!   reusable [`DrawPlan`] scratch and a persistent fan-out pool —
 //!   bit-deterministic at any lane count and allocation-free once warm.
-//! * [`affinity`] — core topology discovery and opt-in
-//!   [`CoreMap`]-driven pinning of the service's long-lived threads
-//!   (`LRB_PIN` overrides; a graceful no-op when the host refuses).
 //! * [`DrawAggregator`] — flat combining for in-process single draws
 //!   from many threads (the server does not use it).
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
@@ -62,17 +58,15 @@
 
 // Unsafe is denied crate-wide; the audited exceptions opt back in with a
 // module-level `#![allow(unsafe_code)]` — the same audited-island idiom
-// as `lrb-obs`'s ring and the engine's hot-swap. Three islands exist:
-// the raw epoll/eventfd syscall surface in `reactor::sys`, the
-// `sched_setaffinity` call in `affinity::sys`, and the scoped job
-// hand-off in `fanout::job` (see each module's safety notes).
+// as `lrb-obs`'s ring. Two islands exist: the raw epoll/eventfd syscall
+// surface in `reactor::sys` and the scoped job hand-off in `fanout::job`
+// (see each module's safety notes).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("lrb-service runs on Linux only: its reactor is built on epoll");
 
-pub mod affinity;
 pub mod aggregator;
 pub mod client;
 mod conn;
@@ -84,7 +78,6 @@ pub mod server;
 pub mod sharded;
 pub mod telemetry;
 
-pub use affinity::{parse_cpu_list, CoreMap, Pinner, Topology};
 pub use aggregator::DrawAggregator;
 pub use client::{ClientConfig, ClientStats, ServiceClient};
 pub use error::ServiceError;

@@ -317,11 +317,7 @@ impl Runtime {
                 budget: config.inflight_budget.max(1),
                 max_outbound: config.max_outbound_bytes.max(1),
             };
-            let pinner = Arc::clone(core.pinner());
-            reactor_threads.push(std::thread::spawn(move || {
-                pinner.pin_current();
-                crate::reactor::run_reactor(ctx)
-            }));
+            reactor_threads.push(std::thread::spawn(move || crate::reactor::run_reactor(ctx)));
         }
 
         let accept = {

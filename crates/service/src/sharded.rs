@@ -5,11 +5,13 @@
 //! [`lrb_core::sharding`] layer — every shard's total weight lives in a
 //! lock-free [`ShardTotals`] cell, frozen per draw batch into a
 //! [`TotalsCut`] (a Fenwick prefix tree over the shard totals, the paper's
-//! tree one level up). Level two is the shard's own lock-free read path:
-//! [`SelectionEngine::read`] + [`Snapshot::sample_into`], so a draw never
-//! takes a lock and never blocks on a writer — the composite distribution
-//! is exactly `F_i = w_i / Σ_j w_j` against the cut's totals and each
-//! shard's published snapshot.
+//! tree one level up). Level two is the shard's own read path:
+//! [`SelectionEngine::read`] + [`Snapshot::sample_into`], so a draw takes
+//! no lock in steady state (only the first read on a thread after a
+//! publish takes the shard engine's swap-cell mutex, for one `Arc` clone)
+//! and never waits on a backend build — the composite distribution is
+//! exactly `F_i = w_i / Σ_j w_j` against the cut's totals and each shard's
+//! published snapshot.
 //!
 //! Writers follow the **one writer thread per shard** discipline: requests
 //! enqueue into any shard's coalescing batch (that path is just a mutex'd
@@ -58,7 +60,6 @@ use lrb_engine::{EngineConfig, SelectionEngine};
 use lrb_obs::MetricsSnapshot;
 use lrb_rng::{Philox4x32, RandomSource};
 
-use crate::affinity::{CoreMap, Pinner};
 use crate::fanout::FanoutPool;
 use crate::telemetry::ServiceTelemetry;
 
@@ -100,11 +101,6 @@ pub struct ServiceConfig {
     /// else the core count. `1` forces inline (sequential) execution —
     /// results are bit-identical either way.
     pub fanout_workers: usize,
-    /// Core-pinning policy for the service's long-lived threads (shard
-    /// publishers, fan-out lanes and — through
-    /// [`ServiceCore::pinner`] — the server's reactors).
-    /// Overridable with `LRB_PIN`; see [`crate::affinity`].
-    pub core_map: CoreMap,
 }
 
 impl Default for ServiceConfig {
@@ -114,7 +110,6 @@ impl Default for ServiceConfig {
             engine: EngineConfig::default(),
             publish_interval: None,
             fanout_workers: 0,
-            core_map: CoreMap::None,
         }
     }
 }
@@ -221,9 +216,6 @@ pub struct ServiceCore {
     telemetry: ServiceTelemetry,
     /// Persistent lanes for the batch planner's parallel per-shard fills.
     fanout: FanoutPool,
-    /// The service's core-pinning policy, shared with every long-lived
-    /// thread the service (or the server on top of it) spawns.
-    pinner: Arc<Pinner>,
 }
 
 impl ServiceCore {
@@ -266,16 +258,13 @@ impl ServiceCore {
         offsets.push(n);
         let telemetry = ServiceTelemetry::new();
         telemetry.set_imbalance(&initial);
-        let pinner = Arc::new(Pinner::from_config(&config.core_map));
-        let lanes = config.resolved_fanout(shard_count);
-        let fanout = FanoutPool::start(lanes, Arc::clone(&pinner));
+        let fanout = FanoutPool::start(config.resolved_fanout(shard_count));
         Ok(Self {
             shards,
             offsets,
             totals: ShardTotals::from_totals(&initial),
             telemetry,
             fanout,
-            pinner,
         })
     }
 
@@ -304,14 +293,6 @@ impl ServiceCore {
     /// submitting thread).
     pub fn fanout_lanes(&self) -> usize {
         self.fanout.lanes()
-    }
-
-    /// The service's core-pinning policy. Long-lived threads built on top
-    /// of the core (the server's reactors) call
-    /// [`Pinner::pin_current`] on it at startup; so do the service's own
-    /// publisher and fan-out threads.
-    pub fn pinner(&self) -> &Arc<Pinner> {
-        &self.pinner
     }
 
     /// The shard owning global category `index`, as `(shard, local)`.
@@ -700,11 +681,6 @@ impl ServiceCore {
                 self.fanout.lanes() as f64,
             )
             .gauge(
-                "lrb_service_pinned_threads",
-                "Service threads successfully pinned to cores",
-                self.pinner.pinned_threads() as f64,
-            )
-            .gauge(
                 "lrb_service_shard_imbalance",
                 "Max-over-mean per-shard total weight (1.0 = balanced)",
                 t.imbalance(),
@@ -781,7 +757,6 @@ impl ShardedService {
                 let core = Arc::clone(&core);
                 let stop = Arc::clone(&stop);
                 publishers.push(std::thread::spawn(move || {
-                    core.pinner().pin_current();
                     while !stop.load(Ordering::Acquire) {
                         std::thread::sleep(interval);
                         // A failed publish restored the batch (the engine's

@@ -3,12 +3,11 @@
 //! built from public pieces draw for draw, be a pure function of
 //! `(snapshots, master draw)` — bit-identical at any fan-out lane count
 //! and any `LRB_THREADS` budget — and carry the two-level law through the
-//! parallel path statistically; core-pinning must degrade to a graceful
-//! no-op when the policy names cores the host does not have.
+//! parallel path statistically.
 
 use lrb_core::sharding::TotalsCut;
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-use lrb_service::{parse_cpu_list, CoreMap, ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION};
+use lrb_service::{ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION};
 use lrb_stats::chi_square_gof;
 use proptest::prelude::*;
 
@@ -234,43 +233,4 @@ fn two_level_law_survives_the_parallel_path() {
         consistent(0x2E11) || consistent(0x2E12),
         "two-level law failed chi-square through the parallel planner twice"
     );
-}
-
-#[test]
-fn pinning_to_impossible_cores_is_a_graceful_no_op() {
-    // A policy naming a core the host does not have must not break
-    // anything: draws keep working, nothing reports as pinned.
-    let service = ShardedService::new(
-        test_weights(96),
-        ServiceConfig {
-            shards: 4,
-            core_map: CoreMap::Explicit(vec![100_000]),
-            fanout_workers: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("service with an impossible core map must still construct");
-    let mut rng = Philox4x32::seed_from_u64(0xC0DE);
-    let mut out = vec![0usize; 2_048];
-    service
-        .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-        .expect("draws must survive a failed pin");
-    assert!(service.pinner().is_active());
-    assert_eq!(
-        service.pinner().pinned_threads(),
-        0,
-        "a core the host does not have cannot be pinned"
-    );
-}
-
-#[test]
-fn cpu_list_parsing_round_trips_the_policy_surface() {
-    assert_eq!(parse_cpu_list("0-2,5"), Some(vec![0, 1, 2, 5]));
-    assert_eq!(parse_cpu_list(" 3 "), Some(vec![3]));
-    assert_eq!(parse_cpu_list("2-2,2"), Some(vec![2]));
-    assert_eq!(parse_cpu_list("banana"), None);
-    assert_eq!(parse_cpu_list("3-1"), None);
-    // The empty list is a valid (empty) policy — sysfs emits it for a
-    // node with no CPUs.
-    assert_eq!(parse_cpu_list(""), Some(Vec::new()));
 }
