@@ -41,8 +41,7 @@ use std::time::Instant;
 use lrb_bench::cli::{Options, OrExit};
 use lrb_bench::gate::{print_margins, GateMargin};
 use lrb_engine::{
-    BackendChoice, Durability, EngineConfig, EngineEvent, FsyncPolicy, PatchPolicy,
-    SelectionEngine, WalOptions,
+    Durability, EngineConfig, EngineEvent, FsyncPolicy, PatchPolicy, SelectionEngine, WalOptions,
 };
 use lrb_rng::Philox4x32;
 use serde::Serialize;
@@ -111,9 +110,8 @@ impl Drop for ScratchDir {
 /// isolates the WAL append.
 fn arm_config(durability: Durability) -> EngineConfig {
     EngineConfig {
-        backend: BackendChoice::Fixed("fenwick"),
+        backend: "fenwick",
         patch: PatchPolicy::Never,
-        calibrate: false,
         durability,
         ..EngineConfig::default()
     }

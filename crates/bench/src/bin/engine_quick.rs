@@ -1,47 +1,35 @@
-//! Quick gates for the `lrb-engine` serving layer.
+//! Quick gate for the `lrb-engine` serving layer.
 //!
 //! ```text
 //! cargo run -p lrb-bench --release --bin engine_quick \
 //!     [-- --n 4096 --readers 8 --ratio 16 --duration-ms 250 \
-//!         --min-speedup 3.0 --trials 120000 --timing-every 32 --json 1]
+//!         --min-speedup 3.0 --timing-every 32 --json 1]
 //! ```
 //!
-//! Two checks:
-//!
-//! 1. **Snapshot-isolation scaling** — reader threads sample lock-free
-//!    against immutable snapshots, so sample throughput should scale with
-//!    readers while a writer publishes concurrently. Measures samples/sec at
-//!    1 reader and at `--readers` readers (default 8) with a 1:`--ratio`
-//!    update:sample mix (default 1:16), plus a per-backend single-reader
-//!    comparison. Exits non-zero when the reader-scaling speedup falls below
-//!    `--min-speedup` — but only on hosts that actually have `--readers`
-//!    hardware threads; on smaller hosts the gate is advisory (printed, not
-//!    enforced), because the scaling being measured is physical parallelism.
-//! 2. **Adaptive decider** — a calibrated engine runs the skew-shifting
-//!    workload (draw-heavy uniform → write-heavy spike → recovery): the
-//!    telemetry-driven decider must log at least one backend switch, and
-//!    every phase's served draws must stay chi-square-consistent
-//!    (p > 0.01) with the exact probabilities — conformance maintained
-//!    across the switches. This gate is statistical but seed-deterministic
-//!    per backend choice, and is enforced everywhere.
+//! **Snapshot-isolation scaling** — reader threads sample lock-free against
+//! immutable snapshots, so sample throughput should scale with readers
+//! while a writer publishes concurrently. Measures samples/sec at 1 reader
+//! and at `--readers` readers (default 8) with a 1:`--ratio` update:sample
+//! mix (default 1:16) on the driver's default backend
+//! (`stochastic-acceptance`, see `DriverConfig`), plus a per-backend
+//! single-reader comparison. Exits non-zero when the reader-scaling
+//! speedup falls below `--min-speedup` — but only on hosts that actually
+//! have `--readers` hardware threads; on smaller hosts the gate is
+//! advisory (printed, not enforced), because the scaling being measured is
+//! physical parallelism.
 //!
 //! The `--json 1` report (recorded as the `BENCH_engine.json` baseline)
-//! includes the calibrated per-op cost constants, the full backend-switch
-//! history of the adaptive run, and — via the engine's observability
-//! layer — the publish-span and sampled reader-draw latency distributions
-//! (p50/p99/p999) of every driver run, plus a [`GateMargin`] per gate
-//! (scaling, switch count, per-phase chi-square p against the 1% level).
-//! An enforced scaling miss is re-measured once before the verdict
-//! counts. `--timing-every N` controls the 1-in-N reader-timing sample
-//! rate (default 32; `0` turns reader timing off, leaving the
-//! sample-latency summaries empty).
+//! includes — via the engine's observability layer — the publish-span and
+//! sampled reader-draw latency distributions (p50/p99/p999) of every
+//! driver run, plus the scaling [`GateMargin`]. An enforced scaling miss is
+//! re-measured once before the verdict counts. `--timing-every N` controls
+//! the 1-in-N reader-timing sample rate (default 32; `0` turns reader
+//! timing off, leaving the sample-latency summaries empty).
 
 use lrb_bench::cli::{Options, OrExit};
-use lrb_bench::engine_workload::{
-    run_driver, run_skew_shift, DriverConfig, DriverReport, SkewShiftConfig, SkewShiftReport,
-};
+use lrb_bench::engine_workload::{run_driver, DriverConfig, DriverReport};
 use lrb_bench::gate::{print_margins, GateMargin};
-use lrb_engine::{BackendChoice, BackendRegistry};
+use lrb_engine::BackendRegistry;
 use serde::Serialize;
 
 /// The machine-readable report (`--json 1`), recorded as the
@@ -54,7 +42,6 @@ struct QuickReport {
     gate_enforced: bool,
     reader_scaling: Vec<DriverReport>,
     backends: Vec<DriverReport>,
-    adaptive: SkewShiftReport,
     margins: Vec<GateMargin>,
 }
 
@@ -65,7 +52,6 @@ fn main() {
     let ratio = options.u64_or("ratio", 16).or_exit().max(1);
     let duration_ms = options.u64_or("duration-ms", 250).or_exit();
     let min_speedup = options.f64_or("min-speedup", 3.0).or_exit();
-    let trials = options.u64_or("trials", 120_000).or_exit();
     let timing_every = options
         .u64_or("timing-every", 32)
         .or_exit()
@@ -90,7 +76,10 @@ fn main() {
          host threads = {host_threads}\n"
     );
 
-    println!("reader scaling (auto backend, writer publishing concurrently):");
+    println!(
+        "reader scaling ({}, writer publishing concurrently):",
+        base.backend
+    );
     let mut reader_scaling = Vec::new();
     for r in [1usize, readers] {
         let report = run_driver(&DriverConfig { readers: r, ..base });
@@ -114,12 +103,12 @@ fn main() {
     let mut speedup =
         reader_scaling[1].samples_per_sec / reader_scaling[0].samples_per_sec.max(1.0);
 
-    println!("\nbackends at 1 reader (fixed choice):");
+    println!("\nbackends at 1 reader:");
     let mut backends = Vec::new();
     for name in BackendRegistry::standard().names() {
         let report = run_driver(&DriverConfig {
             readers: 1,
-            backend: BackendChoice::Fixed(name),
+            backend: name,
             ..base
         });
         println!(
@@ -127,41 +116,6 @@ fn main() {
             report.backend, report.samples_per_sec
         );
         backends.push(report);
-    }
-
-    println!("\nadaptive decider on a skew-shifting workload (calibrated):");
-    let adaptive = run_skew_shift(&SkewShiftConfig {
-        categories: n,
-        trials,
-        seed,
-        ..SkewShiftConfig::default()
-    });
-    for phase in &adaptive.phases {
-        println!(
-            "  phase {:<8} backend {:<22} chi-square p = {:.4}",
-            phase.phase, phase.backend, phase.chi_square_p
-        );
-    }
-    for switch in &adaptive.switches {
-        println!(
-            "  switch @v{:<4} {} -> {}{} ({} draws served)",
-            switch.version,
-            switch.from,
-            switch.to,
-            if switch.mid_stream {
-                " [mid-stream]"
-            } else {
-                ""
-            },
-            switch.draws_served
-        );
-    }
-    println!("  calibrated cost constants (ns per abstract op):");
-    for constants in &adaptive.cost_constants {
-        println!(
-            "    {:<22} build {:>8.3}   draw {:>8.3}",
-            constants.backend, constants.build_ns_per_op, constants.draw_ns_per_op
-        );
     }
 
     // The scaling gate measures physical reader parallelism; a host with
@@ -189,26 +143,12 @@ fn main() {
         }
     );
 
-    // Per-phase conformance margins use the p-value itself against the 1%
-    // rejection level, so a drifting sampler shows up as a shrinking margin
-    // before it ever flips the gate.
-    let mut margins = vec![
-        GateMargin::at_least("reader_scaling", speedup, min_speedup, gate_enforced),
-        GateMargin::at_least(
-            "adaptive_backend_switches",
-            adaptive.switches.len() as f64,
-            1.0,
-            true,
-        ),
-    ];
-    for phase in &adaptive.phases {
-        margins.push(GateMargin::at_least(
-            &format!("adaptive_chi2_p_{}", phase.phase),
-            phase.chi_square_p,
-            0.01,
-            true,
-        ));
-    }
+    let margins = vec![GateMargin::at_least(
+        "reader_scaling",
+        speedup,
+        min_speedup,
+        gate_enforced,
+    )];
     print_margins(&margins);
 
     if options.contains("json") {
@@ -219,8 +159,7 @@ fn main() {
             gate_enforced,
             reader_scaling,
             backends,
-            adaptive: adaptive.clone(),
-            margins: margins.clone(),
+            margins,
         };
         println!(
             "{}",
@@ -228,25 +167,8 @@ fn main() {
         );
     }
 
-    let mut failed = false;
-    if adaptive.switches.is_empty() {
-        eprintln!("FAIL: the adaptive decider never switched backends");
-        failed = true;
-    }
-    for phase in &adaptive.phases {
-        if phase.chi_square_p <= 0.01 {
-            eprintln!(
-                "FAIL: phase {} lost chi-square conformance (p = {})",
-                phase.phase, phase.chi_square_p
-            );
-            failed = true;
-        }
-    }
     if gate_enforced && speedup < min_speedup {
         eprintln!("FAIL: expected >= {min_speedup}x reader scaling");
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
     }
     println!("OK");

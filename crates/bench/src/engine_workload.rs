@@ -20,10 +20,9 @@ use std::time::{Duration, Instant};
 #[repr(align(64))]
 struct PaddedCounter(AtomicU64);
 
-use lrb_engine::{BackendChoice, EngineConfig, SelectionEngine};
+use lrb_engine::{EngineConfig, SelectionEngine};
 use lrb_obs::HistogramSnapshot;
 use lrb_rng::{Philox4x32, RandomSource};
-use lrb_stats::chi_square_gof;
 use serde::Serialize;
 
 /// Workload shape for one driver run.
@@ -47,11 +46,8 @@ pub struct DriverConfig {
     /// Category skew: `0.0` for uniform initial weights, `s > 0` for
     /// Zipf-distributed weights `w_i ∝ 1/(i+1)^s`.
     pub zipf_exponent: f64,
-    /// Snapshot backend selection.
-    pub backend: BackendChoice,
-    /// Run the engine's startup micro-calibration and per-publish cost
-    /// telemetry (host-measured constants instead of the unit model).
-    pub calibrate: bool,
+    /// Registry name of the snapshot backend.
+    pub backend: &'static str,
     /// Sampled reader timing: each reader thread times one in this many
     /// snapshot acquisitions (`0` disables, the uninstrumented baseline;
     /// see `EngineConfig::reader_timing_every`).
@@ -71,8 +67,12 @@ impl Default for DriverConfig {
             snapshot_every: 64,
             duration_ms: 250,
             zipf_exponent: 0.0,
-            backend: BackendChoice::Auto,
-            calibrate: false,
+            // The default weights are uniform, where stochastic acceptance
+            // draws in about one rejection round. The reader-scaling
+            // baselines (`BENCH_engine.json`, `BENCH_obs.json`) were
+            // recorded on it, so `engine_quick` and `obs_quick` keep
+            // measuring the backend their bars were set against.
+            backend: "stochastic-acceptance",
             reader_timing_every: 0,
             seed: 2024,
         }
@@ -137,7 +137,8 @@ pub struct DriverReport {
     pub coalesced: u64,
     /// Snapshots published.
     pub publishes: u64,
-    /// Publishes whose backend differed from the previous snapshot's.
+    /// Publishes whose backend differed from the previous snapshot's
+    /// (always 0: an engine serves one backend).
     pub backend_switches: u64,
     /// Draws per second across all readers.
     pub samples_per_sec: f64,
@@ -173,9 +174,6 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
         weights.clone(),
         EngineConfig {
             backend: config.backend,
-            expected_draws_per_publish: (config.samples_per_update
-                * config.updates_per_publish.max(1)) as f64,
-            calibrate: config.calibrate,
             reader_timing_every: config.reader_timing_every,
             ..EngineConfig::default()
         },
@@ -292,238 +290,6 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
     }
 }
 
-/// Shape of the deterministic skew-shifting scenario behind the adaptive
-/// `engine_quick` gate.
-#[derive(Debug, Clone, Copy)]
-pub struct SkewShiftConfig {
-    /// Number of weight categories `n`.
-    pub categories: usize,
-    /// Conformance draws served (and chi-square-tested) per phase.
-    pub trials: u64,
-    /// Spike publishes in the write-heavy phase (each publishes a handful
-    /// of overrides and serves no draws, so the observed draw rate decays).
-    pub spike_publishes: u64,
-    /// Master seed for the per-phase conformance batches.
-    pub seed: u64,
-    /// Whether the engine measures real per-op costs (host-calibrated
-    /// constants) or scores the closed-form model at unit cost.
-    pub calibrate: bool,
-}
-
-impl Default for SkewShiftConfig {
-    fn default() -> Self {
-        Self {
-            categories: 4096,
-            trials: 120_000,
-            // Enough zero-draw publishes that the draws-per-publish EWMA
-            // (alpha 0.2, seeded at `trials` by the uniform phase) decays
-            // to where the arg-min is build-cost-dominated. The EWMA after
-            // k spike publishes is `trials · 0.8^(k-1)`; the switch off the
-            // alias table needs it below ~0.3 draws (where even stochastic
-            // acceptance's degenerate-skew draw term stops masking its
-            // build advantage over the three-pass alias build), first true
-            // near k = 62. Running to 80 leaves the EWMA ≈ 0.005, so the
-            // final publishes demand a switch with an ~2x margin on the
-            // measured constants — the gate must not hinge on knife-edge
-            // build-time ratios that drift with ambient CPU state.
-            spike_publishes: 80,
-            seed: 2024,
-            calibrate: true,
-        }
-    }
-}
-
-/// One phase of the skew-shift scenario: which backend served it and how
-/// the served draws conformed to the exact distribution.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseReport {
-    /// Phase name (`uniform`, `spike`, `recover`).
-    pub phase: String,
-    /// Backend of the snapshot that served this phase's draws.
-    pub backend: String,
-    /// Conformance draws served.
-    pub trials: u64,
-    /// Chi-square goodness-of-fit p-value of the served draws against the
-    /// snapshot's exact probabilities (best of two seeds, so an unlucky
-    /// seed cannot fail a healthy sampler; a genuinely biased one fails
-    /// both).
-    pub chi_square_p: f64,
-}
-
-/// One recorded backend switch (mirror of `lrb_engine::BackendSwitch`,
-/// serialisable for `BENCH_engine.json`).
-#[derive(Debug, Clone, Serialize)]
-pub struct SwitchReport {
-    /// Version that introduced the new backend.
-    pub version: u64,
-    /// Previous backend.
-    pub from: String,
-    /// New backend.
-    pub to: String,
-    /// Draws the outgoing snapshot had served.
-    pub draws_served: u64,
-    /// Whether the decider moved mid-stream (no pending writes).
-    pub mid_stream: bool,
-}
-
-/// Calibrated cost constants of one backend (mirror of
-/// `lrb_engine::CostConstants`, serialisable).
-#[derive(Debug, Clone, Serialize)]
-pub struct CostConstantsReport {
-    /// Backend name.
-    pub backend: String,
-    /// EWMA nanoseconds per abstract build op.
-    pub build_ns_per_op: f64,
-    /// EWMA nanoseconds per abstract draw op.
-    pub draw_ns_per_op: f64,
-    /// EWMA nanoseconds per abstract incremental-patch op.
-    pub patch_ns_per_op: f64,
-}
-
-/// Outcome of [`run_skew_shift`].
-#[derive(Debug, Clone, Serialize)]
-pub struct SkewShiftReport {
-    /// Per-phase backends and conformance.
-    pub phases: Vec<PhaseReport>,
-    /// Every backend switch the decider made, oldest first.
-    pub switches: Vec<SwitchReport>,
-    /// The decider's cost constants at the end of the run.
-    pub cost_constants: Vec<CostConstantsReport>,
-    /// The observed draws-per-publish EWMA at the end of the run.
-    pub observed_draws_per_publish: f64,
-}
-
-/// Serve one conformance phase: deterministic batch draws against the
-/// current snapshot, chi-square-tested against its exact probabilities.
-fn conformance_phase(engine: &SelectionEngine, phase: &str, trials: u64, seed: u64) -> PhaseReport {
-    let snapshot = engine.snapshot();
-    let probs = snapshot.probabilities();
-    // Best of two seeds: the gate should flag a biased sampler (which fails
-    // every seed), not an unlucky 1%-tail draw.
-    let p = [seed, seed ^ 0x9E37_79B9]
-        .iter()
-        .map(|&s| {
-            let counts = snapshot
-                .batch_counts(trials, s)
-                .expect("phase weights have positive mass");
-            chi_square_gof(&counts, &probs).p_value
-        })
-        .fold(0.0f64, f64::max);
-    PhaseReport {
-        phase: phase.to_string(),
-        backend: snapshot.backend().to_string(),
-        trials,
-        chi_square_p: p,
-    }
-}
-
-/// Run the skew-shifting workload that the adaptive gate checks: a
-/// draw-heavy uniform phase, a write-heavy phase that spikes a handful of
-/// categories to degenerate skew while the observed draw rate decays, a
-/// mid-stream rebalance opportunity once draws resume, and a draw-heavy
-/// uniform recovery. The decider must switch backends at least once, and
-/// every phase's served draws must stay chi-square-consistent with the
-/// exact probabilities — conformance is maintained **across** the
-/// switches.
-pub fn run_skew_shift(config: &SkewShiftConfig) -> SkewShiftReport {
-    let n = config.categories;
-    assert!(n >= 16, "the scenario needs a non-trivial category count");
-    let engine = SelectionEngine::new(
-        vec![1.0; n],
-        EngineConfig {
-            backend: BackendChoice::Auto,
-            expected_draws_per_publish: config.trials as f64,
-            calibrate: config.calibrate,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("scenario weights are valid");
-
-    let mut phases = Vec::new();
-
-    // Phase 1 — draw-heavy, uniform: cheap-draw backends win.
-    phases.push(conformance_phase(
-        &engine,
-        "uniform",
-        config.trials,
-        config.seed,
-    ));
-
-    // Phase 2 — write-heavy skew shift: eight fixed categories spike to
-    // `n/2`-fold weight (skew `≈ n/10`, far past where stochastic
-    // acceptance pays) while publishes serve no draws, so the
-    // draws-per-publish EWMA collapses and cheap builds win. The spike set
-    // is small and the weight moderate so every base category's expected
-    // conformance count stays at or above the chi-square validity floor.
-    // Then serve conformance draws from whatever backend the decider
-    // landed on.
-    let spike_weight = (n / 2) as f64;
-    let mut spike_rng = Philox4x32::for_substream(config.seed, 7_000);
-    let spike_set: Vec<usize> = (0..8)
-        .map(|_| spike_rng.next_u64_below(n as u64) as usize)
-        .collect();
-    for step in 0..config.spike_publishes {
-        for lane in 0..2 {
-            let index = spike_set[((2 * step + lane) % 8) as usize];
-            // Jitter keeps every publish a real weight change.
-            let weight = spike_weight + (step % 5) as f64;
-            engine.enqueue(index, weight).expect("index in range");
-        }
-        engine.publish().expect("spike weights stay valid");
-    }
-    phases.push(conformance_phase(
-        &engine,
-        "spike",
-        config.trials,
-        config.seed + 1,
-    ));
-
-    // Mid-stream opportunity: the spike phase's conformance draws all hit
-    // the current snapshot with no publish in sight — exactly the drift the
-    // sunk-cost decider exists for.
-    let _ = engine
-        .maybe_rebalance()
-        .expect("rebalance cannot fail here");
-
-    // Phase 3 — recovery: restore uniform weights and serve draw-heavy
-    // windows again; the observed rate climbs back and cheap draws win.
-    let restore: Vec<(usize, f64)> = (0..n).map(|i| (i, 1.0)).collect();
-    engine.enqueue_many(&restore).expect("restore is in range");
-    engine.publish().expect("restore weights are valid");
-    phases.push(conformance_phase(
-        &engine,
-        "recover",
-        config.trials,
-        config.seed + 2,
-    ));
-
-    SkewShiftReport {
-        phases,
-        switches: engine
-            .switch_history()
-            .into_iter()
-            .map(|s| SwitchReport {
-                version: s.version,
-                from: s.from.to_string(),
-                to: s.to.to_string(),
-                draws_served: s.draws_served,
-                mid_stream: s.mid_stream,
-            })
-            .collect(),
-        cost_constants: engine
-            .cost_constants()
-            .into_iter()
-            .map(|c| CostConstantsReport {
-                backend: c.backend.to_string(),
-                build_ns_per_op: c.build_ns_per_op,
-                draw_ns_per_op: c.draw_ns_per_op,
-                patch_ns_per_op: c.patch_ns_per_op,
-            })
-            .collect(),
-        observed_draws_per_publish: engine.observed_draws_per_publish(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,38 +326,6 @@ mod tests {
             report.achieved_samples_per_update >= 1.0,
             "more updates than samples at a 1:4 target: {report:?}"
         );
-    }
-
-    #[test]
-    fn skew_shift_scenario_switches_backends_and_stays_conformant() {
-        // Unit-cost decider for determinism in tests; the engine_quick gate
-        // runs the same scenario calibrated.
-        let report = run_skew_shift(&SkewShiftConfig {
-            categories: 1024,
-            trials: 30_000,
-            spike_publishes: 25,
-            seed: 7,
-            calibrate: false,
-        });
-        assert_eq!(report.phases.len(), 3);
-        assert!(
-            !report.switches.is_empty(),
-            "the decider never switched: {report:?}"
-        );
-        for phase in &report.phases {
-            assert!(
-                phase.chi_square_p > 0.01,
-                "{} phase lost conformance: p = {}",
-                phase.phase,
-                phase.chi_square_p
-            );
-        }
-        assert_eq!(report.cost_constants.len(), 3);
-        // Unit costs: the constants stay at the 1 ns/op seed.
-        assert!(report
-            .cost_constants
-            .iter()
-            .all(|c| c.build_ns_per_op == 1.0 && c.draw_ns_per_op == 1.0));
     }
 
     #[test]

@@ -17,9 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lrb_engine::{
-    BackendChoice, BuildScratch, EngineConfig, FrozenBackend, PatchPolicy, SelectionEngine,
-};
+use lrb_engine::{BuildScratch, EngineConfig, FrozenBackend, PatchPolicy, SelectionEngine};
 use serde::Serialize;
 
 /// The mildly varied weight family used by every publish measurement
@@ -195,7 +193,7 @@ pub fn bench_engine_publish(
     let engine = SelectionEngine::new(
         bench_weights(n),
         EngineConfig {
-            backend: BackendChoice::Fixed("fenwick"),
+            backend: "fenwick",
             patch: policy,
             ..EngineConfig::default()
         },

@@ -432,32 +432,21 @@ pub struct BatchPlanReport {
 /// each timed over `iters` warm batches of `batch` draws (best of two
 /// rounds per side). Both run the same layout, so their draws are
 /// bit-identical and only the lane count differs.
-///
-/// Both sides pin the **fenwick** backend: under the auto heuristic a
-/// draw-only workload drifts to stochastic acceptance, whose O(1) fills
-/// would leave the sequential level-one assignment as the Amdahl floor
-/// and make the comparison about backend choice, not the planner.
 pub fn measure_batch_speedup(
     categories: usize,
     shards: usize,
     batch: usize,
     iters: usize,
 ) -> Result<BatchPlanReport, ServiceError> {
-    use lrb_engine::{BackendChoice, EngineConfig};
     use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
     use lrb_service::{DrawPlan, ServiceConfig, ShardedService};
 
     let weights: Vec<f64> = (0..categories).map(|i| ((i % 97) + 1) as f64).collect();
-    let engine = EngineConfig {
-        backend: BackendChoice::Fixed("fenwick"),
-        ..EngineConfig::default()
-    };
     let build = |fanout_workers: usize| {
         ShardedService::new(
             weights.clone(),
             ServiceConfig {
                 shards,
-                engine: engine.clone(),
                 fanout_workers,
                 ..ServiceConfig::default()
             },

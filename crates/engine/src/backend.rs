@@ -1,30 +1,28 @@
 //! The pluggable frozen-backend registry.
 //!
 //! A [`FrozenBackend`] knows how to freeze a weight vector into a read-only
-//! [`FrozenSampler`] and how to describe its own cost shape to the engine's
-//! decider. The engine dispatches through a [`BackendRegistry`] of trait
-//! objects instead of a closed enum, so new sampler families (NUMA-sharded
-//! trees, GPU tables, …) plug in without touching the engine — the
-//! rocksdb-style "decider picks the data structure from the observed
-//! workload" architecture.
+//! [`FrozenSampler`] and, optionally, how to patch the previous snapshot's
+//! sampler with a coalesced batch instead of rebuilding. The engine
+//! dispatches through a [`BackendRegistry`] of trait objects instead of a
+//! closed enum, so new sampler families plug in without touching the
+//! engine; an engine serves the one backend its config names.
 //!
 //! The [standard registry](BackendRegistry::standard) ships the three
 //! families the paper's setting needs:
 //!
-//! | backend | build (abstract ops) | patch (`d` dirty) | per draw |
+//! | backend | build | patch (`d` dirty) | per draw |
 //! |---|---|---|---|
-//! | `fenwick` | `n` | `n/2 + d · log₂ n` | `log₂ n` |
-//! | `alias` | `≈ 3n` | — (rebuilds, worklists rayon-parallel) | `O(1)` |
-//! | `stochastic-acceptance` | `n` | `n/4 + 2d` | `≈ skew` expected rejection rounds |
+//! | `fenwick` (default) | `O(n)` | `n/2 (+ n/4 scaled) + d · log₂ n` | `O(log n)`, skew-immune |
+//! | `alias` | `O(n)`, three passes | — (rebuilds, worklists rayon-parallel) | `O(1)` |
+//! | `stochastic-acceptance` | `O(n)` | `n/4 (+ n/2 scaled) + 2d` | `n · w_max / Σ w` expected rejection rounds |
 //!
-//! where `skew = n · w_max / Σ w` is exactly the expected rejection round
-//! count. The *patch* column is [`FrozenBackend::try_patch`] — freezing the
-//! next snapshot from the previous one plus the coalesced batch instead of
-//! rebuilding (the `n`-proportional terms are straight `memcpy`s, priced
-//! fractionally against the rebuild's branchy passes). All abstract op
-//! counts are scaled into nanoseconds by the engine's calibrated
-//! [`CostEstimator`](crate::heuristic::CostEstimator), which learns
-//! build, patch and draw constants separately.
+//! The *patch* column is [`FrozenBackend::try_patch`] — freezing the next
+//! snapshot from the previous one plus the coalesced batch instead of
+//! rebuilding — priced in units of one rebuild pass per category (the
+//! `n`-proportional terms are straight `memcpy`s, priced fractionally
+//! against the rebuild's branchy passes; a scale fold adds one multiply
+//! pass). [`FrozenBackend::patch_pays`] compares that price against the
+//! `n`-op rebuild — the rule `PatchPolicy::Auto` follows on every publish.
 
 use std::sync::Arc;
 
@@ -33,22 +31,6 @@ use lrb_core::sequential::{AliasSampler, AliasScratch};
 use lrb_core::traits::{FrozenSampler, PreparedSampler};
 use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
 use lrb_rng::RandomSource;
-
-use crate::heuristic::WorkloadProfile;
-
-/// Mirror of the stochastic-acceptance degenerate-skew threshold: past it a
-/// draw falls back to an `O(n)` linear scan, which the model must price in.
-pub const SA_DEGENERATE_ROUNDS: f64 = 256.0;
-
-/// Abstract cost of one publish window on a backend, in "weight ops" —
-/// scale-free units the calibration converts to nanoseconds per host.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendCost {
-    /// Ops to freeze a weight vector into the backend's sampler.
-    pub build_ops: f64,
-    /// Ops per draw served from the frozen sampler.
-    pub per_draw_ops: f64,
-}
 
 /// Pooled transient build buffers, owned by the engine and passed to every
 /// snapshot build on the (serialised) publish path. Nothing in here
@@ -74,7 +56,7 @@ pub struct BuildScratch {
 /// they were given.
 pub trait FrozenBackend: Send + Sync {
     /// A short, stable, machine-friendly name (used in reports, JSON and
-    /// [`BackendChoice::Fixed`](crate::heuristic::BackendChoice)).
+    /// [`EngineConfig::backend`](crate::EngineConfig::backend)).
     fn name(&self) -> &'static str;
 
     /// Freeze `weights` (already validated: non-empty, finite, non-negative;
@@ -97,16 +79,12 @@ pub trait FrozenBackend: Send + Sync {
         self.build(weights)
     }
 
-    /// Closed-form abstract cost of serving `profile` on this backend.
-    fn model_cost(&self, profile: &WorkloadProfile) -> BackendCost;
-
     /// Incremental-publish fast path: build the next snapshot's sampler
     /// from the previous one plus the coalesced batch (`scale` fold first,
     /// then absolute `overrides`), skipping the `O(n)` rebuild.
     ///
     /// Returns `None` when the backend has no patch path (or `prev` is not
-    /// a sampler this backend built — e.g. right after a backend switch);
-    /// the engine then falls back to
+    /// a sampler this backend built); the engine then falls back to
     /// [`build_pooled`](FrozenBackend::build_pooled). A `Some(Err(…))`
     /// carries the same validation failures a full rebuild over the folded
     /// weights would raise (a scale fold overflowing a weight to `∞`), so
@@ -124,20 +102,14 @@ pub trait FrozenBackend: Send + Sync {
         None
     }
 
-    /// Abstract op cost of patching `dirty` categories (with a whole-vector
-    /// scale fold when `scaled`) instead of rebuilding; `None` when the
-    /// backend cannot patch. Scaled into nanoseconds by the engine's
-    /// calibrated patch constants, then compared against
-    /// [`model_cost`](FrozenBackend::model_cost)'s build price — the
-    /// patch-versus-rebuild decision the engine makes per publish.
-    fn model_patch_cost(
-        &self,
-        profile: &WorkloadProfile,
-        dirty: usize,
-        scaled: bool,
-    ) -> Option<f64> {
-        let _ = (profile, dirty, scaled);
-        None
+    /// Whether patching `dirty` of `categories` categories (with a
+    /// whole-vector scale fold when `scaled`) is cheaper than an `n`-op
+    /// rebuild — the patch-versus-rebuild rule
+    /// [`PatchPolicy::Auto`](crate::PatchPolicy::Auto) follows on every
+    /// publish. The default (no patch path) never patches.
+    fn patch_pays(&self, categories: usize, dirty: usize, scaled: bool) -> bool {
+        let _ = (categories, dirty, scaled);
+        false
     }
 }
 
@@ -154,14 +126,6 @@ impl FrozenBackend for FenwickBackend {
         Ok(Box::new(FenwickSampler::from_weights(weights.to_vec())?))
     }
 
-    fn model_cost(&self, profile: &WorkloadProfile) -> BackendCost {
-        let n = profile.categories.max(1) as f64;
-        BackendCost {
-            build_ops: n,
-            per_draw_ops: n.log2().max(1.0),
-        }
-    }
-
     fn try_patch(
         &self,
         prev: &dyn FrozenSampler,
@@ -175,19 +139,15 @@ impl FrozenBackend for FenwickBackend {
         )
     }
 
-    fn model_patch_cost(
-        &self,
-        profile: &WorkloadProfile,
-        dirty: usize,
-        scaled: bool,
-    ) -> Option<f64> {
-        let n = profile.categories.max(1) as f64;
-        let log_n = n.log2().max(1.0);
+    fn patch_pays(&self, categories: usize, dirty: usize, scaled: bool) -> bool {
+        let n = categories.max(1) as f64;
+        let dirty = dirty as f64;
+        let scale_pass = if scaled { 0.25 * n } else { 0.0 };
         // Two memcpy passes (weights + tree) priced at a quarter of a build
         // op per element — straight-line copies against the rebuild's
         // branchy validate/accumulate passes — plus one multiply pass when
         // a scale folds, plus O(log n) tree nodes per dirty category.
-        Some(0.5 * n + if scaled { 0.25 * n } else { 0.0 } + dirty as f64 * log_n)
+        0.5 * n + scale_pass + dirty * n.log2().max(1.0) < n
     }
 }
 
@@ -295,15 +255,6 @@ impl FrozenBackend for AliasBackend {
             &mut scratch.alias,
         )?))
     }
-
-    fn model_cost(&self, profile: &WorkloadProfile) -> BackendCost {
-        // Vose's build makes three passes (split, two worklists); each draw
-        // is one table lookup plus one comparison — call it 2 ops.
-        BackendCost {
-            build_ops: 3.0 * profile.categories.max(1) as f64,
-            per_draw_ops: 2.0,
-        }
-    }
 }
 
 /// Stochastic acceptance: `O(1)` expected draws on balanced weights,
@@ -322,21 +273,6 @@ impl FrozenBackend for StochasticAcceptanceBackend {
         )?))
     }
 
-    fn model_cost(&self, profile: &WorkloadProfile) -> BackendCost {
-        let n = profile.categories.max(1) as f64;
-        // Each rejection round costs ~2 RNG calls; past the degenerate
-        // threshold the sampler linear-scans at O(n) per draw.
-        let per_draw_ops = if profile.skew > SA_DEGENERATE_ROUNDS {
-            n
-        } else {
-            2.0 * profile.skew.max(1.0)
-        };
-        BackendCost {
-            build_ops: n,
-            per_draw_ops,
-        }
-    }
-
     fn try_patch(
         &self,
         prev: &dyn FrozenSampler,
@@ -352,25 +288,20 @@ impl FrozenBackend for StochasticAcceptanceBackend {
         )
     }
 
-    fn model_patch_cost(
-        &self,
-        profile: &WorkloadProfile,
-        dirty: usize,
-        scaled: bool,
-    ) -> Option<f64> {
-        let n = profile.categories.max(1) as f64;
+    fn patch_pays(&self, categories: usize, dirty: usize, scaled: bool) -> bool {
+        let n = categories.max(1) as f64;
+        let dirty = dirty as f64;
+        let scale_pass = if scaled { 0.5 * n } else { 0.0 };
         // One memcpy pass, one aggregate-rederiving multiply pass when a
         // scale folds, O(1) aggregate maintenance per dirty category.
-        Some(0.25 * n + if scaled { 0.5 * n } else { 0.0 } + 2.0 * dirty as f64)
+        0.25 * n + scale_pass + 2.0 * dirty < n
     }
 }
 
 /// An ordered, name-keyed collection of [`FrozenBackend`] trait objects.
-///
-/// The order matters twice: cost-model ties break toward earlier entries
-/// (the standard registry lists the Fenwick tree first — the most
-/// predictable engine), and telemetry/calibration vectors are indexed in
-/// registry order.
+/// Engines select one entry by name
+/// ([`EngineConfig::backend`](crate::EngineConfig::backend)); tests
+/// register fakes beside (or instead of) the standard three.
 #[derive(Clone)]
 pub struct BackendRegistry {
     entries: Vec<Arc<dyn FrozenBackend>>,
@@ -503,29 +434,36 @@ mod tests {
     }
 
     #[test]
-    fn model_costs_have_the_documented_shape() {
-        let profile = WorkloadProfile {
-            categories: 4096,
-            draws_per_publish: 1000.0,
-            skew: 4.0,
-        };
-        let fenwick = FenwickBackend.model_cost(&profile);
-        assert_eq!(fenwick.build_ops, 4096.0);
-        assert_eq!(fenwick.per_draw_ops, 12.0);
-        let alias = AliasBackend.model_cost(&profile);
-        assert_eq!(alias.build_ops, 3.0 * 4096.0);
-        assert_eq!(alias.per_draw_ops, 2.0);
-        let sa = StochasticAcceptanceBackend.model_cost(&profile);
-        assert_eq!(sa.per_draw_ops, 8.0);
-        let degenerate = WorkloadProfile {
-            skew: 100_000.0,
-            ..profile
-        };
-        assert_eq!(
-            StochasticAcceptanceBackend
-                .model_cost(&degenerate)
-                .per_draw_ops,
-            4096.0
-        );
+    fn patch_pays_flips_at_the_documented_boundary() {
+        // n = 4096: fenwick patches while 0.5n (+ 0.25n scaled) + 12d < n,
+        // stochastic acceptance while 0.25n (+ 0.5n scaled) + 2d < n.
+        let n = 4096;
+        for (backend, plain, scaled) in [
+            (&FenwickBackend as &dyn FrozenBackend, 170, 85),
+            (&StochasticAcceptanceBackend, 1535, 511),
+        ] {
+            let name = backend.name();
+            assert!(backend.patch_pays(n, plain, false), "{name} at {plain}");
+            assert!(
+                !backend.patch_pays(n, plain + 1, false),
+                "{name} at {}",
+                plain + 1
+            );
+            assert!(
+                backend.patch_pays(n, scaled, true),
+                "{name} scaled at {scaled}"
+            );
+            assert!(
+                !backend.patch_pays(n, scaled + 1, true),
+                "{name} scaled at {}",
+                scaled + 1
+            );
+        }
+        for (dirty, scaled) in [(0, false), (1, false), (0, true)] {
+            assert!(
+                !AliasBackend.patch_pays(n, dirty, scaled),
+                "alias never patches"
+            );
+        }
     }
 }

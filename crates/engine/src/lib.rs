@@ -27,23 +27,16 @@
 //!   under, as [`FrozenBackend`] trait objects: Fenwick tree (`O(log n)`
 //!   draws, skew-immune), Vose alias table (`O(1)` draws, priciest build),
 //!   stochastic acceptance (`O(1)` expected draws on balanced weights) —
-//!   plus anything the caller registers.
-//! * [`choose_backend`] / [`CostEstimator`] — the decider: each backend
-//!   prices a publish window as `freeze + draws · per_draw` in abstract
-//!   ops, where *freeze* is a full build — or, for the incumbent backend,
-//!   an **incremental patch** of the previous snapshot with the coalesced
-//!   batch (Fenwick: `O(d · log n)` point updates on a pooled copy;
-//!   stochastic acceptance: `O(d)` aggregate maintenance; the alias table
-//!   always rebuilds, with its Vose worklists classified rayon-parallel).
-//!   The estimator scales those ops by per-host constants from a one-shot
-//!   startup micro-calibration plus an EWMA of observed build/patch/draw
-//!   times, picks patch-versus-rebuild per publish
-//!   ([`PatchPolicy`] overrides it for tests), and re-decides at every
-//!   publish — or **mid-stream** via
-//!   [`SelectionEngine::maybe_rebalance`], which treats the incumbent's
-//!   build as sunk and switches only when the observed workload drift pays
-//!   for the new build. Switches land in
-//!   [`SelectionEngine::switch_history`].
+//!   plus anything the caller registers. An engine serves the one backend
+//!   its [`EngineConfig::backend`] names, `"fenwick"` by default, so the
+//!   backend never depends on traffic.
+//! * **Patch or rebuild** — a publish may freeze by an **incremental
+//!   patch** of the previous snapshot with the coalesced batch (Fenwick:
+//!   `O(d · log n)` point updates on a pooled copy; stochastic acceptance:
+//!   `O(d)` aggregate maintenance; the alias table always rebuilds, with
+//!   its Vose worklists classified rayon-parallel). Each backend's
+//!   closed-form [`FrozenBackend::patch_pays`] decides per publish
+//!   ([`PatchPolicy`] overrides it for tests and benches).
 //!
 //! ## Quickstart
 //!
@@ -73,20 +66,16 @@
 
 pub mod backend;
 pub mod engine;
-pub mod heuristic;
 mod hot_swap;
 mod queue;
 pub mod snapshot;
 pub mod telemetry;
 
 pub use backend::{
-    AliasBackend, BackendCost, BackendRegistry, BuildScratch, FenwickBackend, FrozenBackend,
+    AliasBackend, BackendRegistry, BuildScratch, FenwickBackend, FrozenBackend,
     StochasticAcceptanceBackend,
 };
-pub use engine::{BackendSwitch, EngineConfig, EngineStats, PatchPolicy, SelectionEngine};
-pub use heuristic::{
-    choose_backend, BackendChoice, CostConstants, CostEstimator, Ewma, WorkloadProfile,
-};
+pub use engine::{EngineConfig, EngineStats, PatchPolicy, SelectionEngine};
 pub use lrb_durable::{Durability, FsyncPolicy, WalOptions};
 pub use snapshot::Snapshot;
 pub use telemetry::{EngineEvent, EngineTelemetry, JournalEntry, JOURNAL_CAPACITY};

@@ -7,10 +7,11 @@
 //! snapshot keeps sampling the exact distribution it observed — publication
 //! of newer versions cannot tear its draws. Readers fill whole buffers
 //! lock-free through [`sample_into`](Snapshot::sample_into); the only
-//! shared state a draw touches is the served-draws telemetry (which feeds
-//! the engine's draws-per-publish estimate), and even that is sharded into
-//! per-reader cache-padded cells so concurrent readers do not bounce a
-//! counter line between cores.
+//! shared state a draw touches is the served-draws telemetry (exported as
+//! `lrb_snapshot_served` and journaled with each publish; it never steers
+//! the engine), and even that is sharded into per-reader cache-padded
+//! cells so concurrent readers do not bounce a counter line between
+//! cores.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

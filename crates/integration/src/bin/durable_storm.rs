@@ -13,9 +13,7 @@
 
 use std::io::Write;
 
-use lrb_engine::{
-    BackendChoice, Durability, EngineConfig, FsyncPolicy, PatchPolicy, SelectionEngine, WalOptions,
-};
+use lrb_engine::{Durability, EngineConfig, FsyncPolicy, PatchPolicy, SelectionEngine, WalOptions};
 use lrb_integration::storm;
 
 fn main() {
@@ -31,9 +29,8 @@ fn main() {
     let checkpoint_every: u64 = args[5].parse().expect("checkpoint_every");
 
     let config = EngineConfig {
-        backend: BackendChoice::Fixed("fenwick"),
+        backend: "fenwick",
         patch: PatchPolicy::Never,
-        calibrate: false,
         durability: Durability::Wal(WalOptions {
             dir: dir.into(),
             // SIGKILL does not lose page-cache writes, so the storm can

@@ -5,7 +5,7 @@
 //! degradation under skew — that until now were only visible in offline
 //! bench JSON. This crate is the in-process observability substrate that
 //! makes the *running* engine explain itself: what its p999 sample latency
-//! is, which backend is serving, and why the cost model switched.
+//! is, which backend is serving, and what each publish did.
 //!
 //! Everything is hand-rolled (no crates.io) and built for hot paths:
 //!

@@ -10,7 +10,7 @@ use lrb_core::batch::BatchDriver;
 use lrb_core::sequential::{AliasSampler, CdfSampler, StochasticAcceptanceSelector};
 use lrb_core::{DynamicSampler, Fitness, PreparedSampler, Selector};
 use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
-use lrb_engine::{BackendChoice, BackendRegistry, EngineConfig, SelectionEngine};
+use lrb_engine::{BackendRegistry, EngineConfig, SelectionEngine};
 use lrb_rng::Philox4x32;
 use proptest::prelude::*;
 use support::assert_exact;
@@ -122,7 +122,7 @@ proptest! {
             let engine = SelectionEngine::new(
                 weights.clone(),
                 EngineConfig {
-                    backend: BackendChoice::Fixed(name),
+                    backend: name,
                     ..EngineConfig::default()
                 },
             )
@@ -157,7 +157,7 @@ fn one_driver_serves_core_dynamic_and_engine_identically() {
     let engine = SelectionEngine::new(
         weights,
         EngineConfig {
-            backend: BackendChoice::Fixed("fenwick"),
+            backend: "fenwick",
             ..EngineConfig::default()
         },
     )
@@ -178,7 +178,7 @@ fn batched_engine_path_is_chi_square_exact_on_every_backend() {
         let engine = SelectionEngine::new(
             weights.clone(),
             EngineConfig {
-                backend: BackendChoice::Fixed(name),
+                backend: name,
                 ..EngineConfig::default()
             },
         )

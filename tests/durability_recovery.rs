@@ -29,9 +29,7 @@ use std::time::Duration;
 use lrb_durable::{
     replay_with, FaultPlan, FaultyFile, MemFile, ReplayStep, StorageFile, Wal, WalRecord,
 };
-use lrb_engine::{
-    BackendChoice, Durability, EngineConfig, FsyncPolicy, PatchPolicy, SelectionEngine, WalOptions,
-};
+use lrb_engine::{Durability, EngineConfig, FsyncPolicy, PatchPolicy, SelectionEngine, WalOptions};
 use lrb_integration::storm;
 use lrb_rng::Philox4x32;
 use lrb_service::{ServiceConfig, ShardedService};
@@ -64,14 +62,14 @@ impl Drop for TempDir {
 }
 
 /// The deterministic engine config both the recovered side and the
-/// oracle use: a pinned backend, no patches, no calibration — publishes
-/// are then a pure function of the enqueued batches, which is what makes
-/// "bit-identical recovery" a checkable claim rather than a hope.
+/// oracle use: the fenwick backend and no patches — every publish rebuilds
+/// from the folded weights, so publishes are a pure function of the
+/// enqueued batches, which is what makes "bit-identical recovery" a
+/// checkable claim rather than a hope.
 fn deterministic_config(durability: Durability) -> EngineConfig {
     EngineConfig {
-        backend: BackendChoice::Fixed("fenwick"),
+        backend: "fenwick",
         patch: PatchPolicy::Never,
-        calibrate: false,
         durability,
         ..EngineConfig::default()
     }

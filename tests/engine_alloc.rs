@@ -56,14 +56,14 @@ fn allocator_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (after - before, result)
 }
 
-use lrb_engine::{BackendChoice, BackendRegistry, EngineConfig, SelectionEngine};
+use lrb_engine::{BackendRegistry, EngineConfig, SelectionEngine};
 use lrb_rng::Philox4x32;
 
 #[test]
 fn steady_state_reader_samples_allocate_nothing() {
     for name in BackendRegistry::standard().names() {
         let config = EngineConfig {
-            backend: BackendChoice::Fixed(name),
+            backend: name,
             ..EngineConfig::default()
         };
         let weights: Vec<f64> = (0..4_096).map(|i| ((i % 13) + 1) as f64).collect();

@@ -9,19 +9,19 @@ mod support;
 
 use lrb_core::{DynamicSampler, SelectionError};
 use lrb_dynamic::StochasticAcceptanceSampler;
-use lrb_engine::{BackendChoice, BackendRegistry, EngineConfig, SelectionEngine};
+use lrb_engine::{BackendRegistry, EngineConfig, SelectionEngine};
 use lrb_rng::{MersenneTwister64, SeedableSource};
 use support::{assert_conformance, assert_exact};
 
 const TRIALS: u64 = 120_000;
 const SEEDS: [u64; 3] = [11, 2024, 987_654_321];
 
-/// Build an engine pinned to one backend.
+/// Build an engine over one named backend.
 fn engine_with(weights: &[f64], backend: &'static str) -> SelectionEngine {
     SelectionEngine::new(
         weights.to_vec(),
         EngineConfig {
-            backend: BackendChoice::Fixed(backend),
+            backend,
             ..EngineConfig::default()
         },
     )
@@ -118,58 +118,6 @@ fn killing_the_survivor_turns_the_snapshot_all_zero() {
             "{name}"
         );
     }
-}
-
-#[test]
-fn telemetry_driven_switches_preserve_conformance() {
-    // The decider switches backends as the observed workload drifts; every
-    // snapshot along the way must stay exact. Serve draws, spike the skew,
-    // publish, rebalance — and chi-square every snapshot touched.
-    let n = 256usize;
-    let engine = SelectionEngine::new(
-        vec![1.0; n],
-        EngineConfig {
-            backend: BackendChoice::Auto,
-            expected_draws_per_publish: TRIALS as f64,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let before = engine.snapshot();
-    let counts = before.batch_counts(TRIALS, 5).unwrap();
-    assert_exact(
-        &format!("pre-switch ({})", before.backend()),
-        &counts,
-        before.weights(),
-    );
-
-    // Spike a few categories and let the publish-time decider react.
-    for index in [3usize, 97, 200] {
-        engine.enqueue(index, (n as f64) * 2.0).unwrap();
-    }
-    engine.publish().unwrap();
-    let after = engine.snapshot();
-    let counts = after.batch_counts(TRIALS, 6).unwrap();
-    assert_exact(
-        &format!("post-switch ({})", after.backend()),
-        &counts,
-        after.weights(),
-    );
-    assert!(
-        !engine.switch_history().is_empty(),
-        "the skew spike should have moved the decider off {}",
-        before.backend()
-    );
-
-    // Mid-stream rebalance (if the decider takes it) must also stay exact.
-    let _ = engine.maybe_rebalance().unwrap();
-    let rebalanced = engine.snapshot();
-    let counts = rebalanced.batch_counts(TRIALS, 7).unwrap();
-    assert_exact(
-        &format!("rebalanced ({})", rebalanced.backend()),
-        &counts,
-        rebalanced.weights(),
-    );
 }
 
 #[test]

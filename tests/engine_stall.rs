@@ -21,10 +21,7 @@ use std::time::{Duration, Instant};
 
 use lrb_core::error::SelectionError;
 use lrb_core::traits::FrozenSampler;
-use lrb_engine::{
-    BackendChoice, BackendCost, BackendRegistry, EngineConfig, FenwickBackend, FrozenBackend,
-    SelectionEngine, WorkloadProfile,
-};
+use lrb_engine::{BackendRegistry, EngineConfig, FenwickBackend, FrozenBackend, SelectionEngine};
 
 /// A Fenwick backend whose builds can be gated: while `armed`, a build
 /// announces itself on `entered` and parks on `release`; with `fail_next`
@@ -69,10 +66,6 @@ impl FrozenBackend for GatedBackend {
         }
         FenwickBackend.build(weights)
     }
-
-    fn model_cost(&self, profile: &WorkloadProfile) -> BackendCost {
-        FenwickBackend.model_cost(profile)
-    }
 }
 
 fn gated_engine(
@@ -82,7 +75,7 @@ fn gated_engine(
     let mut registry = BackendRegistry::empty();
     registry.register(Arc::clone(&backend) as Arc<dyn FrozenBackend>);
     let config = EngineConfig {
-        backend: BackendChoice::Fixed("gated-fenwick"),
+        backend: "gated-fenwick",
         ..EngineConfig::default()
     };
     let engine = SelectionEngine::with_registry(weights, config, registry).unwrap();

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use lrb_engine::{BackendChoice, EngineConfig, SelectionEngine};
+use lrb_engine::{EngineConfig, SelectionEngine};
 use lrb_rng::{Philox4x32, SeedableSource, SplitMix64};
 
 const CATEGORIES: usize = 64;
@@ -127,7 +127,7 @@ fn batch_draws_are_identical_across_thread_count_overrides() {
     let engine = SelectionEngine::new(
         (0..1024).map(|i| ((i % 31) + 1) as f64).collect(),
         EngineConfig {
-            backend: BackendChoice::Fixed("fenwick"),
+            backend: "fenwick",
             ..EngineConfig::default()
         },
     )

@@ -7,7 +7,7 @@ mod support;
 
 use lrb_core::{DynamicSampler, SelectionError};
 use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
-use lrb_engine::{BackendChoice, BackendRegistry, EngineConfig, PatchPolicy, SelectionEngine};
+use lrb_engine::{BackendRegistry, EngineConfig, PatchPolicy, SelectionEngine};
 use lrb_rng::SeedableSource;
 use proptest::prelude::*;
 use support::assert_exact;
@@ -134,7 +134,7 @@ proptest! {
                 let engine = SelectionEngine::new(
                     initial.clone(),
                     EngineConfig {
-                        backend: BackendChoice::Fixed(name),
+                        backend: name,
                         patch: policy,
                         ..EngineConfig::default()
                     },
@@ -172,7 +172,7 @@ fn patch_forced_engines_serve_the_exact_distribution_on_every_backend() {
         let engine = SelectionEngine::new(
             initial,
             EngineConfig {
-                backend: BackendChoice::Fixed(name),
+                backend: name,
                 patch: PatchPolicy::Always,
                 ..EngineConfig::default()
             },
@@ -209,7 +209,7 @@ fn patch_survives_support_collapse_and_revival() {
     let engine = SelectionEngine::new(
         vec![1.0; 32],
         EngineConfig {
-            backend: BackendChoice::Fixed("fenwick"),
+            backend: "fenwick",
             patch: PatchPolicy::Always,
             ..EngineConfig::default()
         },

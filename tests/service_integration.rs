@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use lrb_core::SelectionError;
-use lrb_engine::{BackendChoice, EngineConfig};
 use lrb_service::{
     protocol, ServiceClient, ServiceConfig, ServiceError, ServiceServer, ShardedService,
 };
@@ -152,17 +151,12 @@ fn serial_draws_on_a_connection_ignore_other_connections() {
     const DRAWS: usize = 300;
     const SEED: u64 = 0x5E41;
     // One fresh service and server per run, both with the same server
-    // seed; fenwick is pinned so calibration cannot pick a different
-    // backend for the second run.
+    // seed.
     let run = |name: &str, with_neighbour: bool| -> Vec<usize> {
         let service = ShardedService::new(
             weights_1_to_24(),
             ServiceConfig {
                 shards: 4,
-                engine: EngineConfig {
-                    backend: BackendChoice::Fixed("fenwick"),
-                    ..EngineConfig::default()
-                },
                 ..ServiceConfig::default()
             },
         )
