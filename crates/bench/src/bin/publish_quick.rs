@@ -10,8 +10,7 @@
 //! weights) against the incremental patch path
 //! ([`FrozenBackend::try_patch`]: Fenwick point updates on a pooled copy,
 //! stochastic-acceptance `O(d)` aggregate maintenance; the alias table has
-//! no patch path — its rebuild classifies the Vose worklists with rayon
-//! `par_chunks` instead). An end-to-end engine section records
+//! no patch path and always rebuilds, single-threaded). An end-to-end engine section records
 //! `SelectionEngine::publish` latency under `PatchPolicy::Never` versus
 //! `Always`.
 //!

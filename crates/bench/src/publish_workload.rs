@@ -81,8 +81,7 @@ pub struct BackendPublishReport {
     /// Mean microseconds per full rebuild over the folded weights.
     pub rebuild_us: f64,
     /// Mean microseconds per incremental patch (absent when the backend
-    /// has no patch path — the alias table rebuilds, with its Vose
-    /// worklists classified rayon-parallel).
+    /// has no patch path — the alias table always rebuilds).
     pub patch_us: Option<f64>,
     /// `rebuild_us / patch_us`.
     pub speedup: Option<f64>,

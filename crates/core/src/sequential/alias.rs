@@ -6,21 +6,10 @@
 //! throughput benches.
 
 use lrb_rng::RandomSource;
-use rayon::prelude::*;
 
 use crate::error::SelectionError;
 use crate::fitness::Fitness;
 use crate::traits::PreparedSampler;
-
-/// Tables at or above this size scale their probabilities and classify the
-/// Vose worklists with rayon `par_chunks`; below it thread fan-out costs
-/// more than the passes save. Chunk results merge in index order, so the
-/// parallel build produces byte-identical tables to the sequential one at
-/// any thread count.
-const PARALLEL_BUILD_CUTOFF: usize = 1 << 14;
-
-/// Worklist chunk size for the parallel classification pass.
-const BUILD_CHUNK: usize = 4096;
 
 /// An alias table built with Vose's numerically stable construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +32,6 @@ pub struct AliasScratch {
     work: Vec<f64>,
     small: Vec<usize>,
     large: Vec<usize>,
-    /// Per-chunk worklists for the parallel classification pass, pooled so
-    /// a steady-state rebuild of a large table stays allocation-free.
-    parts: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
 impl AliasSampler {
@@ -86,75 +72,17 @@ impl AliasSampler {
         let n = weights.len();
         let mut keep = vec![0.0; n];
         let mut alias = vec![0usize; n];
-        let AliasScratch {
-            work,
-            small,
-            large,
-            parts,
-        } = scratch;
+        let AliasScratch { work, small, large } = scratch;
         small.clear();
         large.clear();
-        if n >= PARALLEL_BUILD_CUTOFF {
-            // Scale and classify chunk-parallel (same `v · n / total`
-            // expression as the sequential pass, so the tables are
-            // bit-identical). Two passes — the shim's parallel iterators
-            // have no `zip`, so the scale pass (mutating `work`) and the
-            // classification pass (mutating the pooled per-chunk worklists
-            // while reading `work`) cannot share one sweep — merged in
-            // chunk order below, i.e. index order, exactly what the
-            // sequential loop produces, with no transient allocation once
-            // the pools have grown to the workload.
-            if work.len() != n {
-                // Every element is overwritten by the scale pass; only a
-                // size change needs the (zero-filling) resize.
-                work.clear();
-                work.resize(n, 0.0);
-            }
-            work.par_chunks_mut(BUILD_CHUNK)
-                .with_min_len(1)
-                .enumerate()
-                .for_each(|(chunk, slice)| {
-                    let base = chunk * BUILD_CHUNK;
-                    for (offset, w) in slice.iter_mut().enumerate() {
-                        *w = weights[base + offset] * n as f64 / total;
-                    }
-                });
-            let chunk_count = n.div_ceil(BUILD_CHUNK);
-            if parts.len() < chunk_count {
-                parts.resize_with(chunk_count, Default::default);
-            }
-            parts[..chunk_count]
-                .par_chunks_mut(1)
-                .with_min_len(1)
-                .enumerate()
-                .for_each(|(chunk, part)| {
-                    let (chunk_small, chunk_large) = &mut part[0];
-                    chunk_small.clear();
-                    chunk_large.clear();
-                    let base = chunk * BUILD_CHUNK;
-                    let end = (base + BUILD_CHUNK).min(n);
-                    for (offset, &w) in work[base..end].iter().enumerate() {
-                        if w < 1.0 {
-                            chunk_small.push(base + offset);
-                        } else {
-                            chunk_large.push(base + offset);
-                        }
-                    }
-                });
-            for (chunk_small, chunk_large) in &parts[..chunk_count] {
-                small.extend_from_slice(chunk_small);
-                large.extend_from_slice(chunk_large);
-            }
-        } else {
-            work.clear();
-            // Scaled probabilities: mean 1 across columns.
-            work.extend(weights.iter().map(|&v| v * n as f64 / total));
-            for (i, &w) in work.iter().enumerate() {
-                if w < 1.0 {
-                    small.push(i);
-                } else {
-                    large.push(i);
-                }
+        work.clear();
+        // Scaled probabilities: mean 1 across columns.
+        work.extend(weights.iter().map(|&v| v * n as f64 / total));
+        for (i, &w) in work.iter().enumerate() {
+            if w < 1.0 {
+                small.push(i);
+            } else {
+                large.push(i);
             }
         }
 

@@ -13,7 +13,7 @@
 //! | backend | build | patch (`d` dirty) | per draw |
 //! |---|---|---|---|
 //! | `fenwick` (default) | `O(n)` | `n/2 (+ n/4 scaled) + d · log₂ n` | `O(log n)`, skew-immune |
-//! | `alias` | `O(n)`, three passes | — (rebuilds, worklists rayon-parallel) | `O(1)` |
+//! | `alias` | `O(n)`, three passes | — (rebuilds) | `O(1)` |
 //! | `stochastic-acceptance` | `O(n)` | `n/4 (+ n/2 scaled) + 2d` | `n · w_max / Σ w` expected rejection rounds |
 //!
 //! The *patch* column is [`FrozenBackend::try_patch`] — freezing the next

@@ -33,8 +33,8 @@
 //! * **Patch or rebuild** — a publish may freeze by an **incremental
 //!   patch** of the previous snapshot with the coalesced batch (Fenwick:
 //!   `O(d · log n)` point updates on a pooled copy; stochastic acceptance:
-//!   `O(d)` aggregate maintenance; the alias table always rebuilds, with
-//!   its Vose worklists classified rayon-parallel). Each backend's
+//!   `O(d)` aggregate maintenance; the alias table always rebuilds, in
+//!   one sequential scale-and-classify pass plus Vose's pairing loop). Each backend's
 //!   closed-form [`FrozenBackend::patch_pays`] decides per publish
 //!   ([`PatchPolicy`] overrides it for tests and benches).
 //!

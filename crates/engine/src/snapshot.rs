@@ -9,43 +9,24 @@
 //! lock-free through [`sample_into`](Snapshot::sample_into); the only
 //! shared state a draw touches is the served-draws telemetry (exported as
 //! `lrb_snapshot_served` and journaled with each publish; it never steers
-//! the engine), and even that is sharded into per-reader cache-padded
-//! cells so concurrent readers do not bounce a counter line between
-//! cores.
+//! the engine), and even that is an [`lrb_obs::Counter`], sharded into
+//! per-thread cache-padded cells so concurrent readers do not bounce a
+//! counter line between cores.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use lrb_core::batch::BatchDriver;
 use lrb_core::error::SelectionError;
 use lrb_core::traits::FrozenSampler;
+use lrb_obs::Counter;
 use lrb_rng::{Philox4x32, RandomSource};
 
 use crate::backend::FrozenBackend;
 use crate::telemetry::EngineTelemetry;
 
-/// Pads (and aligns) a value to a cache line, so two shards of a counter
-/// can never produce false sharing.
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// Shards of the served-draws counter. A power of two; each reader thread
-/// is pinned to one shard, so concurrent readers recording telemetry touch
-/// (with high probability) distinct cache lines instead of bouncing a
-/// single hot `fetch_add` line between cores on every buffer.
-const SERVED_SHARDS: usize = 16;
-
-/// Monotone reader-thread enumerator feeding the shard assignment.
-static NEXT_READER: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    /// This thread's served-counter shard (assigned round-robin on first
-    /// use, so up to [`SERVED_SHARDS`] concurrent readers get private
-    /// cells).
-    static READER_SHARD: usize = NEXT_READER.fetch_add(1, Ordering::Relaxed) % SERVED_SHARDS;
-
     /// Per-thread tick for sampled reader timing (`const` cell: the TLS
     /// itself never allocates, keeping the timed path 0-alloc). Shared
     /// across snapshots — the 1-in-N guarantee is per thread, which is
@@ -84,9 +65,8 @@ pub struct Snapshot {
     weights: Vec<f64>,
     total: f64,
     sampler: Box<dyn FrozenSampler>,
-    /// Draws served from this snapshot (relaxed; telemetry only), sharded
-    /// into per-reader cells so recording never bounces a shared line.
-    served: Box<[CachePadded<AtomicU64>]>,
+    /// Draws served from this snapshot (relaxed; telemetry only).
+    served: Counter,
     /// Sampled reader timing (`None` unless the engine enabled it).
     reader_timing: Option<ReaderTiming>,
 }
@@ -112,16 +92,13 @@ impl Snapshot {
     ) -> Self {
         assert!(!weights.is_empty(), "snapshots cover at least one category");
         let total: f64 = weights.iter().sum();
-        let served: Vec<CachePadded<AtomicU64>> = (0..SERVED_SHARDS)
-            .map(|_| CachePadded(AtomicU64::new(0)))
-            .collect();
         Self {
             version,
             backend,
             weights,
             total,
             sampler,
-            served: served.into_boxed_slice(),
+            served: Counter::new(),
             reader_timing: None,
         }
     }
@@ -178,20 +155,9 @@ impl Snapshot {
         self.sampler.as_ref()
     }
 
-    /// Draws served from this snapshot so far (telemetry; relaxed reads,
-    /// summed over the per-reader shards).
+    /// Draws served from this snapshot so far (telemetry; a relaxed read).
     pub fn served(&self) -> u64 {
-        self.served
-            .iter()
-            .map(|cell| cell.0.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Record `draws` served draws into this thread's shard.
-    #[inline]
-    fn record_served(&self, draws: u64) {
-        let shard = READER_SHARD.with(|s| *s);
-        self.served[shard].0.fetch_add(draws, Ordering::Relaxed);
+        self.served.get()
     }
 
     /// The exact selection probabilities `F_i = w_i / Σ w_j` (all zeros when
@@ -215,12 +181,12 @@ impl Snapshot {
                 timing.obs.record_reader_draw_ns(
                     started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                 );
-                self.record_served(1);
+                self.served.add(1);
                 return Ok(index);
             }
         }
         let index = self.sampler.sample(rng)?;
-        self.record_served(1);
+        self.served.add(1);
         Ok(index)
     }
 
@@ -242,12 +208,12 @@ impl Snapshot {
                 self.sampler.sample_into(rng, out)?;
                 let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 timing.obs.record_reader_draw_ns(elapsed / out.len() as u64);
-                self.record_served(out.len() as u64);
+                self.served.add(out.len() as u64);
                 return Ok(());
             }
         }
         self.sampler.sample_into(rng, out)?;
-        self.record_served(out.len() as u64);
+        self.served.add(out.len() as u64);
         Ok(())
     }
 
@@ -299,7 +265,7 @@ impl Snapshot {
         let indices = BatchDriver::new().drive_indices(master_seed, trials, |rng, out| {
             self.sampler.sample_into(rng, out)
         })?;
-        self.record_served(trials);
+        self.served.add(trials);
         Ok(indices)
     }
 

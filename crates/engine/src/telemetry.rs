@@ -19,8 +19,9 @@
 //! rebuilt, freeze nanoseconds, dirty count, scale, draws the outgoing
 //! snapshot served), checkpoints and recoveries, and which SIMD tier the
 //! host detected.
-//! The journal keeps the most recent [`JOURNAL_CAPACITY`] events; pushes
-//! are lock-free and never block readers.
+//! The journal keeps the most recent [`JOURNAL_CAPACITY`] events behind a
+//! mutex. Only construction, recovery, publishes and checkpoints write it,
+//! never a draw, so readers never touch the lock.
 
 use std::time::Instant;
 

@@ -4,9 +4,10 @@
 //! that records into it; at engine reader rates (tens of millions of draws
 //! per second across threads) that bounce *is* the overhead. [`Counter`]
 //! shards the count over [`COUNTER_SHARDS`] cache-padded cells and pins
-//! each recording thread to one shard (round-robin on first use, the same
-//! scheme as the engine's served-draws cells), so concurrent recorders
-//! touch distinct lines with high probability. Reads sum the shards —
+//! each recording thread to one shard (round-robin on first use), so
+//! concurrent recorders touch distinct lines with high probability. The
+//! engine's per-snapshot served-draws count and the service's per-shard
+//! routed-draws counts are `Counter`s. Reads sum the shards —
 //! monotone and exact once recorders quiesce, a bounded-lag lower bound
 //! while they run (the usual relaxed-counter contract).
 

@@ -1,4 +1,4 @@
-//! Log2-bucketed latency histograms with mergeable per-thread recorders.
+//! Log2-bucketed latency histograms.
 //!
 //! ## Bucket layout
 //!
@@ -10,20 +10,13 @@
 //! *bucket error bound* the property tests pin. [`BUCKETS`] = 976 covers
 //! the full `u64` range in 7.6 KiB of `u64` cells.
 //!
-//! ## Atomic histograms versus recorders
+//! ## Recording and reading
 //!
 //! [`Histogram`] holds atomic buckets: any number of threads record
 //! concurrently (one relaxed `fetch_add` each), and
 //! [`snapshot`](Histogram::snapshot) copies the cells once into an immutable
 //! [`HistogramSnapshot`] for quantile extraction — the consistent
 //! point-in-time read the exporters use.
-//!
-//! [`Recorder`] is the per-thread variant: plain cells, no atomics at all,
-//! for measurement loops that want recording to cost a handful of ALU ops.
-//! Recorders merge — into each other or into a shared [`Histogram`] — by
-//! bucket-wise addition, which is **exact**: merging recorders that saw
-//! disjoint subsequences produces the same buckets (hence the same
-//! quantiles) as recording the concatenated sequence into one histogram.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -121,7 +114,7 @@ impl Histogram {
     }
 
     /// Record the elapsed nanoseconds since `started` — the span-timer
-    /// pattern for paths that want explicit control:
+    /// pattern:
     ///
     /// ```
     /// use std::time::Instant;
@@ -134,28 +127,6 @@ impl Histogram {
     #[inline]
     pub fn record_span(&self, started: Instant) {
         self.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Time `f` and record its span in nanoseconds.
-    #[inline]
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let started = Instant::now();
-        let result = f();
-        self.record_span(started);
-        result
-    }
-
-    /// Fold a per-thread [`Recorder`] into this histogram (bucket-wise
-    /// adds; exact — see the module docs).
-    pub fn merge_recorder(&self, recorder: &Recorder) {
-        for (index, &count) in recorder.counts.iter().enumerate() {
-            if count > 0 {
-                self.buckets[index].fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(recorder.sum, Ordering::Relaxed);
-        self.min.fetch_min(recorder.min, Ordering::Relaxed);
-        self.max.fetch_max(recorder.max, Ordering::Relaxed);
     }
 
     /// Copy the cells once into an immutable snapshot — the consistent
@@ -174,69 +145,6 @@ impl Histogram {
             self.min.load(Ordering::Relaxed),
             self.max.load(Ordering::Relaxed),
         )
-    }
-}
-
-/// A per-thread, non-atomic histogram recorder (see the module docs).
-#[derive(Debug, Clone)]
-pub struct Recorder {
-    counts: Box<[u64]>,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Recorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self {
-            counts: vec![0u64; BUCKETS].into_boxed_slice(),
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Record one value (a handful of ALU ops, no atomics, no allocation).
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.counts[bucket_of(value)] += 1;
-        self.sum = self.sum.wrapping_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Record the elapsed nanoseconds since `started`.
-    #[inline]
-    pub fn record_span(&mut self, started: Instant) {
-        self.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Fold another recorder into this one (bucket-wise adds; exact).
-    pub fn merge(&mut self, other: &Recorder) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Values recorded so far.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// An immutable snapshot of this recorder (same type the atomic
-    /// histogram produces, so harness code can report either identically).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::assemble(self.counts.to_vec(), self.sum, self.min, self.max)
     }
 }
 
@@ -383,33 +291,5 @@ mod tests {
         assert_eq!(snap.mean(), 0.0);
         assert_eq!(snap.min, 0);
         assert_eq!(snap.max, 0);
-    }
-
-    #[test]
-    fn recorder_merge_equals_sequential_recording() {
-        let mut a = Recorder::new();
-        let mut b = Recorder::new();
-        let mut reference = Recorder::new();
-        for i in 0..5_000u64 {
-            let v = (i * 7919) % 1_000_000;
-            if i % 2 == 0 { &mut a } else { &mut b }.record(v);
-            reference.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), reference.snapshot());
-
-        let hist = Histogram::new();
-        hist.merge_recorder(&a);
-        assert_eq!(hist.snapshot(), reference.snapshot());
-    }
-
-    #[test]
-    fn span_timing_records_something_positive() {
-        let hist = Histogram::new();
-        let out = hist.time(|| std::hint::black_box(17u64) * 2);
-        assert_eq!(out, 34);
-        let snap = hist.snapshot();
-        assert_eq!(snap.count, 1);
-        assert!(snap.max > 0, "a timed span took zero nanoseconds");
     }
 }

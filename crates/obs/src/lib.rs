@@ -1,4 +1,4 @@
-//! # lrb-obs — lock-free telemetry for the selection engine
+//! # lrb-obs — telemetry primitives for the selection engine
 //!
 //! The serving layer (`lrb-engine`) makes regime claims — fused-kernel
 //! speedups, patch-versus-rebuild crossovers, stochastic-acceptance
@@ -7,7 +7,8 @@
 //! makes the *running* engine explain itself: what its p999 sample latency
 //! is, which backend is serving, and what each publish did.
 //!
-//! Everything is hand-rolled (no crates.io) and built for hot paths:
+//! Everything is hand-rolled (no crates.io) and safe Rust; the recording
+//! primitives are lock-free and built for hot paths:
 //!
 //! * [`Counter`] — a cache-padded, sharded monotone counter. Recording is
 //!   one relaxed `fetch_add` on a per-thread shard (no shared line bounce);
@@ -17,16 +18,11 @@
 //! * [`Histogram`] — a log2-bucketed latency histogram (16 sub-buckets per
 //!   octave, ≤ 6.25 % relative bucket width) with atomic buckets for
 //!   concurrent recording and quantile extraction ([`p50/p99/p999`]) from a
-//!   consistent [`HistogramSnapshot`]. [`Recorder`] is the mergeable
-//!   per-thread variant: plain (non-atomic) cells for measurement loops,
-//!   merged into a shared histogram — or another recorder — after the run.
-//!   Merging is exact: a merged histogram is bucket-for-bucket identical to
-//!   recording the concatenated sequence into one histogram.
-//! * [`FlightRecorder`] — a fixed-capacity ring journal of structured
-//!   events (sequence-stamped seqlock slots): writers claim a slot with one
-//!   `fetch_add` and never block readers; a post-hoc [`snapshot`] returns
-//!   the last `capacity` events in order, so a misbehaving run can be
-//!   explained after the fact.
+//!   consistent [`HistogramSnapshot`].
+//! * [`FlightRecorder`] — a fixed-capacity, mutex-guarded ring journal of
+//!   structured rare events (publishes, refreshes, disconnects); a
+//!   post-hoc [`snapshot`] returns the last `capacity` events in order, so
+//!   a misbehaving run can be explained after the fact.
 //! * [`MetricsSnapshot`] — the export model: a consistent point-in-time
 //!   collection of metric values rendered as Prometheus text exposition
 //!   ([`to_prometheus`]) or a JSON object tree ([`to_json`]). "Consistent"
@@ -59,10 +55,7 @@
 //! assert!(text.contains("draw_ns{quantile=\"0.5\"}"));
 //! ```
 
-// `deny`, not `forbid`: the flight-recorder ring (`ring`) carries an
-// audited `#[allow(unsafe_code)]` with its safety argument in the module
-// docs — everything else is safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counter;
@@ -72,5 +65,5 @@ pub mod ring;
 
 pub use counter::{CachePadded, Counter, Gauge};
 pub use export::{MetricsSnapshot, Quantile};
-pub use histogram::{Histogram, HistogramSnapshot, Recorder, BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use ring::FlightRecorder;

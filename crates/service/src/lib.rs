@@ -30,9 +30,9 @@
 //!   from many threads (the server does not use it).
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
 //!   [`protocol`] for the frame format).
-//! * [`ServiceTelemetry`] — request/draw/update histograms, routing
-//!   journal, shard-imbalance gauge; merged with each shard's engine
-//!   telemetry by [`ServiceCore::metrics`].
+//! * [`ServiceTelemetry`] — request/draw/update histograms, a journal of
+//!   rare events, shard-imbalance gauge; merged with each shard's engine
+//!   telemetry and routed-draw counter by [`ServiceCore::metrics`].
 //!
 //! ## Quickstart (in-process)
 //!
@@ -45,8 +45,8 @@
 //!     ServiceConfig { shards: 3, ..ServiceConfig::default() },
 //! )?;
 //! let mut rng = MersenneTwister64::seed_from_u64(7);
-//! let pick = service.draw(&mut rng)?;
-//! assert!(pick < 6);
+//! let picks = service.draw_many(&mut rng, 1)?;
+//! assert!(picks[0] < 6);
 //!
 //! service.update(0, 9.0)?;          // enqueued on shard 0
 //! service.publish_all()?;           // all shards publish, totals refresh
@@ -56,11 +56,10 @@
 //!
 //! [`SelectionEngine`]: lrb_engine::SelectionEngine
 
-// Unsafe is denied crate-wide; the audited exceptions opt back in with a
-// module-level `#![allow(unsafe_code)]` — the same audited-island idiom
-// as `lrb-obs`'s ring. Two islands exist: the raw epoll/eventfd syscall
-// surface in `reactor::sys` and the scoped job hand-off in `fanout::job`
-// (see each module's safety notes).
+// Unsafe is denied crate-wide; the audited exceptions opt back in with an
+// `#[allow(unsafe_code)]` on their module. Two islands exist: the raw
+// epoll/eventfd syscall surface in `reactor::sys` and the scoped job
+// hand-off in `fanout::job` (see each module's safety notes).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

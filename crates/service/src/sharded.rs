@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use lrb_core::sharding::{ShardTotals, TotalsCut};
 use lrb_core::SelectionError;
 use lrb_engine::{EngineConfig, SelectionEngine};
-use lrb_obs::MetricsSnapshot;
+use lrb_obs::{Counter, MetricsSnapshot};
 use lrb_rng::{Philox4x32, RandomSource};
 
 use crate::fanout::FanoutPool;
@@ -200,6 +200,9 @@ thread_local! {
 struct Shard {
     /// The shard's engine over its contiguous category slice.
     engine: SelectionEngine,
+    /// Draws the level-one pick routed here, counted once per successful
+    /// batch (`lrb_service_shard<N>_routed_draws_total`).
+    routed: Counter,
 }
 
 /// The shared, thread-safe service state: shards, the level-one totals and
@@ -252,7 +255,10 @@ impl ServiceCore {
             // supersede the caller's initial vector.
             initial.push(engine.total_weight());
             offsets.push(start);
-            shards.push(Shard { engine });
+            shards.push(Shard {
+                engine,
+                routed: Counter::new(),
+            });
             start += len;
         }
         offsets.push(n);
@@ -329,39 +335,6 @@ impl ServiceCore {
         self.telemetry.set_imbalance(&self.totals.snapshot());
     }
 
-    /// Draw one global category index: level-one Fenwick pick over the
-    /// shard totals, then the shard's lock-free snapshot draw.
-    pub fn draw(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-        let started = Instant::now();
-        let result = match self.try_draw(rng) {
-            // The cut can go stale against a fresh publish (e.g. a shard
-            // evaporated to zero after its cell was read): re-read the
-            // cells once and retry before giving up.
-            Err(SelectionError::AllZeroFitness) => {
-                self.refresh_totals();
-                self.try_draw(rng)
-            }
-            other => other,
-        };
-        if result.is_ok() {
-            self.telemetry
-                .record_draws(1, started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
-        result
-    }
-
-    fn try_draw(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-        let cut = self.totals.cut();
-        let Some((shard, _residual)) = cut.pick_uniform(rng.next_f64()) else {
-            return Err(SelectionError::AllZeroFitness);
-        };
-        self.telemetry.record_route(shard as u32, 1);
-        let local = self.shards[shard]
-            .engine
-            .read(|snapshot| snapshot.sample(rng))?;
-        Ok(self.offsets[shard] + local)
-    }
-
     /// Fill `out` with independent draws (with replacement) through the
     /// batch planner: one level-one pick per slot, then the slots are
     /// grouped per shard and each group is served by **one** buffer fill
@@ -399,6 +372,9 @@ impl ServiceCore {
         }
         let started = Instant::now();
         let result = match self.try_draw_into(rng, out, plan) {
+            // The cut can go stale against a fresh publish (e.g. a shard
+            // evaporated to zero after its cell was read): re-read the
+            // cells once and retry before giving up.
             Err(SelectionError::AllZeroFitness) => {
                 self.refresh_totals();
                 self.try_draw_into(rng, out, plan)
@@ -406,6 +382,11 @@ impl ServiceCore {
             other => other,
         };
         if result.is_ok() {
+            // Only the attempt that succeeded counts, so the routed
+            // counters always sum to the served draws.
+            for (&shard, &(_, count)) in plan.segment_shards.iter().zip(&plan.segments) {
+                self.shards[shard].routed.add(count as u64);
+            }
             self.telemetry.record_draws(
                 out.len() as u64,
                 started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -418,8 +399,7 @@ impl ServiceCore {
     /// slot a shard with `pick(u)` over per-slot uniforms from
     /// `assign_rng`, count per-shard draws, turn the counts into ascending
     /// `(start, len)` segments of the fill buffer and seed the scatter
-    /// cursors with the segment starts. Also records per-shard routing
-    /// telemetry (deterministically, in shard order).
+    /// cursors with the segment starts.
     fn plan_assignments(
         &self,
         plan: &mut DrawPlan,
@@ -449,7 +429,6 @@ impl ServiceCore {
             if count > 0 {
                 plan.segments.push((start, count));
                 plan.segment_shards.push(shard);
-                self.telemetry.record_route(shard as u32, count as u32);
                 start += count;
             }
         }
@@ -708,6 +687,11 @@ impl ServiceCore {
         for (s, shard) in self.shards.iter().enumerate() {
             let obs = shard.engine.observability();
             snapshot
+                .counter(
+                    &format!("lrb_service_shard{s}_routed_draws_total"),
+                    "Draws the level-one pick routed to this shard",
+                    shard.routed.get(),
+                )
                 .gauge(
                     &format!("lrb_service_shard{s}_total_weight"),
                     "Shard's last published total weight",
@@ -866,7 +850,7 @@ mod tests {
         let mut rng = MersenneTwister64::seed_from_u64(11);
         let mut seen = [false; 12];
         for _ in 0..2_000 {
-            let pick = service.draw(&mut rng).unwrap();
+            let pick = service.draw_many(&mut rng, 1).unwrap()[0];
             assert!(weights[pick] > 0.0, "drew zero-weight category {pick}");
             seen[pick] = true;
         }
@@ -882,16 +866,37 @@ mod tests {
         let picks = service.draw_many(&mut rng, 500).unwrap();
         assert_eq!(picks.len(), 500);
         assert!(picks.iter().all(|&p| p < 12));
-        // All four shards get traffic under these totals.
-        let journal = service.telemetry().journal();
-        for shard in 0..4u32 {
-            assert!(
-                journal
-                    .iter()
-                    .any(|e| matches!(e, ServiceEvent::Route { shard: s, .. } if *s == shard)),
-                "shard {shard} never routed"
-            );
+        // All four shards get traffic under these totals, and every draw is
+        // routed exactly once.
+        let routed: Vec<u64> = service.shards.iter().map(|s| s.routed.get()).collect();
+        assert!(
+            routed.iter().all(|&r| r > 0),
+            "a shard never routed: {routed:?}"
+        );
+        assert_eq!(routed.iter().sum::<u64>(), 500);
+    }
+
+    #[test]
+    fn the_journal_keeps_the_last_publish_under_draw_traffic() {
+        let service = ShardedService::new(weights_1_to_12(), ServiceConfig::default()).unwrap();
+        // Category 7 lives on shard 2, which moves to version 1.
+        service.update(7, 80.0).unwrap();
+        service.publish_all().unwrap();
+        let mut rng = MersenneTwister64::seed_from_u64(15);
+        let mut out = [0usize; 1];
+        for _ in 0..10_000 {
+            service.draw_into(&mut rng, &mut out).unwrap();
         }
+        assert!(
+            service.telemetry().journal().iter().any(|e| matches!(
+                e,
+                ServiceEvent::ShardPublish {
+                    shard: 2,
+                    version: 1
+                }
+            )),
+            "draw traffic evicted the last publish"
+        );
     }
 
     #[test]
@@ -970,7 +975,10 @@ mod tests {
         assert_eq!(service.shard_totals(), vec![6.0, 15.0, 24.0, 33.0]);
         let mut rng = MersenneTwister64::seed_from_u64(13);
         // The draw lands on a stale shard, refreshes, and reports the truth.
-        assert_eq!(service.draw(&mut rng), Err(SelectionError::AllZeroFitness));
+        assert_eq!(
+            service.draw_many(&mut rng, 1),
+            Err(SelectionError::AllZeroFitness)
+        );
         assert_eq!(service.shard_totals(), vec![0.0, 0.0, 0.0, 0.0]);
         assert!(service
             .telemetry()
@@ -1004,7 +1012,7 @@ mod tests {
     fn metrics_merge_service_and_per_shard_rows() {
         let service = ShardedService::new(weights_1_to_12(), ServiceConfig::default()).unwrap();
         let mut rng = MersenneTwister64::seed_from_u64(14);
-        service.draw(&mut rng).unwrap();
+        service.draw_many(&mut rng, 1).unwrap();
         service.update(3, 9.0).unwrap();
         service.publish_all().unwrap();
         let text = service.metrics().to_prometheus();
@@ -1015,6 +1023,7 @@ mod tests {
             "lrb_service_shard_imbalance",
             "lrb_service_draw_ns",
             "lrb_service_shard0_publish_ns",
+            "lrb_service_shard0_routed_draws_total",
             "lrb_service_shard3_total_weight",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");

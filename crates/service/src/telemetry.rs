@@ -1,6 +1,9 @@
 //! Service-level observability: request/draw/update latency histograms,
-//! routing counters, the shard-imbalance gauge and a flight-recorder
-//! journal of routing decisions and shard publishes.
+//! draw/update/connection counters, the shard-imbalance gauge and a
+//! flight-recorder journal of rare events — shard publishes, totals
+//! refreshes, slow-consumer disconnects and drains. Routed draws are
+//! counted per shard (`lrb_service_shard<N>_routed_draws_total`), not
+//! journaled, so draw traffic never evicts those events.
 //!
 //! The per-shard engine telemetry (publish/enqueue/reader-draw histograms)
 //! stays inside each shard's [`EngineTelemetry`](lrb_engine::EngineTelemetry);
@@ -20,14 +23,6 @@ pub const SERVICE_JOURNAL_CAPACITY: usize = 256;
 /// One service-layer event for the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceEvent {
-    /// A draw (or a coalesced batch of draws) was routed to a shard by the
-    /// level-one Fenwick pick.
-    Route {
-        /// The shard the level-one pick landed on.
-        shard: u32,
-        /// How many draws of the batch landed there.
-        draws: u32,
-    },
     /// A shard republished its snapshot and refreshed its total cell.
     ShardPublish {
         /// The shard that published.
@@ -58,9 +53,9 @@ pub enum ServiceEvent {
     },
 }
 
-/// Always-on service telemetry. All paths are lock-free (relaxed counter
-/// shards, atomic histogram buckets, a seqlock-free ring), so recording
-/// never blocks a request.
+/// Always-on service telemetry. Counters and histograms are lock-free
+/// (relaxed counter shards, atomic histogram buckets); the journal takes a
+/// mutex, but only rare events write it, never a draw.
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     /// End-to-end request handling latency (decode → dispatch → encode).
@@ -163,11 +158,6 @@ impl ServiceTelemetry {
     pub(crate) fn record_batch(&self, draws: u64) {
         self.batches.incr();
         self.batched_draws.add(draws);
-    }
-
-    /// Record a routing decision.
-    pub(crate) fn record_route(&self, shard: u32, draws: u32) {
-        self.journal.push(ServiceEvent::Route { shard, draws });
     }
 
     /// Record one batch routed through the parallel draw planner.

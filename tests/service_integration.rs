@@ -8,7 +8,8 @@ use std::sync::Barrier;
 
 use lrb_core::SelectionError;
 use lrb_service::{
-    protocol, ServiceClient, ServiceConfig, ServiceError, ServiceServer, ShardedService,
+    protocol, ServiceClient, ServiceConfig, ServiceError, ServiceEvent, ServiceServer,
+    ShardedService,
 };
 use lrb_stats::chi_square_gof;
 
@@ -20,6 +21,21 @@ fn socket_path(name: &str) -> std::path::PathBuf {
 
 fn weights_1_to_24() -> Vec<f64> {
     (1..=24).map(f64::from).collect()
+}
+
+/// The `value` of counter `name` in a `METRICS` JSON document.
+fn counter_value(document: &str, name: &str) -> u64 {
+    use serde_json::Value;
+    let Ok(Value::Object(metrics)) = serde_json::from_str_value(document) else {
+        panic!("METRICS is not a JSON object");
+    };
+    let Some((_, Value::Object(fields))) = metrics.iter().find(|(key, _)| key == name) else {
+        panic!("missing {name} in metrics");
+    };
+    match fields.iter().find(|(key, _)| key == "value") {
+        Some((_, Value::Number(value))) => *value as u64,
+        _ => panic!("{name} has no numeric value"),
+    }
 }
 
 #[test]
@@ -131,6 +147,28 @@ fn uds_mixed_traffic_stays_coherent() {
         "lrb_service_shard_imbalance",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in metrics");
+    }
+    // Every draw is routed to exactly one shard, so the per-shard routed
+    // counters sum to the service's draw counter.
+    let routed: u64 = (0..4)
+        .map(|s| {
+            counter_value(
+                &metrics,
+                &format!("lrb_service_shard{s}_routed_draws_total"),
+            )
+        })
+        .sum();
+    assert_eq!(routed, counter_value(&metrics, "lrb_service_draws_total"));
+    // Draws are counted, not journaled, so every shard's publish outlives
+    // the draw traffic in the journal.
+    let journal = service.telemetry().journal();
+    for shard in 0..4u32 {
+        assert!(
+            journal
+                .iter()
+                .any(|e| matches!(e, ServiceEvent::ShardPublish { shard: s, .. } if *s == shard)),
+            "shard {shard}'s publishes were evicted from the journal"
+        );
     }
     let telemetry = service.telemetry();
     assert!(telemetry.draws() >= 200 + 20 * 64, "draws went uncounted");
