@@ -46,7 +46,7 @@ use std::time::Duration;
 use lrb_rng::{RandomSource, SplitMix64};
 
 use crate::error::ServiceError;
-use crate::protocol::{encode_request, read_response, write_frame, Cursor, OpCode, MAX_BATCH};
+use crate::protocol::{encode_request, parse_response, Cursor, FrameReader, OpCode, MAX_BATCH};
 use crate::server::ServerAddr;
 
 /// Fault-tolerance knobs for a [`ServiceClient`]. The default is the
@@ -133,8 +133,12 @@ pub struct ServiceClient {
     /// The live connection, or `None` after an I/O failure dropped it
     /// (the next request reconnects).
     transport: Option<Transport>,
-    /// Queued-but-unsent pipelined request bytes.
+    /// Request bytes not yet written: queued pipelined draws, or the one
+    /// request a blocking call is sending. Reused for every request.
     obuf: Vec<u8>,
+    /// Response bytes read but not yet decoded. One `read` may land many
+    /// pipelined responses, and each decodes in place.
+    ibuf: FrameReader,
     /// Requests sent (or queued) whose responses have not been received.
     outstanding: usize,
     config: ClientConfig,
@@ -199,6 +203,7 @@ impl ServiceClient {
             addr,
             transport: Some(transport),
             obuf: Vec::new(),
+            ibuf: FrameReader::new(),
             outstanding: 0,
             config,
             stats: ClientStats::default(),
@@ -250,6 +255,7 @@ impl ServiceClient {
     fn fail_connection(&mut self) {
         self.transport = None;
         self.obuf.clear();
+        self.ibuf.clear();
         self.outstanding = 0;
     }
 
@@ -313,7 +319,15 @@ impl ServiceClient {
         }
     }
 
-    fn call(&mut self, opcode: OpCode, payload: &[u8]) -> Result<Vec<u8>, ServiceError> {
+    /// One request/response round trip: send `opcode` with `payload`, then
+    /// decode the OK response's payload with `decode`. Idempotent requests
+    /// are retried on a fresh connection after an I/O failure.
+    fn call<T>(
+        &mut self,
+        opcode: OpCode,
+        payload: &[u8],
+        decode: impl Fn(&mut Cursor<'_>) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         // Interleaving a blocking call with un-received pipelined
         // responses would mis-correlate by position.
         if self.outstanding > 0 {
@@ -324,7 +338,7 @@ impl ServiceClient {
         }
         let mut attempt = 0u32;
         loop {
-            let result = self.try_call(opcode, payload);
+            let result = self.try_call(opcode, payload, &decode);
             match result {
                 Err(error @ ServiceError::Io(_)) => {
                     self.record_io_error(&error);
@@ -341,11 +355,44 @@ impl ServiceClient {
         }
     }
 
-    fn try_call(&mut self, opcode: OpCode, payload: &[u8]) -> Result<Vec<u8>, ServiceError> {
+    fn try_call<T>(
+        &mut self,
+        opcode: OpCode,
+        payload: &[u8],
+        decode: impl FnOnce(&mut Cursor<'_>) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         self.ensure_connected()?;
+        encode_request(&mut self.obuf, opcode, payload);
         let transport = self.transport.as_mut().expect("just connected");
-        write_frame(transport, opcode, payload)?;
-        read_response(transport)
+        let sent = transport.write_all(&self.obuf);
+        self.obuf.clear();
+        sent?;
+        self.recv(decode)
+    }
+
+    /// Receive the next response and decode its OK payload with `decode`,
+    /// which must consume all of it. Reads only while no whole response is
+    /// buffered. An `Io` error leaves the stream unusable (the caller drops
+    /// the connection); any other outcome consumed exactly one response.
+    fn recv<T>(
+        &mut self,
+        decode: impl FnOnce(&mut Cursor<'_>) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let transport = self.transport.as_mut().expect("recv on a live connection");
+        while self.ibuf.run(1)?.len() == 0 {
+            self.ibuf.fill(transport)?;
+        }
+        let mut run = self.ibuf.run(1)?;
+        let bytes = run.wire_len();
+        let body = run.next().expect("a whole response is buffered");
+        let result = parse_response(body).and_then(|payload| {
+            let mut cursor = Cursor::new(payload);
+            let value = decode(&mut cursor)?;
+            cursor.done()?;
+            Ok(value)
+        });
+        self.ibuf.consume(bytes);
+        result
     }
 
     // --- pipelined surface -------------------------------------------------
@@ -369,12 +416,9 @@ impl ServiceClient {
             self.fail_connection();
             return Err(error);
         }
-        let buffered = std::mem::take(&mut self.obuf);
         let transport = self.transport.as_mut().expect("just connected");
-        match transport.write_all(&buffered) {
+        match transport.write_all(&self.obuf) {
             Ok(()) => {
-                // Keep the (now empty) allocation for the next burst.
-                self.obuf = buffered;
                 self.obuf.clear();
                 Ok(())
             }
@@ -397,16 +441,12 @@ impl ServiceClient {
             ));
         }
         self.flush()?;
-        let transport = self
-            .transport
-            .as_mut()
-            .expect("flush left the connection up");
         // Any non-transport outcome (OK, Remote error, bad status byte)
-        // consumed a whole response frame off the wire, so the
-        // position-based correlation must advance even on Err. A
-        // transport failure instead kills the correlation for good —
-        // drop the connection and the pipeline with it.
-        match read_response(transport) {
+        // consumed a whole response frame, so the position-based
+        // correlation must advance even on Err. A transport failure
+        // instead kills the correlation for good — drop the connection and
+        // the pipeline with it.
+        match self.recv(|cursor| cursor.u64()) {
             Err(error @ ServiceError::Io(_)) => {
                 self.record_io_error(&error);
                 self.fail_connection();
@@ -414,11 +454,7 @@ impl ServiceClient {
             }
             result => {
                 self.outstanding -= 1;
-                let payload = result?;
-                let mut cursor = Cursor::new(&payload);
-                let index = cursor.u64()?;
-                cursor.done()?;
-                Ok(index as usize)
+                Ok(result? as usize)
             }
         }
     }
@@ -454,11 +490,7 @@ impl ServiceClient {
 
     /// One draw from this connection's server-side RNG stream.
     pub fn draw(&mut self) -> Result<usize, ServiceError> {
-        let payload = self.call(OpCode::Draw, &[])?;
-        let mut cursor = Cursor::new(&payload);
-        let index = cursor.u64()?;
-        cursor.done()?;
-        Ok(index as usize)
+        self.call(OpCode::Draw, &[], |cursor| Ok(cursor.u64()? as usize))
     }
 
     /// `count` draws in one round trip (`count <= MAX_BATCH`).
@@ -468,30 +500,28 @@ impl ServiceClient {
                 "batch count {count} exceeds {MAX_BATCH}"
             )));
         }
-        let payload = self.call(OpCode::DrawBatch, &count.to_le_bytes())?;
-        let mut cursor = Cursor::new(&payload);
-        let returned = cursor.u32()?;
-        if returned != count {
-            return Err(ServiceError::Protocol(format!(
-                "asked for {count} draws, server answered {returned}"
-            )));
-        }
-        let mut indices = Vec::with_capacity(returned as usize);
-        for _ in 0..returned {
-            indices.push(cursor.u64()? as usize);
-        }
-        cursor.done()?;
-        Ok(indices)
+        self.call(OpCode::DrawBatch, &count.to_le_bytes(), |cursor| {
+            let returned = cursor.u32()?;
+            if returned != count {
+                return Err(ServiceError::Protocol(format!(
+                    "asked for {count} draws, server answered {returned}"
+                )));
+            }
+            let mut indices = Vec::with_capacity(returned as usize);
+            for _ in 0..returned {
+                indices.push(cursor.u64()? as usize);
+            }
+            Ok(indices)
+        })
     }
 
     /// Enqueue one weight override (visible after the owning shard's next
     /// publish). Never retried (see the module docs).
     pub fn update(&mut self, index: usize, weight: f64) -> Result<(), ServiceError> {
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&(index as u64).to_le_bytes());
-        payload.extend_from_slice(&weight.to_bits().to_le_bytes());
-        let response = self.call(OpCode::Update, &payload)?;
-        Cursor::new(&response).done()
+        let mut payload = [0u8; 16];
+        payload[..8].copy_from_slice(&(index as u64).to_le_bytes());
+        payload[8..].copy_from_slice(&weight.to_bits().to_le_bytes());
+        self.call(OpCode::Update, &payload, |_| Ok(()))
     }
 
     /// Enqueue a batch of overrides, all-or-nothing across shards. Never
@@ -509,48 +539,37 @@ impl ServiceClient {
             payload.extend_from_slice(&(index as u64).to_le_bytes());
             payload.extend_from_slice(&weight.to_bits().to_le_bytes());
         }
-        let response = self.call(OpCode::UpdateBatch, &payload)?;
-        Cursor::new(&response).done()
+        self.call(OpCode::UpdateBatch, &payload, |_| Ok(()))
     }
 
     /// Fold one multiplicative scale into every shard's pending batch.
     /// Never retried (see the module docs).
     pub fn scale_all(&mut self, factor: f64) -> Result<(), ServiceError> {
-        let response = self.call(OpCode::Scale, &factor.to_bits().to_le_bytes())?;
-        Cursor::new(&response).done()
+        self.call(OpCode::Scale, &factor.to_bits().to_le_bytes(), |_| Ok(()))
     }
 
     /// Publish every shard; returns the per-shard snapshot versions.
     /// Never retried (see the module docs).
     pub fn publish(&mut self) -> Result<Vec<u64>, ServiceError> {
-        let payload = self.call(OpCode::Publish, &[])?;
-        let mut cursor = Cursor::new(&payload);
-        let shards = cursor.u32()?;
-        let mut versions = Vec::with_capacity(shards as usize);
-        for _ in 0..shards {
-            versions.push(cursor.u64()?);
-        }
-        cursor.done()?;
-        Ok(versions)
+        self.call(OpCode::Publish, &[], |cursor| {
+            let shards = cursor.u32()?;
+            (0..shards).map(|_| cursor.u64()).collect()
+        })
     }
 
     /// The per-shard published total weights.
     pub fn totals(&mut self) -> Result<Vec<f64>, ServiceError> {
-        let payload = self.call(OpCode::Totals, &[])?;
-        let mut cursor = Cursor::new(&payload);
-        let shards = cursor.u32()?;
-        let mut totals = Vec::with_capacity(shards as usize);
-        for _ in 0..shards {
-            totals.push(cursor.f64()?);
-        }
-        cursor.done()?;
-        Ok(totals)
+        self.call(OpCode::Totals, &[], |cursor| {
+            let shards = cursor.u32()?;
+            (0..shards).map(|_| cursor.f64()).collect()
+        })
     }
 
     /// The server's merged metrics document (JSON).
     pub fn metrics_json(&mut self) -> Result<String, ServiceError> {
-        let payload = self.call(OpCode::Metrics, &[])?;
-        String::from_utf8(payload)
-            .map_err(|_| ServiceError::Protocol("metrics document is not UTF-8".into()))
+        self.call(OpCode::Metrics, &[], |cursor| {
+            String::from_utf8(cursor.rest().to_vec())
+                .map_err(|_| ServiceError::Protocol("metrics document is not UTF-8".into()))
+        })
     }
 }

@@ -1,27 +1,34 @@
-//! Per-connection state machine for the event-driven server: a resumable
+//! Per-connection state machine for the event-driven server: a buffered
 //! [`FrameReader`] on the inbound side, an [`OutBuf`] write buffer with
 //! partial-write handling on the outbound side, and the **per-pass frame
 //! cap** between them.
 //!
-//! The reactor runs every request to completion on its own thread: one
-//! readiness pass decodes at most [`ServerConfig::inflight_budget`] frames,
-//! executes them and queues their responses before it moves on, so nothing
-//! is in flight across loop iterations. Frames past the cap stay in the
-//! kernel socket buffer; level-triggered epoll reports the connection again
-//! on the next iteration, after every other ready connection had its turn.
-//! A client that blasts requests therefore backs up in its own socket
-//! buffer (and ultimately pushes back through TCP flow control), not in
-//! server memory.
+//! The reactor runs every request to completion on its own thread. One
+//! readiness pass makes at most one `read`, which may land a whole
+//! pipelined burst in the connection's read buffer, and then executes up
+//! to [`ServerConfig::inflight_budget`] of the buffered whole frames as one
+//! run. Frames decode as views into the buffer; none is copied. A pass
+//! reads only while no whole frame is buffered, and never again after the
+//! one read: connections are registered level-triggered, so bytes that
+//! arrive later are reported again.
+//!
+//! Frames past the cap wait in the read buffer. Epoll reports only bytes
+//! still in the kernel, so the pass reports them ([`Pass::buffered`]) and
+//! the reactor keeps the connection on its ready list until they are
+//! served, after every other ready connection had its turn. The buffer is
+//! bounded (a few KiB, or one whole frame larger than that), so a client
+//! that blasts requests backs up in its own socket buffer (and ultimately
+//! pushes back through TCP flow control), not in server memory.
 //!
 //! Responses are correlated **by order**: frames execute strictly in the
 //! order they arrived on the connection, so a pipelining client matches
 //! the `n`th response to the `n`th request without any message ids on the
 //! wire.
 //!
-//! Everything here is transport-generic (`S: Read + Write`), so the cap
-//! and partial-write behaviour are unit-tested against in-memory streams —
-//! no sockets required — and the same state machine drives TCP and UDS
-//! connections identically.
+//! Everything here is transport-generic (`S: Read + Write`), so the cap,
+//! the syscall count and partial-write behaviour are unit-tested against
+//! in-memory streams — no sockets required — and the same state machine
+//! drives TCP and UDS connections identically.
 //!
 //! [`ServerConfig::inflight_budget`]: crate::server::ServerConfig
 
@@ -29,7 +36,7 @@ use std::io::{self, Read, Write};
 
 use lrb_rng::{MersenneTwister64, SeedableSource};
 
-use crate::protocol::{Frame, FrameReader};
+use crate::protocol::{FrameReader, Frames};
 
 /// Once this many already-written bytes accumulate at the front of the
 /// outbound buffer, they are compacted away so a long-lived connection's
@@ -95,6 +102,17 @@ impl OutBuf {
     }
 }
 
+/// What one readiness pass did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pass {
+    /// Frames the pass executed as one run.
+    pub(crate) frames: usize,
+    /// Whether the pass stopped at the cap with bytes still in the read
+    /// buffer. Epoll will not report them, so the reactor lists the
+    /// connection for another pass.
+    pub(crate) buffered: bool,
+}
+
 /// One multiplexed connection owned by a reactor thread, which does all
 /// of its socket I/O and executes all of its requests — every `read`/
 /// `write` on a given fd stays on one thread, so teardown cannot race one.
@@ -102,15 +120,17 @@ impl OutBuf {
 pub(crate) struct Connection<S> {
     /// The nonblocking socket (TCP or UDS).
     pub(crate) sock: S,
-    /// Resumable frame parser (survives frames split across segments).
+    /// Inbound bytes, decoded into frames in place.
     reader: FrameReader,
     /// Outbound responses, in request order.
-    pub(crate) out: OutBuf,
+    out: OutBuf,
     /// The connection's server-side RNG: every draw it requests comes
     /// from this stream.
-    pub(crate) rng: MersenneTwister64,
+    rng: MersenneTwister64,
     /// The epoll interest mask currently registered for this connection.
     pub(crate) interest: u32,
+    /// Whether the connection is on its reactor's ready list.
+    pub(crate) listed: bool,
 }
 
 impl<S: Read + Write> Connection<S> {
@@ -123,6 +143,7 @@ impl<S: Read + Write> Connection<S> {
             out: OutBuf::default(),
             rng: MersenneTwister64::seed_from_u64(rng_seed),
             interest: 0,
+            listed: false,
         }
     }
 
@@ -132,22 +153,35 @@ impl<S: Read + Write> Connection<S> {
         !self.out.is_empty()
     }
 
-    /// One readiness pass: replace `frames` with the frames decoded until
-    /// the socket drains (`WouldBlock`) or `cap` frames are decoded.
-    /// Returns `Ok(true)` when the pass stopped at the cap — whatever the
-    /// socket still holds stays in the kernel, and level-triggered epoll
-    /// reports it on a later pass — `Ok(false)` when the socket drained,
-    /// and `Err` on EOF / framing violation / transport error (the caller
-    /// closes the connection).
-    pub(crate) fn read_frames(&mut self, cap: usize, frames: &mut Vec<Frame>) -> io::Result<bool> {
-        frames.clear();
-        while frames.len() < cap {
-            match self.reader.poll(&mut self.sock)? {
-                Some(frame) => frames.push(frame),
-                None => return Ok(false),
+    /// One readiness pass. Unless a whole frame is already buffered, one
+    /// `read` fills the read buffer (`WouldBlock` reads nothing). Then up
+    /// to `cap` buffered whole frames go to `exec` as one run, together
+    /// with the connection's RNG and the outbound buffer their responses
+    /// encode into, and are consumed. `Err` on EOF, framing violation or
+    /// transport error (the caller closes the connection).
+    pub(crate) fn pass(
+        &mut self,
+        cap: usize,
+        exec: impl FnOnce(Frames<'_>, &mut MersenneTwister64, &mut Vec<u8>),
+    ) -> io::Result<Pass> {
+        if self.reader.run(1)?.len() == 0 {
+            match self.reader.fill(&mut self.sock) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
             }
         }
-        Ok(true)
+        let run = self.reader.run(cap)?;
+        let frames = run.len();
+        let bytes = run.wire_len();
+        if frames > 0 {
+            exec(run, &mut self.rng, self.out.queue());
+        }
+        self.reader.consume(bytes);
+        Ok(Pass {
+            frames,
+            buffered: frames == cap && !self.reader.is_empty(),
+        })
     }
 
     /// Bytes buffered for write (the slow-consumer backlog).
@@ -167,12 +201,14 @@ mod tests {
     use crate::protocol::{encode_request, OpCode};
 
     /// In-memory "socket": reads from `input` (then `WouldBlock`, like an
-    /// idle nonblocking socket), writes into `written` accepting at most
-    /// `write_cap` bytes per call with a `WouldBlock` interleaved after
-    /// every accepted chunk — the worst-case slow peer.
+    /// idle nonblocking socket) and counts its `read` calls, and writes
+    /// into `written` accepting at most `write_cap` bytes per call with a
+    /// `WouldBlock` interleaved after every accepted chunk — the
+    /// worst-case slow peer.
     struct FakeSock {
         input: Vec<u8>,
         at: usize,
+        reads: usize,
         written: Vec<u8>,
         write_cap: usize,
         starve_write: bool,
@@ -183,6 +219,7 @@ mod tests {
             Self {
                 input,
                 at: 0,
+                reads: 0,
                 written: Vec::new(),
                 write_cap: usize::MAX,
                 starve_write: false,
@@ -195,6 +232,7 @@ mod tests {
 
     impl Read for FakeSock {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
             if self.at == self.input.len() {
                 return Err(io::Error::new(io::ErrorKind::WouldBlock, "idle"));
             }
@@ -231,28 +269,64 @@ mod tests {
         wire
     }
 
+    /// One pass at `cap` that records the bodies of the frames it ran.
+    fn pass(conn: &mut Connection<FakeSock>, cap: usize) -> (Pass, Vec<Vec<u8>>) {
+        let mut bodies = Vec::new();
+        let pass = conn
+            .pass(cap, |frames, _, _| {
+                bodies.extend(frames.map(<[u8]>::to_vec));
+            })
+            .unwrap();
+        assert_eq!(pass.frames, bodies.len());
+        (pass, bodies)
+    }
+
+    #[test]
+    fn a_pipelined_burst_in_one_segment_costs_one_read() {
+        // 32 DRAWs in one segment: one read lands them all, and the pass
+        // does not read again to find the socket drained.
+        let mut conn = Connection::new(FakeSock::with_input(draw_frames(32)), 5);
+        let (done, bodies) = pass(&mut conn, 64);
+        assert_eq!(
+            done,
+            Pass {
+                frames: 32,
+                buffered: false
+            }
+        );
+        assert!(bodies.iter().all(|body| body == &[OpCode::Draw as u8]));
+        assert_eq!(conn.sock.reads, 1, "one read for the whole burst");
+    }
+
     #[test]
     fn read_pass_stops_at_the_cap_and_the_next_pass_takes_the_rest() {
-        // Six frames arrive at once; with a cap of 4 one pass must decode
-        // exactly 4 and leave the rest unread in the "kernel".
+        // Six frames arrive in one segment; with a cap of 4 one pass must
+        // run exactly 4 and report the other 2 still buffered, since epoll
+        // never reports bytes that already left the kernel.
         let mut conn = Connection::new(FakeSock::with_input(draw_frames(6)), 7);
-        let mut frames = Vec::new();
-        assert!(
-            conn.read_frames(4, &mut frames).unwrap(),
-            "the pass must report stopping at the cap"
-        );
-        assert_eq!(frames.len(), 4);
+        let (first, _) = pass(&mut conn, 4);
         assert_eq!(
-            conn.sock.unread(),
-            draw_frames(2).len(),
-            "the 5th and 6th frames must stay unread in the socket buffer"
+            first,
+            Pass {
+                frames: 4,
+                buffered: true
+            },
+            "the pass must stop at the cap and report the buffered rest"
         );
-
-        // Level-triggered epoll reports the rest; the next pass decodes
-        // both and finds the socket drained.
-        assert!(!conn.read_frames(4, &mut frames).unwrap());
-        assert_eq!(frames.len(), 2);
         assert_eq!(conn.sock.unread(), 0);
+        assert_eq!(conn.sock.reads, 1);
+
+        // The next pass runs the buffered 5th and 6th frames without
+        // touching the socket.
+        let (second, _) = pass(&mut conn, 4);
+        assert_eq!(
+            second,
+            Pass {
+                frames: 2,
+                buffered: false
+            }
+        );
+        assert_eq!(conn.sock.reads, 1, "buffered frames need no read");
     }
 
     #[test]
@@ -260,14 +334,13 @@ mod tests {
         // A frame split at every byte must decode once the bytes arrive.
         let wire = draw_frames(2);
         let mut conn = Connection::new(FakeSock::with_input(Vec::new()), 1);
-        let mut frames = Vec::new();
         let mut decoded = 0;
         for &byte in &wire {
             conn.sock.input.push(byte);
-            conn.read_frames(64, &mut frames).unwrap();
-            decoded += frames.len();
+            decoded += pass(&mut conn, 64).0.frames;
         }
         assert_eq!(decoded, 2);
+        assert_eq!(conn.sock.reads, wire.len());
     }
 
     #[test]

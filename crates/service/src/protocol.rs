@@ -22,7 +22,7 @@
 //! | `0x07` TOTALS | — | `u32` shards, then `shards × f64` totals |
 //! | `0x08` METRICS | — | UTF-8 JSON metrics document |
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use lrb_core::SelectionError;
 
@@ -113,161 +113,209 @@ pub fn error_code(error: &SelectionError) -> u8 {
     }
 }
 
-/// One decoded request frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// The raw opcode byte (may be unknown — the dispatcher answers with a
-    /// protocol error instead of dropping the connection).
-    pub opcode: u8,
-    /// The opaque payload bytes after the opcode.
-    pub payload: Vec<u8>,
-}
+/// Bytes a [`FrameReader`] asks one `read` for, and the size its buffer
+/// returns to after an oversized frame is consumed.
+const READ_BUF: usize = 8 * 1024;
 
-/// Read one `[u32 LE length][body]` frame body.
+/// Read one `[u32 LE length][body]` frame body from a blocking reader.
 fn read_body(reader: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
     reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let len = checked_len(len_bytes)?;
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body)?;
+    Ok(body)
+}
+
+/// The body length a length prefix announces, if it is in `1..=MAX_FRAME`.
+fn checked_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} outside 1..={MAX_FRAME}"),
         ));
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok(body)
+    Ok(len)
 }
 
-/// Read one request frame (server side) from a blocking reader.
+/// Buffered, resumable frame reader, used by both ends of the wire.
 ///
-/// Not timeout-safe: on `WouldBlock`/`TimedOut` any partially consumed
-/// bytes are lost, desynchronizing the stream. Connections that poll with
-/// a read timeout must use [`FrameReader`] instead.
-pub fn read_frame(reader: &mut impl Read) -> io::Result<Frame> {
-    let mut body = read_body(reader)?;
-    let opcode = body[0];
-    body.remove(0);
-    Ok(Frame {
-        opcode,
-        payload: body,
-    })
-}
-
-/// Incremental request-frame reader that is safe under read timeouts.
+/// One [`fill`](Self::fill) is one `read` into the buffer. It may land a
+/// whole pipelined burst, or part of one frame: a frame torn across
+/// segments, or a read that timed out. Partial bytes stay buffered until
+/// the rest arrives, so a timeout never desynchronizes the stream. Whole
+/// frames decode as views into the buffer ([`run`](Self::run)); no frame
+/// is copied or allocated.
 ///
-/// A frame can arrive split across TCP segments, so a timed-out
-/// `read_exact` may fail *after* consuming part of the length prefix or
-/// body — those bytes would be lost and the stream desynchronized. This
-/// reader accumulates partial progress across [`poll`](Self::poll) calls:
-/// a `WouldBlock`/`TimedOut` mid-frame parks the state and resumes on the
-/// next call, never discarding consumed bytes.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    /// Accumulator for the 4-byte length prefix.
-    len_bytes: [u8; 4],
-    /// How many of the 4 prefix bytes have arrived.
-    len_got: usize,
-    /// Body accumulator, sized once the prefix is complete.
-    body: Vec<u8>,
-    /// How many body bytes have arrived.
-    body_got: usize,
+/// Memory is bounded per connection. The buffer holds a few KiB. It grows
+/// only to hold one whole frame larger than that, after the frame's length
+/// prefix passed the [`MAX_FRAME`] check, and shrinks back once that frame
+/// is consumed.
+#[derive(Debug)]
+pub(crate) struct FrameReader {
+    /// Received bytes; `buf[start..end]` is not consumed yet.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
-    /// A reader with no partial frame buffered.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty reader.
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
+        }
     }
 
-    /// Whether a partially received frame is buffered (a timeout now is a
-    /// stalled peer, not an idle connection).
-    pub fn mid_frame(&self) -> bool {
-        self.len_got > 0
+    /// Whether no unconsumed byte is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.start == self.end
     }
 
-    /// Advance the frame in progress. Returns `Ok(Some(frame))` once a
-    /// whole frame has arrived, `Ok(None)` if the reader timed out
-    /// (`WouldBlock`/`TimedOut`) with progress preserved for the next
-    /// call, and `Err` on EOF, framing violation, or transport error.
-    pub fn poll(&mut self, reader: &mut impl Read) -> io::Result<Option<Frame>> {
+    /// Drop every buffered byte (the stream they came from is gone).
+    pub(crate) fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+        self.resize(READ_BUF);
+    }
+
+    /// One `read` from `src` (retried on `Interrupted`) into the space
+    /// behind the buffered bytes. Unconsumed bytes move to the front first,
+    /// and the buffer is sized to hold the frame they start, or a few KiB.
+    ///
+    /// Call it only while no whole frame is buffered. End of stream is an
+    /// `UnexpectedEof` error, a length prefix outside `1..=MAX_FRAME` is
+    /// `InvalidData`, and `WouldBlock` / `TimedOut` pass through with the
+    /// buffered bytes kept.
+    pub(crate) fn fill(&mut self, src: &mut impl Read) -> io::Result<()> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let frame = self.body_len(0)?.map_or(0, |len| 4 + len);
+        self.resize(frame.max(READ_BUF));
+        debug_assert!(
+            self.end < self.buf.len(),
+            "fill with a whole frame buffered"
+        );
         loop {
-            if self.len_got < 4 {
-                match reader.read(&mut self.len_bytes[self.len_got..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            if self.len_got == 0 {
-                                "connection closed between frames"
-                            } else {
-                                "connection closed inside a length prefix"
-                            },
-                        ))
-                    }
-                    Ok(n) => {
-                        self.len_got += n;
-                        if self.len_got == 4 {
-                            let len = u32::from_le_bytes(self.len_bytes) as usize;
-                            if len == 0 || len > MAX_FRAME {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("frame length {len} outside 1..={MAX_FRAME}"),
-                                ));
-                            }
-                            self.body = vec![0u8; len];
-                            self.body_got = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) => return Err(e),
+            match src.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        if self.end == 0 {
+                            "connection closed between frames"
+                        } else {
+                            "connection closed inside a frame"
+                        },
+                    ))
                 }
-            } else if self.body_got < self.body.len() {
-                match reader.read(&mut self.body[self.body_got..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed inside a frame body",
-                        ))
-                    }
-                    Ok(n) => self.body_got += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) => return Err(e),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
                 }
-            } else {
-                let mut body = std::mem::take(&mut self.body);
-                self.len_got = 0;
-                self.body_got = 0;
-                let opcode = body[0];
-                body.remove(0);
-                return Ok(Some(Frame {
-                    opcode,
-                    payload: body,
-                }));
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
+        }
+    }
+
+    /// Up to `max` whole frames at the front of the buffer, as one run
+    /// (empty while none is complete). `Err` on a length prefix outside
+    /// `1..=MAX_FRAME`.
+    pub(crate) fn run(&self, max: usize) -> io::Result<Frames<'_>> {
+        let mut at = 0;
+        let mut count = 0;
+        while count < max {
+            match self.body_len(at)? {
+                Some(len) if self.start + at + 4 + len <= self.end => {
+                    at += 4 + len;
+                    count += 1;
+                }
+                _ => break,
+            }
+        }
+        Ok(Frames {
+            bytes: &self.buf[self.start..self.start + at],
+            count,
+        })
+    }
+
+    /// Mark the first `bytes` buffered bytes consumed: the
+    /// [`wire_len`](Frames::wire_len) of a run taken from the front.
+    pub(crate) fn consume(&mut self, bytes: usize) {
+        self.start += bytes;
+        debug_assert!(self.start <= self.end);
+        if self.start == self.end {
+            self.clear();
+        }
+    }
+
+    /// The body length the prefix `at` bytes into the unconsumed bytes
+    /// announces, once those 4 bytes are buffered.
+    fn body_len(&self, at: usize) -> io::Result<Option<usize>> {
+        match self.buf[self.start + at..self.end].first_chunk::<4>() {
+            Some(&prefix) => checked_len(prefix).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Resize the buffer to exactly `size` bytes (no-op when it already is).
+    fn resize(&mut self, size: usize) {
+        let len = self.buf.len();
+        if size > len {
+            self.buf.reserve_exact(size - len);
+            self.buf.resize(size, 0);
+        } else if size < len {
+            self.buf.truncate(size);
+            self.buf.shrink_to_fit();
         }
     }
 }
 
+/// A run of whole frames, as views into a [`FrameReader`]'s buffer. Each
+/// item is one frame's body: a request's `[opcode][payload]` or a
+/// response's `[status][payload]`, never empty.
+#[derive(Debug, Clone)]
+pub(crate) struct Frames<'a> {
+    /// Whole `[len][body]` frames, lengths checked by the reader.
+    bytes: &'a [u8],
+    count: usize,
+}
+
+impl Frames<'_> {
+    /// Bytes the remaining frames occupy on the wire, prefixes included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (prefix, rest) = self.bytes.split_first_chunk::<4>()?;
+        let (body, rest) = rest.split_at(u32::from_le_bytes(*prefix) as usize);
+        self.bytes = rest;
+        self.count -= 1;
+        Some(body)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.count, Some(self.count))
+    }
+}
+
+impl ExactSizeIterator for Frames<'_> {}
+
 /// Append one `[len][lead][payload]` frame to `out`. The append-to-buffer
 /// form is what both the reactor's outbound write buffer and the client's
-/// pipelined send buffer build on: many frames coalesce into one buffer and
-/// leave in as few `write` syscalls as the socket accepts (a `writev`-style
+/// send buffer build on: many frames coalesce into one buffer and leave in
+/// as few `write` syscalls as the socket accepts (a `writev`-style
 /// gathering write without the extra iovec bookkeeping).
 fn append_framed(out: &mut Vec<u8>, lead: &[u8], payload: &[u8]) {
     let len = lead.len() + payload.len();
@@ -288,61 +336,54 @@ pub fn encode_ok(out: &mut Vec<u8>, payload: &[u8]) {
     append_framed(out, &[0u8], payload);
 }
 
+/// Append one encoded OK response whose payload is a `u32` count followed
+/// by that many `u64` words (`DRAW_BATCH` indices, `PUBLISH` versions,
+/// `TOTALS` bit patterns), written straight into `out`.
+pub(crate) fn encode_ok_list(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
+    let count = words.len();
+    let len = 1 + 4 + 8 * count;
+    debug_assert!(len <= MAX_FRAME);
+    out.reserve(4 + len);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.push(0);
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
 /// Append one encoded error response (status `1`, payload
 /// `[code][UTF-8 message]`) to a response buffer.
 pub fn encode_err(out: &mut Vec<u8>, code: u8, message: &str) {
     append_framed(out, &[1u8, code], message.as_bytes());
 }
 
-/// Assemble and write one frame with a single `write_all`. This keeps small
-/// frames to one syscall, but is **not** a delivery-atomicity guarantee —
-/// TCP may still segment a large frame, so readers polling with a timeout
-/// must tolerate partial arrival (see [`FrameReader`]).
-fn write_framed(writer: &mut impl Write, lead: &[u8], payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::new();
-    append_framed(&mut frame, lead, payload);
-    writer.write_all(&frame)?;
-    writer.flush()
-}
-
-/// Write one request frame (client side).
-pub fn write_frame(writer: &mut impl Write, opcode: OpCode, payload: &[u8]) -> io::Result<()> {
-    write_framed(writer, &[opcode as u8], payload)
-}
-
-/// Write an OK response (status `0`).
-pub fn write_ok(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    write_framed(writer, &[0u8], payload)
-}
-
-/// Write an error response (status `1`, payload `[code][UTF-8 message]`).
-pub fn write_err(writer: &mut impl Write, code: u8, message: &str) -> io::Result<()> {
-    write_framed(writer, &[1u8, code], message.as_bytes())
-}
-
-/// Read one response frame (client side): `Ok(payload)` on status `0`,
+/// Split a response body: `Ok(payload)` on status `0`,
 /// [`ServiceError::Remote`] on status `1`.
-pub fn read_response(reader: &mut impl Read) -> Result<Vec<u8>, ServiceError> {
-    let mut body = read_body(reader)?;
-    match body[0] {
-        0 => {
-            body.remove(0);
-            Ok(body)
-        }
-        1 => {
-            if body.len() < 2 {
-                return Err(ServiceError::Protocol(
-                    "error response without a code byte".into(),
-                ));
-            }
-            let code = body[1];
-            let message = String::from_utf8_lossy(&body[2..]).into_owned();
-            Err(ServiceError::Remote { code, message })
-        }
-        status => Err(ServiceError::Protocol(format!(
+pub(crate) fn parse_response(body: &[u8]) -> Result<&[u8], ServiceError> {
+    match body {
+        [0, payload @ ..] => Ok(payload),
+        [1, code, message @ ..] => Err(ServiceError::Remote {
+            code: *code,
+            message: String::from_utf8_lossy(message).into_owned(),
+        }),
+        [1] => Err(ServiceError::Protocol(
+            "error response without a code byte".into(),
+        )),
+        [status, ..] => Err(ServiceError::Protocol(format!(
             "unknown response status {status}"
         ))),
+        [] => Err(ServiceError::Protocol("empty response body".into())),
     }
+}
+
+/// Read one response frame from a blocking stream: `Ok(payload)` on
+/// status `0`, [`ServiceError::Remote`] on status `1`. Reads exactly one
+/// frame and no byte past it, so raw streams can interleave it with their
+/// own reads; [`crate::ServiceClient`] reads through its own buffer.
+pub fn read_response(reader: &mut impl Read) -> Result<Vec<u8>, ServiceError> {
+    let body = read_body(reader)?;
+    parse_response(&body).map(<[u8]>::to_vec)
 }
 
 /// Little-endian payload cursor used by both ends to decode fields.
@@ -386,6 +427,13 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Everything not decoded yet (a trailing document), consumed.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.at..];
+        self.at = self.bytes.len();
+        rest
+    }
+
     /// Require the payload to be fully consumed.
     pub fn done(&self) -> Result<(), ServiceError> {
         if self.at == self.bytes.len() {
@@ -403,38 +451,125 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
+    /// Decode every whole frame `reader` holds, consuming them.
+    fn take_all(reader: &mut FrameReader) -> Vec<Vec<u8>> {
+        let run = reader.run(usize::MAX).unwrap();
+        let bytes = run.wire_len();
+        let bodies = run.map(<[u8]>::to_vec).collect();
+        reader.consume(bytes);
+        bodies
+    }
+
     #[test]
     fn frames_roundtrip_through_a_byte_pipe() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, OpCode::Update, &7u64.to_le_bytes()).unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(frame.opcode, OpCode::Update as u8);
-        assert_eq!(frame.payload, 7u64.to_le_bytes());
+        encode_request(&mut wire, OpCode::Update, &7u64.to_le_bytes());
+        encode_request(&mut wire, OpCode::Draw, &[]);
+        let mut reader = FrameReader::new();
+        reader.fill(&mut wire.as_slice()).unwrap();
+        let bodies = take_all(&mut reader);
+        assert_eq!(bodies.len(), 2);
+        assert_eq!(bodies[0][0], OpCode::Update as u8);
+        assert_eq!(bodies[0][1..], 7u64.to_le_bytes());
+        assert_eq!(bodies[1], [OpCode::Draw as u8]);
+        assert!(reader.is_empty());
     }
 
     #[test]
     fn responses_roundtrip_ok_and_error() {
         let mut wire = Vec::new();
-        write_ok(&mut wire, &[1, 2, 3]).unwrap();
-        assert_eq!(read_response(&mut wire.as_slice()).unwrap(), vec![1, 2, 3]);
+        encode_ok(&mut wire, &[1, 2, 3]);
+        encode_ok_list(&mut wire, [5u64, 9].into_iter());
+        encode_err(&mut wire, codes::INDEX_OUT_OF_RANGE, "nope");
 
-        let mut wire = Vec::new();
-        write_err(&mut wire, codes::INDEX_OUT_OF_RANGE, "nope").unwrap();
-        match read_response(&mut wire.as_slice()) {
+        // The blocking reader takes one frame per call...
+        let mut stream = wire.as_slice();
+        assert_eq!(read_response(&mut stream).unwrap(), vec![1, 2, 3]);
+        let list = read_response(&mut stream).unwrap();
+        let mut cursor = Cursor::new(&list);
+        assert_eq!(cursor.u32().unwrap(), 2);
+        assert_eq!((cursor.u64().unwrap(), cursor.u64().unwrap()), (5, 9));
+        cursor.done().unwrap();
+        match read_response(&mut stream) {
             Err(ServiceError::Remote { code, message }) => {
                 assert_eq!(code, codes::INDEX_OUT_OF_RANGE);
                 assert_eq!(message, "nope");
             }
             other => panic!("expected a remote error, got {other:?}"),
         }
+        assert!(stream.is_empty());
+
+        // ...and the buffered reader decodes the same three from one read.
+        let mut reader = FrameReader::new();
+        reader.fill(&mut wire.as_slice()).unwrap();
+        let bodies = take_all(&mut reader);
+        assert_eq!(parse_response(&bodies[0]).unwrap(), [1, 2, 3]);
+        assert_eq!(parse_response(&bodies[1]).unwrap(), list.as_slice());
+        assert!(matches!(
+            parse_response(&bodies[2]),
+            Err(ServiceError::Remote {
+                code: codes::INDEX_OUT_OF_RANGE,
+                ..
+            })
+        ));
+        assert!(matches!(
+            parse_response(&[1]),
+            Err(ServiceError::Protocol(_))
+        ));
+        assert!(matches!(
+            parse_response(&[7, 0]),
+            Err(ServiceError::Protocol(_))
+        ));
     }
 
     #[test]
     fn zero_and_oversized_lengths_are_rejected() {
-        let wire = 0u32.to_le_bytes();
-        assert!(read_frame(&mut wire.as_slice()).is_err());
-        let wire = ((MAX_FRAME + 1) as u32).to_le_bytes();
-        assert!(read_frame(&mut wire.as_slice()).is_err());
+        for len in [0, MAX_FRAME as u32 + 1] {
+            let wire = len.to_le_bytes();
+            assert!(read_response(&mut wire.as_slice()).is_err());
+
+            let mut reader = FrameReader::new();
+            reader.fill(&mut wire.as_slice()).unwrap();
+            assert_eq!(
+                reader.run(1).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+            // The prefix is checked before the buffer grows for it.
+            assert_eq!(
+                reader.fill(&mut [0u8; 16].as_slice()).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+            assert_eq!(reader.buf.len(), READ_BUF);
+        }
+    }
+
+    #[test]
+    fn an_oversized_frame_grows_the_buffer_to_fit_and_then_shrinks_it() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(3 * READ_BUF).collect();
+        let mut wire = Vec::new();
+        encode_ok(&mut wire, &payload);
+        encode_ok(&mut wire, &[4]);
+        let mut src = wire.as_slice();
+        let mut reader = FrameReader::new();
+        let mut bodies = Vec::new();
+        let mut reads = 0;
+        while bodies.len() < 2 {
+            if reader.run(1).unwrap().len() == 0 {
+                reader.fill(&mut src).unwrap();
+                reads += 1;
+                // Never larger than the frame in progress.
+                assert!(reader.buf.len() <= (4 + 1 + payload.len()).max(READ_BUF));
+            }
+            bodies.extend(take_all(&mut reader));
+        }
+        assert_eq!(bodies[0][1..], payload[..]);
+        assert_eq!(bodies[1], [0, 4]);
+        assert_eq!(
+            reads, 3,
+            "8 KiB, then the rest of the big frame, then the small one"
+        );
+        assert_eq!(reader.buf.len(), READ_BUF, "the buffer shrinks back");
+        assert!(reader.buf.capacity() < 2 * READ_BUF);
     }
 
     #[test]
@@ -482,8 +617,8 @@ mod tests {
     #[test]
     fn frame_reader_survives_timeouts_mid_frame() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, OpCode::Update, &7u64.to_le_bytes()).unwrap();
-        write_frame(&mut wire, OpCode::Scale, &2.5f64.to_bits().to_le_bytes()).unwrap();
+        encode_request(&mut wire, OpCode::Update, &7u64.to_le_bytes());
+        encode_request(&mut wire, OpCode::Scale, &2.5f64.to_bits().to_le_bytes());
         let total = wire.len();
         let mut trickle = Trickle {
             data: wire,
@@ -491,47 +626,66 @@ mod tests {
             starve_next: true,
         };
         let mut reader = FrameReader::new();
-        let mut frames = Vec::new();
+        let mut bodies = Vec::new();
         let mut timeouts = 0usize;
         loop {
-            match reader.poll(&mut trickle) {
-                Ok(Some(frame)) => frames.push(frame),
-                Ok(None) => timeouts += 1,
+            bodies.extend(take_all(&mut reader));
+            match reader.fill(&mut trickle) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => timeouts += 1,
                 Err(e) => {
                     assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
-                    assert!(!reader.mid_frame(), "EOF must land between frames");
+                    assert!(reader.is_empty(), "EOF must land between frames");
+                    assert!(e.to_string().contains("between frames"), "{e}");
                     break;
                 }
             }
         }
         // Every byte was preceded by a timeout; none may be dropped.
         assert!(timeouts > total, "{timeouts} timeouts for {total} bytes");
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].opcode, OpCode::Update as u8);
-        assert_eq!(frames[0].payload, 7u64.to_le_bytes());
-        assert_eq!(frames[1].opcode, OpCode::Scale as u8);
-        assert_eq!(frames[1].payload, 2.5f64.to_bits().to_le_bytes());
+        assert_eq!(bodies.len(), 2);
+        assert_eq!(bodies[0][0], OpCode::Update as u8);
+        assert_eq!(bodies[0][1..], 7u64.to_le_bytes());
+        assert_eq!(bodies[1][0], OpCode::Scale as u8);
+        assert_eq!(bodies[1][1..], 2.5f64.to_bits().to_le_bytes());
     }
 
     #[test]
-    fn frame_reader_rejects_bad_lengths_and_reports_mid_frame() {
+    fn frame_reader_rejects_bad_lengths_and_keeps_a_torn_prefix() {
+        // Two bytes of the prefix, then starvation: they stay buffered and
+        // the frame completes once the rest arrives.
+        let mut wire = Vec::new();
+        encode_request(&mut wire, OpCode::Scale, &2.5f64.to_bits().to_le_bytes());
         let mut reader = FrameReader::new();
-        assert!(!reader.mid_frame());
-        // Two bytes of the prefix, then starvation: state must persist.
         let mut partial = Trickle {
-            data: 9u32.to_le_bytes()[..2].to_vec(),
+            data: wire[..2].to_vec(),
             at: 0,
             starve_next: false,
         };
-        assert!(matches!(reader.poll(&mut partial), Ok(None)));
-        assert!(reader.mid_frame());
+        for _ in 0..2 {
+            reader.fill(&mut partial).unwrap();
+            assert_eq!(
+                reader.fill(&mut partial).unwrap_err().kind(),
+                io::ErrorKind::WouldBlock
+            );
+        }
+        assert_eq!(reader.run(1).unwrap().len(), 0);
+        assert!(!reader.is_empty(), "the torn prefix is kept");
+        reader.fill(&mut &wire[2..]).unwrap();
+        assert_eq!(take_all(&mut reader), vec![wire[4..].to_vec()]);
 
-        let mut reader = FrameReader::new();
-        let wire = 0u32.to_le_bytes();
-        assert!(reader.poll(&mut wire.as_slice()).is_err());
-        let mut reader = FrameReader::new();
-        let wire = ((MAX_FRAME + 1) as u32).to_le_bytes();
-        assert!(reader.poll(&mut wire.as_slice()).is_err());
+        // A bad prefix is rejected once its fourth byte arrives, torn or not.
+        for len in [0, MAX_FRAME as u32 + 1] {
+            let prefix = len.to_le_bytes();
+            let mut reader = FrameReader::new();
+            reader.fill(&mut &prefix[..2]).unwrap();
+            assert_eq!(reader.run(1).unwrap().len(), 0);
+            reader.fill(&mut &prefix[2..]).unwrap();
+            assert_eq!(
+                reader.run(1).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
     }
 
     #[test]

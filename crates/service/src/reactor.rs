@@ -8,24 +8,35 @@
 //! ```text
 //!  accept thread ──round-robin──▶ reactor 0..R   (epoll_wait loop)
 //!                                   │
-//!                  readable socket: decode ≤ budget frames,
+//!                  readable socket: one read, run ≤ budget frames,
 //!                  execute_run ──▶ ServiceCore (connection's own RNG),
 //!                  encode into the connection's OutBuf, flush
+//!                  ready list: connections with frames still buffered
 //! ```
 //!
 //! Each reactor thread owns an epoll instance and the [`Connection`] state
-//! of every socket registered with it. The loop is purely event-driven
-//! (`epoll_wait` with no timeout): a readable socket feeds the resumable
-//! `FrameReader`, and the frames one readiness pass decoded execute right
-//! there, in arrival order, as one **run**; their responses encode straight
-//! into the connection's outbound buffer, which is flushed before the loop
-//! moves on. Nothing crosses a thread between read and write, and fd
-//! lifetime is single-threaded, so teardown cannot race a write. The flip
-//! side: a slow request (a `PUBLISH`, a `METRICS` scrape) holds every other
-//! connection on its reactor for its duration. The eventfd wakes the
-//! reactor for new registrations, shutdown and drain. The per-pass frame
-//! cap, ordering and partial-write handling live in [`crate::conn`]; this
-//! module is the readiness loop.
+//! of every socket registered with it. A readable socket gets one readiness
+//! pass: one `read` into the connection's read buffer, then up to the
+//! budget of its whole frames execute right there, in arrival order, as one
+//! **run**; their responses encode straight into the connection's outbound
+//! buffer, which is flushed before the loop moves on. Nothing crosses a
+//! thread between read and write, and fd lifetime is single-threaded, so
+//! teardown cannot race a write. The flip side: a slow request (a
+//! `PUBLISH`, a `METRICS` scrape) holds every other connection on its
+//! reactor for its duration. The eventfd wakes the reactor for new
+//! registrations, shutdown and drain.
+//!
+//! Sockets are registered level-triggered, so bytes still in the kernel
+//! are reported again on the next `epoll_wait`. Frames a pass left in the
+//! read buffer because it stopped at the budget are not: the reactor keeps
+//! those connections on a **ready list**. While the list is non-empty,
+//! `epoll_wait` only polls (timeout 0), and the listed connections get
+//! their next pass after the reported events. A listed connection reported
+//! readable waits for its list turn, so no connection gets two passes per
+//! iteration. A draining reactor serves no list: buffered frames are
+//! dropped like frames still in the kernel, and the drain loop does not
+//! spin. The per-pass frame cap, ordering and partial-write handling live
+//! in [`crate::conn`]; this module is the readiness loop.
 //!
 //! ## Safety
 //!
@@ -58,7 +69,6 @@ mod imp {
     use std::time::Instant;
 
     use crate::conn::Connection;
-    use crate::protocol::Frame;
     use crate::server::execute_run;
     use crate::sharded::ServiceCore;
 
@@ -223,16 +233,28 @@ mod imp {
             return; // nothing can wake us; the server start aborts
         }
         let mut events = vec![sys::EpollEvent::zeroed(); MAX_EVENTS];
-        // Scratch for the frames one readiness pass decodes, reused across
-        // passes and connections.
-        let mut frames = Vec::new();
+        // Tokens of connections whose last pass left frames buffered, and
+        // the list being served this iteration (swapped, so neither
+        // reallocates once warm).
+        let mut ready: Vec<u64> = Vec::new();
+        let mut serving: Vec<u64> = Vec::new();
+        // Slot scratch every DRAW run and DRAW_BATCH draws into, reused
+        // across passes and connections.
+        let mut slots: Vec<usize> = Vec::new();
         // Whether the one-shot entry into drain mode has run (read
         // interest dropped on every connection).
         let mut drain_started = false;
         loop {
             // Draining polls so the deadline is observed even when every
-            // socket is quiet; normal operation blocks indefinitely.
-            let timeout = if drain_started { DRAIN_POLL_MS } else { -1 };
+            // socket is quiet; buffered frames only poll; otherwise the
+            // loop blocks until a socket is ready.
+            let timeout = if drain_started {
+                DRAIN_POLL_MS
+            } else if !ready.is_empty() {
+                0
+            } else {
+                -1
+            };
             let Ok(n) = ctx.shared.epoll.wait_timeout(&mut events, timeout) else {
                 break;
             };
@@ -244,9 +266,22 @@ mod imp {
                     let _ = (&ctx.shared.wake).read(&mut scratch);
                     continue;
                 }
-                let fate = handle_io(&ctx, &mut conns, token, bits, &mut frames);
+                let fate = handle_io(&ctx, &mut conns, token, bits, &mut ready, &mut slots);
                 if matches!(fate, Fate::Close) {
                     close_conn(&ctx, &mut conns, token);
+                }
+            }
+            if !ctx.shared.is_draining() {
+                std::mem::swap(&mut ready, &mut serving);
+                for token in serving.drain(..) {
+                    let Some(conn) = conns.get_mut(&token) else {
+                        continue; // closed since it was listed
+                    };
+                    conn.listed = false;
+                    let fate = serve(&ctx, conn, token, &mut ready, &mut slots);
+                    if matches!(fate, Fate::Close) {
+                        close_conn(&ctx, &mut conns, token);
+                    }
                 }
             }
             if ctx.shared.shutdown.load(Ordering::Acquire) {
@@ -317,16 +352,16 @@ mod imp {
         conns.insert(registration.token, conn);
     }
 
-    /// React to readiness bits on a connection: flush on writability;
-    /// on readability run one pass — decode up to the budget, execute the
-    /// run, queue and flush its responses, then apply the slow-consumer
-    /// cap.
+    /// React to readiness bits on a connection: flush on writability, and
+    /// on readability [`serve`] one pass, unless the connection is listed
+    /// and gets its pass from the ready list.
     fn handle_io(
         ctx: &ReactorContext,
         conns: &mut HashMap<u64, Connection<Socket>>,
         token: u64,
         bits: u32,
-        frames: &mut Vec<Frame>,
+        ready: &mut Vec<u64>,
+        slots: &mut Vec<usize>,
     ) -> Fate {
         let Some(conn) = conns.get_mut(&token) else {
             return Fate::Keep; // closed earlier this iteration
@@ -337,36 +372,55 @@ mod imp {
         if bits & sys::EPOLLOUT != 0 && conn.flush().is_err() {
             return Fate::Close;
         }
-        // While draining, requests still sitting in the kernel buffer are
-        // not accepted — the drain flushes what was answered, nothing
-        // more. (A peer hangup still closes via EPOLLHUP/EPOLLERR above.)
-        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !ctx.shared.is_draining() {
-            let telemetry = ctx.core.telemetry();
-            match conn.read_frames(ctx.budget, frames) {
-                Ok(capped) => {
-                    if capped {
-                        telemetry.record_read_deferral();
-                    }
-                }
-                // EOF, framing violation or transport error: the protocol
-                // has no half-close, so the pass's frames die with the
-                // connection.
-                Err(_) => return Fate::Close,
+        // While draining, requests not yet read are not accepted — the
+        // drain flushes what was answered, nothing more. (A peer hangup
+        // still closes via EPOLLHUP/EPOLLERR above.)
+        if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !conn.listed && !ctx.shared.is_draining()
+        {
+            return serve(ctx, conn, token, ready, slots);
+        }
+        update_interest(ctx, conn, token);
+        Fate::Keep
+    }
+
+    /// One readiness pass: read once unless whole frames are buffered,
+    /// execute up to the budget as one run, queue and flush its responses,
+    /// apply the slow-consumer cap, and list the connection while the pass
+    /// left frames buffered.
+    fn serve(
+        ctx: &ReactorContext,
+        conn: &mut Connection<Socket>,
+        token: u64,
+        ready: &mut Vec<u64>,
+        slots: &mut Vec<usize>,
+    ) -> Fate {
+        let telemetry = ctx.core.telemetry();
+        let pass = conn.pass(ctx.budget, |frames, rng, out| {
+            execute_run(frames, &ctx.core, rng, out, slots)
+        });
+        // EOF, framing violation or transport error: the protocol has no
+        // half-close, so buffered frames die with the connection.
+        let Ok(pass) = pass else {
+            return Fate::Close;
+        };
+        if pass.buffered {
+            telemetry.record_read_deferral();
+            if !conn.listed {
+                conn.listed = true;
+                ready.push(token);
             }
-            if !frames.is_empty() {
-                telemetry.record_submit_depth(frames.len() as u64);
-                execute_run(frames, &ctx.core, &mut conn.rng, conn.out.queue());
-                if conn.flush().is_err() {
-                    return Fate::Close;
-                }
-                // The slow-consumer cap judges the backlog the socket
-                // refused to take, so a fast consumer may receive
-                // responses of any size while a stalled one cannot pin
-                // unbounded memory.
-                if conn.outbound_len() > ctx.max_outbound {
-                    telemetry.record_slow_consumer(token, conn.outbound_len() as u64);
-                    return Fate::Close;
-                }
+        }
+        if pass.frames > 0 {
+            telemetry.record_submit_depth(pass.frames as u64);
+            if conn.flush().is_err() {
+                return Fate::Close;
+            }
+            // The slow-consumer cap judges the backlog the socket refused
+            // to take, so a fast consumer may receive responses of any
+            // size while a stalled one cannot pin unbounded memory.
+            if conn.outbound_len() > ctx.max_outbound {
+                telemetry.record_slow_consumer(token, conn.outbound_len() as u64);
+                return Fate::Close;
             }
         }
         update_interest(ctx, conn, token);

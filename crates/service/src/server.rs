@@ -17,10 +17,13 @@
 //!   pass becomes a single two-level batch ([`ServiceCore::draw_into`]) —
 //!   a lone `DRAW` is a run of one, and pipelined single draws get batch
 //!   throughput automatically;
-//! * one readiness pass decodes at most [`ServerConfig::inflight_budget`]
-//!   frames per connection; the rest wait in the kernel socket buffer
-//!   until the reactor's next turn (TCP flow control pushes back on the
-//!   client);
+//! * one readiness pass makes at most one `read` into the connection's
+//!   read buffer, which may land a whole pipelined burst, and executes at
+//!   most [`ServerConfig::inflight_budget`] of its whole frames, decoded in
+//!   place; frames past the cap wait in that bounded buffer, and the
+//!   reactor's ready list serves them on its next turn, after the other
+//!   ready connections. Bytes the buffer has no room for stay in the
+//!   kernel socket buffer (TCP flow control pushes back on the client);
 //! * a connection whose buffered responses exceed
 //!   [`ServerConfig::max_outbound_bytes`] is disconnected (slow-consumer
 //!   policy) with a journaled [`ServiceEvent::SlowConsumer`] reason.
@@ -35,9 +38,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use lrb_core::SelectionError;
 use lrb_rng::MersenneTwister64;
 
-use crate::protocol::{codes, encode_err, encode_ok, error_code, Cursor, Frame, OpCode, MAX_BATCH};
+use crate::protocol::{
+    codes, encode_err, encode_ok, encode_ok_list, error_code, Cursor, Frames, OpCode, MAX_BATCH,
+};
 use crate::sharded::ServiceCore;
 
 /// Back-off before retrying a failed `accept()` (e.g. fd exhaustion), so a
@@ -57,9 +63,10 @@ const SHUTDOWN_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 pub struct ServerConfig {
     /// Reactor (event-loop) threads; `0` = `min(4, cores)`.
     pub reactors: usize,
-    /// Max frames one readiness pass decodes and executes per connection;
-    /// the rest wait in the kernel socket buffer for the next pass, so
-    /// other connections on the reactor get a turn first.
+    /// Max frames one readiness pass decodes and executes per connection.
+    /// The rest wait in the connection's bounded read buffer, and in the
+    /// kernel socket buffer behind it, for the next pass, so other
+    /// connections on the reactor get a turn first.
     pub inflight_budget: usize,
     /// Max buffered outbound response bytes per connection before the
     /// slow-consumer policy disconnects it.
@@ -408,44 +415,53 @@ fn accept_loop(
 /// Execute a run of frames from one connection, in order, encoding one
 /// response per frame into `out`.
 ///
-/// Each run of consecutive `DRAW` frames becomes one two-level batch of
-/// that many slots from the connection's `rng`. Protocol and selection
+/// Each run of consecutive payload-free `DRAW` frames becomes one
+/// two-level batch of that many slots from the connection's `rng`, drawn
+/// into the reactor's reused `slots` scratch. Protocol and selection
 /// errors are answered in-band, so this never fails — transport problems
 /// are the caller's (the reactor's) concern.
 pub(crate) fn execute_run(
-    frames: &[Frame],
+    frames: Frames<'_>,
     core: &ServiceCore,
     rng: &mut MersenneTwister64,
     out: &mut Vec<u8>,
+    slots: &mut Vec<usize>,
 ) {
     let telemetry = core.telemetry();
     let mut rest = frames;
-    while let Some(frame) = rest.first() {
+    while let Some(body) = rest.clone().next() {
         let started = Instant::now();
         let draws = rest
-            .iter()
-            .take_while(|f| f.opcode == OpCode::Draw as u8)
+            .clone()
+            .take_while(|&body| body == [OpCode::Draw as u8])
             .count();
         let answered = if draws > 0 {
-            execute_draws(draws, core, rng, out);
+            execute_draws(draws, core, rng, out, slots);
             draws
         } else {
-            execute_one(frame, core, rng, out);
+            execute_one(body, core, rng, out, slots);
             1
         };
         for _ in 0..answered {
             telemetry.record_request_span(started);
         }
-        rest = &rest[answered..];
+        rest.nth(answered - 1);
     }
 }
 
 /// Answer `n` consecutive `DRAW` frames with one batch of `n` slots.
-fn execute_draws(n: usize, core: &ServiceCore, rng: &mut MersenneTwister64, out: &mut Vec<u8>) {
-    let mut slots = vec![0usize; n];
-    match core.draw_into(rng, &mut slots) {
+fn execute_draws(
+    n: usize,
+    core: &ServiceCore,
+    rng: &mut MersenneTwister64,
+    out: &mut Vec<u8>,
+    slots: &mut Vec<usize>,
+) {
+    slots.clear();
+    slots.resize(n, 0);
+    match core.draw_into(rng, slots) {
         Ok(()) => {
-            for index in slots {
+            for &index in slots.iter() {
                 encode_ok(out, &(index as u64).to_le_bytes());
             }
         }
@@ -459,72 +475,71 @@ fn execute_draws(n: usize, core: &ServiceCore, rng: &mut MersenneTwister64, out:
     }
 }
 
-/// Handle one decoded non-`DRAW` frame, appending its encoded response to
-/// `out`. Protocol and selection errors are answered in-band.
-fn execute_one(frame: &Frame, core: &ServiceCore, rng: &mut MersenneTwister64, out: &mut Vec<u8>) {
-    let Some(opcode) = OpCode::from_u8(frame.opcode) else {
-        encode_err(
-            out,
-            codes::PROTOCOL,
-            &format!("unknown opcode {:#04x}", frame.opcode),
-        );
+/// Handle one decoded frame that is not part of a `DRAW` run, appending
+/// its encoded response to `out`. Protocol and selection errors are
+/// answered in-band.
+fn execute_one(
+    body: &[u8],
+    core: &ServiceCore,
+    rng: &mut MersenneTwister64,
+    out: &mut Vec<u8>,
+    slots: &mut Vec<usize>,
+) {
+    let (&byte, payload) = body.split_first().expect("frame bodies are never empty");
+    let Some(opcode) = OpCode::from_u8(byte) else {
+        encode_err(out, codes::PROTOCOL, &format!("unknown opcode {byte:#04x}"));
         return;
     };
-    // Decode-and-execute; any ServiceError becomes an in-band error frame.
-    let outcome: Result<Vec<u8>, (u8, String)> = match opcode {
-        OpCode::Draw => unreachable!("execute_run answers every DRAW in a run"),
-        OpCode::DrawBatch => decode_count(&frame.payload).and_then(|count| {
-            core.draw_many(rng, count as usize)
-                .map(|indices| {
-                    let mut payload = Vec::with_capacity(4 + 8 * indices.len());
-                    payload.extend_from_slice(&count.to_le_bytes());
-                    for index in indices {
-                        payload.extend_from_slice(&(index as u64).to_le_bytes());
-                    }
-                    payload
-                })
-                .map_err(|e| (error_code(&e), e.to_string()))
+    let selection = |e: SelectionError| (error_code(&e), e.to_string());
+    // Decode-and-execute: each arm encodes its OK response only after
+    // every fallible step, and any error becomes an in-band error frame.
+    let outcome: Result<(), (u8, String)> = match opcode {
+        OpCode::Draw | OpCode::Publish | OpCode::Totals | OpCode::Metrics
+            if !payload.is_empty() =>
+        {
+            Err((
+                codes::PROTOCOL,
+                format!("{opcode:?} takes no payload, got {} bytes", payload.len()),
+            ))
+        }
+        OpCode::Draw => unreachable!("execute_run answers every payload-free DRAW in a run"),
+        OpCode::DrawBatch => decode_count(payload).and_then(|count| {
+            slots.clear();
+            slots.resize(count as usize, 0);
+            core.draw_into(rng, slots).map_err(selection)?;
+            encode_ok_list(out, slots.iter().map(|&index| index as u64));
+            Ok(())
         }),
-        OpCode::Update => decode_update(&frame.payload).and_then(|(index, weight)| {
-            core.update(index, weight)
-                .map(|()| Vec::new())
-                .map_err(|e| (error_code(&e), e.to_string()))
+        OpCode::Update => decode_update(payload).and_then(|(index, weight)| {
+            core.update(index, weight).map_err(selection)?;
+            encode_ok(out, &[]);
+            Ok(())
         }),
-        OpCode::UpdateBatch => decode_update_batch(&frame.payload).and_then(|updates| {
-            core.update_many(&updates)
-                .map(|()| Vec::new())
-                .map_err(|e| (error_code(&e), e.to_string()))
+        OpCode::UpdateBatch => decode_update_batch(payload).and_then(|updates| {
+            core.update_many(&updates).map_err(selection)?;
+            encode_ok(out, &[]);
+            Ok(())
         }),
-        OpCode::Scale => decode_scale(&frame.payload).and_then(|factor| {
-            core.scale_all(factor)
-                .map(|()| Vec::new())
-                .map_err(|e| (error_code(&e), e.to_string()))
+        OpCode::Scale => decode_scale(payload).and_then(|factor| {
+            core.scale_all(factor).map_err(selection)?;
+            encode_ok(out, &[]);
+            Ok(())
         }),
-        OpCode::Publish => core
-            .publish_all()
-            .map(|versions| {
-                let mut payload = Vec::with_capacity(4 + 8 * versions.len());
-                payload.extend_from_slice(&(versions.len() as u32).to_le_bytes());
-                for version in versions {
-                    payload.extend_from_slice(&version.to_le_bytes());
-                }
-                payload
-            })
-            .map_err(|e| (error_code(&e), e.to_string())),
+        OpCode::Publish => core.publish_all().map_err(selection).map(|versions| {
+            encode_ok_list(out, versions.into_iter());
+        }),
         OpCode::Totals => {
             let totals = core.shard_totals();
-            let mut payload = Vec::with_capacity(4 + 8 * totals.len());
-            payload.extend_from_slice(&(totals.len() as u32).to_le_bytes());
-            for total in totals {
-                payload.extend_from_slice(&total.to_bits().to_le_bytes());
-            }
-            Ok(payload)
+            encode_ok_list(out, totals.iter().map(|total| total.to_bits()));
+            Ok(())
         }
-        OpCode::Metrics => Ok(core.metrics().to_json().into_bytes()),
+        OpCode::Metrics => {
+            encode_ok(out, core.metrics().to_json().as_bytes());
+            Ok(())
+        }
     };
-    match outcome {
-        Ok(payload) => encode_ok(out, &payload),
-        Err((code, message)) => encode_err(out, code, &message),
+    if let Err((code, message)) = outcome {
+        encode_err(out, code, &message);
     }
 }
 

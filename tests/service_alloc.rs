@@ -1,4 +1,4 @@
-//! Allocation accounting for the service's batch hot path.
+//! Allocation accounting for the service's hot paths.
 //!
 //! The point of the pooled [`DrawPlan`] is that a steady-state batch —
 //! plan buffers warm, fan-out pool long-lived, level-one cut refilled in
@@ -9,37 +9,51 @@
 //! asserts **zero** submitter-side allocator events across thousands of
 //! warm batches, for the inline path and the pooled fan-out path.
 //!
-//! Counting is **per thread** (a `const`-initialised `thread_local`, so
-//! the counter itself never allocates): fan-out helper threads own their
-//! events, and the contract under test is the caller-visible steady
-//! state.
+//! Those batch tests count **per thread** (a `const`-initialised
+//! `thread_local`, so the counter itself never allocates): fan-out helper
+//! threads own their events, and the contract under test is the
+//! caller-visible steady state. The served-`DRAW` test counts **process
+//! wide** instead, because a request crosses the client, the socket and
+//! the server's reactor thread; every test here holds one shared lock, so
+//! no other test allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// `System`, with every allocator entry counted on the calling thread.
+/// `System`, with every allocator entry counted on the calling thread and
+/// process-wide.
 struct CountingAllocator;
 
 thread_local! {
     static EVENTS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocator events on every thread of the process.
+static PROCESS_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+fn count_event() {
+    EVENTS.with(|events| events.set(events.get() + 1));
+    PROCESS_EVENTS.fetch_add(1, Ordering::Relaxed);
+}
+
 // SAFETY (of the impl, not `unsafe` blocks): pure delegation to `System`
-// plus a thread-local counter bump — no allocator state of our own, and a
-// const-initialised TLS cell cannot recurse into the allocator.
+// plus a thread-local and an atomic counter bump — no allocator state of
+// our own, and neither counter can recurse into the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        EVENTS.with(|events| events.set(events.get() + 1));
+        count_event();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        EVENTS.with(|events| events.set(events.get() + 1));
+        count_event();
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        EVENTS.with(|events| events.set(events.get() + 1));
+        count_event();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,8 +70,17 @@ fn allocator_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (after - before, result)
 }
 
+/// Held for the whole of every test in this file, so the process-wide
+/// count sees no other test's allocations. (A panicking holder poisons it;
+/// the data is `()`, so the next test just proceeds.)
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-use lrb_service::{DrawPlan, ServiceConfig, ShardedService};
+use lrb_service::{DrawPlan, ServiceClient, ServiceConfig, ServiceServer, ShardedService};
 
 fn build(fanout_workers: usize) -> ShardedService {
     ShardedService::new(
@@ -111,6 +134,7 @@ fn assert_zero_alloc_steady_state(
 
 #[test]
 fn inline_v2_batches_allocate_nothing_once_warm() {
+    let _serial = serial();
     // One lane = the planner runs entirely inline on the calling thread,
     // so this covers the whole path: assignment, substream fills, scatter.
     let service = build(1);
@@ -119,6 +143,7 @@ fn inline_v2_batches_allocate_nothing_once_warm() {
 
 #[test]
 fn pooled_v2_batches_allocate_nothing_on_the_submitter() {
+    let _serial = serial();
     // Batches above the inline threshold hand fills to the persistent
     // pool; the submission, wait and scatter must stay silent on the
     // calling thread (helpers own their warm-up, counted on their own
@@ -129,6 +154,7 @@ fn pooled_v2_batches_allocate_nothing_on_the_submitter() {
 
 #[test]
 fn thread_local_plan_path_is_quiet_after_first_use() {
+    let _serial = serial();
     // The public `draw_into` borrows a per-thread plan; after the first
     // call warms it, the convenience path is as silent as the explicit
     // one.
@@ -148,4 +174,48 @@ fn thread_local_plan_path_is_quiet_after_first_use() {
         }
     });
     assert_eq!(events, 0, "thread-local plan path touched the allocator");
+}
+
+#[test]
+fn a_served_pipelined_draw_burst_allocates_nothing_on_either_end() {
+    // Declared first so it drops last: the server and the service's
+    // threads are joined before the next test may run.
+    let _serial = serial();
+    const BURST: usize = 32;
+    let service = build(0);
+    let path =
+        std::env::temp_dir().join(format!("lrb-alloc-{}-served-draw.sock", std::process::id()));
+    let server = ServiceServer::bind_uds(service.core(), &path, 0xA110C).unwrap();
+    let mut client = ServiceClient::connect_uds(&path).unwrap();
+    let len = service.len();
+    // One window-32 burst, the shape of a pipelining client: 32 DRAW
+    // frames in one write, one run of 32 slots on the reactor, 32
+    // responses back in one write.
+    let mut burst = || {
+        for _ in 0..BURST {
+            client.queue_draw();
+        }
+        client.flush().unwrap();
+        (0..BURST)
+            .filter(|_| client.recv_draw().unwrap() < len)
+            .count()
+    };
+    // Warm-up: both ends' buffers, the reactor's slot scratch and draw
+    // plan, each shard's snapshot cache on the reactor thread.
+    for _ in 0..64 {
+        assert_eq!(burst(), BURST);
+    }
+    let before = PROCESS_EVENTS.load(Ordering::SeqCst);
+    let mut served = 0;
+    for _ in 0..256 {
+        served += burst();
+    }
+    let events = PROCESS_EVENTS.load(Ordering::SeqCst) - before;
+    assert_eq!(served, 256 * BURST, "a draw came back out of range");
+    assert_eq!(
+        events, 0,
+        "256 warm pipelined DRAW bursts touched the allocator (client and reactor together)"
+    );
+    drop(client);
+    drop(server);
 }

@@ -3,10 +3,13 @@
 //! two-level conformance (service draws vs the flat distribution),
 //! per-connection draw streams, wire error mapping, and a TCP smoke test.
 
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use lrb_core::SelectionError;
+use lrb_service::protocol::OpCode;
 use lrb_service::{
     protocol, ServiceClient, ServiceConfig, ServiceError, ServiceEvent, ServiceServer,
     ShardedService,
@@ -268,6 +271,36 @@ fn uds_errors_map_to_wire_codes() {
     }
     client.publish().unwrap();
     assert_eq!(client.totals().unwrap(), vec![1.0, 2.0]);
+
+    // Opcodes without a request payload reject trailing bytes, in order,
+    // like the decoders of the opcodes that take one. The DRAW with a
+    // payload ends the draw run between the two payload-free DRAWs.
+    let mut stream = UnixStream::connect(&path).unwrap();
+    let mut wire = Vec::new();
+    protocol::encode_request(&mut wire, OpCode::Draw, &[]);
+    for opcode in [
+        OpCode::Draw,
+        OpCode::Publish,
+        OpCode::Totals,
+        OpCode::Metrics,
+    ] {
+        protocol::encode_request(&mut wire, opcode, &[0]);
+    }
+    protocol::encode_request(&mut wire, OpCode::Draw, &[]);
+    stream.write_all(&wire).unwrap();
+    let index = protocol::read_response(&mut stream).unwrap();
+    assert!(u64::from_le_bytes(index.try_into().unwrap()) < 2);
+    for opcode in ["Draw", "Publish", "Totals", "Metrics"] {
+        match protocol::read_response(&mut stream) {
+            Err(ServiceError::Remote { code, message }) => {
+                assert_eq!(code, protocol::codes::PROTOCOL, "{opcode}: {message}");
+                assert!(message.starts_with(opcode), "unhelpful message: {message}");
+            }
+            other => panic!("expected a protocol error for {opcode}, got {other:?}"),
+        }
+    }
+    let index = protocol::read_response(&mut stream).unwrap();
+    assert!(u64::from_le_bytes(index.try_into().unwrap()) < 2);
     drop(server);
 }
 
