@@ -35,17 +35,17 @@
 //!   reactor's reason to exist).
 //! * `service_fanin_threads` — the process thread count observed with
 //!   every storm connection open must stay under `--max-threads`:
-//!   O(reactors + shards), never O(connections).
+//!   O(reactors + shards + thread budget), never O(connections).
 //! * `service_pipeline_speedup` — the pipelined client must push at least
 //!   `--min-pipeline-speedup`× the serialized client's single-draw
 //!   throughput on one connection (closed loop, batch 1).
-//! * `service_batch_speedup` — the in-process batch planner at its auto
-//!   fan-out lane count must push at least `--min-batch-speedup`× the
-//!   same planner's draw throughput held to one lane, at `--plan-batch`
-//!   draws per batch (fenwick pinned on both sides). **Core-gated**:
-//!   enforced only when the host has at least 4 threads — on fewer cores
-//!   the fan-out pool has no parallelism to spend and the margin is
-//!   advisory.
+//! * `service_batch_speedup` — the in-process batch planner at the
+//!   default thread budget must push at least `--min-batch-speedup`× the
+//!   same service's draw throughput under a one-thread budget
+//!   (`ThreadPool::install`), at `--plan-batch` draws per batch.
+//!   **Core-gated**: enforced only when the host has at least 4 threads —
+//!   on fewer cores the pool has no parallelism to spend and the margin
+//!   is advisory.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -382,7 +382,7 @@ fn main() {
         }
     );
 
-    // The lane comparison is in-process (it builds its own services); it
+    // The lane comparison is in-process (it builds its own service); it
     // runs after the server is down so the storm's threads don't contend
     // with the fan-out lanes. Core-gated like the engine's reader
     // scaling: with fewer than 4 host threads the pool has no parallelism

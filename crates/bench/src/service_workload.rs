@@ -398,11 +398,11 @@ pub fn measure_pipeline_speedup(
     })
 }
 
-/// In-process comparison of the batch planner at its auto lane count
-/// against the same planner held to one lane: same weights, same
-/// per-shard engines (fenwick pinned — see [`measure_batch_speedup`]),
-/// draws measured through [`ServiceCore::draw_into_with_plan`] with a
-/// warm [`DrawPlan`](lrb_service::DrawPlan) on each side.
+/// In-process comparison of the batch planner at the default thread
+/// budget against the same service under a one-thread budget (see
+/// [`measure_batch_speedup`]), draws measured through
+/// [`ServiceCore::draw_into_with_plan`] with a warm
+/// [`DrawPlan`](lrb_service::DrawPlan) on each side.
 ///
 /// [`ServiceCore::draw_into_with_plan`]: lrb_service::ServiceCore::draw_into_with_plan
 #[derive(Debug, Clone, Serialize)]
@@ -415,10 +415,10 @@ pub struct BatchPlanReport {
     pub batch: u64,
     /// Timed batches per side.
     pub iters: u64,
-    /// Fan-out lanes the parallel side resolved to (including the
-    /// submitting thread).
+    /// Fan-out lanes the parallel side had (including the submitting
+    /// thread).
     pub lanes: u64,
-    /// Auto-lane planner draws per second.
+    /// Default-budget planner draws per second.
     pub parallel_rps: f64,
     /// One-lane planner draws per second.
     pub one_lane_rps: f64,
@@ -426,12 +426,12 @@ pub struct BatchPlanReport {
     pub speedup: f64,
 }
 
-/// Measure [`BatchPlanReport`]: two identical in-process services — one
-/// with auto fan-out (`fanout_workers: 0`), one held to a single lane
-/// (`fanout_workers: 1`, every fill inline on the submitting thread) —
-/// each timed over `iters` warm batches of `batch` draws (best of two
-/// rounds per side). Both run the same layout, so their draws are
-/// bit-identical and only the lane count differs.
+/// Measure [`BatchPlanReport`]: one in-process service timed over
+/// `iters` warm batches of `batch` draws (best of two rounds per side),
+/// once under the default thread budget and once under a one-thread
+/// budget (`ThreadPool::install`, every fill inline on the calling
+/// thread). Both sides run the same layout, so only the lane count
+/// differs.
 pub fn measure_batch_speedup(
     categories: usize,
     shards: usize,
@@ -442,22 +442,17 @@ pub fn measure_batch_speedup(
     use lrb_service::{DrawPlan, ServiceConfig, ShardedService};
 
     let weights: Vec<f64> = (0..categories).map(|i| ((i % 97) + 1) as f64).collect();
-    let build = |fanout_workers: usize| {
-        ShardedService::new(
-            weights.clone(),
-            ServiceConfig {
-                shards,
-                fanout_workers,
-                ..ServiceConfig::default()
-            },
-        )
-    };
-    let parallel = build(0)?;
-    let one_lane = build(1)?;
+    let service = ShardedService::new(
+        weights,
+        ServiceConfig {
+            shards,
+            ..ServiceConfig::default()
+        },
+    )?;
 
     let mut out = vec![0usize; batch.max(1)];
     let iters = iters.max(1);
-    let mut time_side = |service: &ShardedService, seed: u64| -> f64 {
+    let mut time_side = |seed: u64| -> f64 {
         let mut plan = DrawPlan::new();
         let mut rng = Philox4x32::seed_from_u64(seed);
         // Warm the plan's buffers and every shard's snapshot out of the
@@ -480,14 +475,19 @@ pub fn measure_batch_speedup(
         (iters * out.len()) as f64 / best.max(f64::MIN_POSITIVE)
     };
 
-    let parallel_rps = time_side(&parallel, 0x5eed_0001);
-    let one_lane_rps = time_side(&one_lane, 0x5eed_0002);
+    let lanes = service.fanout_lanes();
+    let parallel_rps = time_side(0x5eed_0001);
+    let one_lane = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the shim's pool builder cannot fail");
+    let one_lane_rps = one_lane.install(|| time_side(0x5eed_0002));
     Ok(BatchPlanReport {
         categories: categories as u64,
         shards: shards as u64,
         batch: out.len() as u64,
         iters: iters as u64,
-        lanes: parallel.fanout_lanes() as u64,
+        lanes: lanes as u64,
         parallel_rps,
         one_lane_rps,
         speedup: parallel_rps / one_lane_rps.max(f64::MIN_POSITIVE),

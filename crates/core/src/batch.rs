@@ -235,7 +235,9 @@ pub fn batch_select_indices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{IndependentRouletteSelector, LogBiddingSelector};
+    use crate::parallel::{
+        IndependentRouletteSelector, LogBiddingSelector, ParallelLogBiddingSelector,
+    };
     use crate::sequential::LinearScanSelector;
 
     #[test]
@@ -286,6 +288,22 @@ mod tests {
                 .unwrap();
             assert_eq!(indices, reference, "{threads} threads diverged");
         }
+    }
+
+    #[test]
+    fn nested_parallel_stages_finish_and_match_the_sequential_batch() {
+        // n = 2^14 is above the block kernel's sequential cutoff, so each
+        // of the driver's two chunks (1_100 trials) forks the kernel's own
+        // `par_chunks` stage: joins nested in joins on one shared pool.
+        let values = (0..1usize << 14).map(|i| ((i % 7) + 1) as f64).collect();
+        let fitness = Fitness::new(values).unwrap();
+        let run = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            let selector = ParallelLogBiddingSelector::default();
+            pool.unwrap()
+                .install(|| batch_select_counts(&selector, &fitness, 1_100, 9))
+        };
+        assert_eq!(run(4).unwrap(), run(1).unwrap());
     }
 
     #[test]

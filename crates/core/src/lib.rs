@@ -76,6 +76,11 @@ pub use fitness::Fitness;
 pub use sharding::{ShardTotals, TotalsCut};
 pub use traits::{DynamicSampler, FrozenSampler, PreparedSampler, Selector};
 
+/// The workspace's one parallel executor (the rayon shim's `join` and its
+/// thread budget), re-exported for crates that fork work without a
+/// `rayon` dependency of their own.
+pub use rayon::{current_num_threads, join};
+
 /// All one-shot selectors in the crate behind one constructor, keyed by name.
 ///
 /// Useful for benches and examples that sweep "every algorithm".

@@ -126,28 +126,9 @@ impl TotalsCut {
     /// Freeze a totals vector (non-empty; negative entries are treated as
     /// zero mass — they cannot arise from validated weights).
     pub fn from_totals(totals: Vec<f64>) -> Self {
-        assert!(!totals.is_empty(), "a totals cut needs at least one shard");
-        let n = totals.len();
-        let mut tree = vec![0.0f64; n + 1];
-        for (i, &t) in totals.iter().enumerate() {
-            tree[i + 1] += t.max(0.0);
-            let next = (i + 1) + ((i + 1) & (i + 1).wrapping_neg());
-            if next <= n {
-                let carried = tree[i + 1];
-                tree[next] += carried;
-            }
-        }
-        let mut top = 1usize;
-        while top * 2 <= n {
-            top *= 2;
-        }
-        let total = totals.iter().map(|&t| t.max(0.0)).sum();
-        Self {
-            totals,
-            tree,
-            top,
-            total,
-        }
+        let mut cut = Self::empty();
+        cut.refill(totals.len(), |s| totals[s]);
+        cut
     }
 
     /// An empty cut for pooled scratch: carries no shards and no mass (so

@@ -24,8 +24,9 @@
 //!   per-shard publisher threads, merged metrics. Batched draws run
 //!   through the versioned **parallel batch planner** (see [`sharded`]'s
 //!   module docs): one master draw, per-shard Philox substreams,
-//!   reusable [`DrawPlan`] scratch and a persistent fan-out pool —
-//!   bit-deterministic at any lane count and allocation-free once warm.
+//!   reusable [`DrawPlan`] scratch and per-shard fills forked through
+//!   the rayon shim's `join` (re-exported by `lrb-core`) —
+//!   bit-deterministic at any thread budget and allocation-free once warm.
 //! * [`DrawAggregator`] — flat combining for in-process single draws
 //!   from many threads (the server does not use it).
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
@@ -56,10 +57,9 @@
 //!
 //! [`SelectionEngine`]: lrb_engine::SelectionEngine
 
-// Unsafe is denied crate-wide; the audited exceptions opt back in with an
-// `#[allow(unsafe_code)]` on their module. Two islands exist: the raw
-// epoll/eventfd syscall surface in `reactor::sys` and the scoped job
-// hand-off in `fanout::job` (see each module's safety notes).
+// Unsafe is denied crate-wide; the audited exception opts back in with an
+// `#[allow(unsafe_code)]` on its module. One island exists: the raw
+// epoll/eventfd syscall surface in `reactor::sys` (see its safety notes).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -70,7 +70,6 @@ pub mod aggregator;
 pub mod client;
 mod conn;
 pub mod error;
-mod fanout;
 pub mod protocol;
 mod reactor;
 pub mod server;

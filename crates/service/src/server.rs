@@ -4,7 +4,9 @@
 //! The server runs [`ServerConfig::reactors`] epoll reactor threads (the
 //! private `reactor` module) multiplexing every connection, and each
 //! reactor executes the requests it reads itself — total thread count is
-//! **O(reactors + shards)** regardless of how many connections are open.
+//! **O(reactors + shards + thread budget)** (the last for the rayon shim
+//! pool's helpers that large batches fork onto) regardless of how many
+//! connections are open.
 //! Connections are nonblocking; idle ones cost nothing (no poll-loop
 //! wakeups, no thread stacks).
 //!

@@ -31,10 +31,10 @@
 //! yields the level-one assignment uniforms, substream `1 + s` yields
 //! shard `s`'s in-shard fill stream. Because each shard's stream is
 //! independent of execution order, the per-shard fills can run **in
-//! parallel** across the service's fan-out lanes while the result stays a
-//! pure function of `(snapshots, master draw)` — bit-identical at any lane
-//! count, the same contract discipline as the engine's
-//! `STREAM_LAYOUT_VERSION = 2` batch driver. `tests/service_planner.rs`
+//! parallel** while the result stays a pure function of
+//! `(snapshots, master draw)` — bit-identical at any thread budget, the
+//! same contract discipline as the engine's `STREAM_LAYOUT_VERSION = 2`
+//! batch driver. `tests/service_planner.rs`
 //! rebuilds the layout from public pieces and diffs it draw for draw.
 //!
 //! A batch runs in three phases over a reusable [`DrawPlan`]: assign (one
@@ -42,25 +42,32 @@
 //! shard, **one** fused [`Snapshot::sample_into`] into that shard's
 //! contiguous segment of the plan's fill buffer) and a **single-pass
 //! cursor scatter** back to slot order — `O(batch + shards)`. With a warm
-//! plan the whole path performs no allocation (see
+//! plan the whole path performs no allocation on the calling thread (see
 //! `tests/service_alloc.rs`).
+//!
+//! The fill forks: a batch of at least `FANOUT_MIN_BATCH` draws over two
+//! or more shards splits its segments at the cumulative-draw midpoint and
+//! runs the halves through the rayon shim's `join` (re-exported as
+//! [`lrb_core::join`]), recursively, so up to the thread budget's lanes
+//! fill at once. The calling thread takes every touched shard's snapshot
+//! before the split, so a pool helper never touches an engine (nor its
+//! thread-local snapshot cache).
 //!
 //! [`Snapshot::sample_into`]: lrb_engine::Snapshot::sample_into
 //! [`TotalsCut`]: lrb_core::sharding::TotalsCut
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lrb_core::sharding::{ShardTotals, TotalsCut};
 use lrb_core::SelectionError;
-use lrb_engine::{EngineConfig, SelectionEngine};
+use lrb_engine::{EngineConfig, SelectionEngine, Snapshot};
 use lrb_obs::{Counter, MetricsSnapshot};
 use lrb_rng::{Philox4x32, RandomSource};
 
-use crate::fanout::FanoutPool;
 use crate::telemetry::ServiceTelemetry;
 
 /// Version of the batch-planner route layout (how a batch's randomness is
@@ -75,9 +82,9 @@ const ASSIGN_SUBSTREAM: u64 = 0;
 /// `SHARD_SUBSTREAM_BASE + s`.
 const SHARD_SUBSTREAM_BASE: u64 = 1;
 
-/// Batches smaller than this run their fills inline even when fan-out
-/// lanes exist: below it, the hand-off latency outweighs the parallel fill
-/// (determinism is unaffected — lane count never changes results).
+/// Fills of fewer draws than this run inline on one thread: below it,
+/// the hand-off latency outweighs the parallel fill (determinism is
+/// unaffected — the schedule never changes results).
 const FANOUT_MIN_BATCH: usize = 1024;
 
 /// Tuning knobs for a [`ShardedService`].
@@ -94,13 +101,6 @@ pub struct ServiceConfig {
     /// only through [`ServiceCore::publish_all`] /
     /// [`ServiceCore::publish_shard`].
     pub publish_interval: Option<Duration>,
-    /// Parallel fan-out lanes for the batch planner, **including** the
-    /// submitting thread (`lanes - 1` helper threads are spawned once at
-    /// construction). `0` = auto: `min(shards, thread budget)`, where the
-    /// thread budget is the `LRB_THREADS` environment variable when set,
-    /// else the core count. `1` forces inline (sequential) execution —
-    /// results are bit-identical either way.
-    pub fanout_workers: usize,
 }
 
 impl Default for ServiceConfig {
@@ -109,34 +109,15 @@ impl Default for ServiceConfig {
             shards: 4,
             engine: EngineConfig::default(),
             publish_interval: None,
-            fanout_workers: 0,
         }
-    }
-}
-
-impl ServiceConfig {
-    /// Resolve [`fanout_workers`](Self::fanout_workers)' `0 = auto`
-    /// default against the shard count and the host's thread budget.
-    fn resolved_fanout(&self, shards: usize) -> usize {
-        if self.fanout_workers > 0 {
-            return self.fanout_workers.min(shards.max(1));
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let budget = std::env::var("LRB_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(cores);
-        budget.min(shards).max(1)
     }
 }
 
 /// Reusable scratch for the batch planner: the per-slot shard assignment,
-/// per-shard counts and cursors, the shard-grouped fill buffer and the
-/// level-one cut — everything a batch needs, owned by the caller and
-/// reused across batches so the steady-state path never allocates.
+/// per-shard counts and cursors, the fill tasks, the shard-grouped fill
+/// buffer and the level-one cut — everything a batch needs, owned by the
+/// caller and reused across batches so the steady-state path never
+/// allocates.
 ///
 /// Hold one per thread (the server's reactors do, through a
 /// thread-local inside [`ServiceCore::draw_into`]) or pass your own to
@@ -151,18 +132,24 @@ pub struct DrawPlan {
     /// Per-shard write cursors into `fill`: seeded with each shard's
     /// segment start (prefix sums of `counts`), consumed by the scatter.
     cursors: Vec<usize>,
-    /// `(start, len)` of each **touched** shard's segment in `fill`,
-    /// ascending (the fan-out task list).
-    segments: Vec<(usize, usize)>,
-    /// Touched shard ids, parallel to `segments`.
-    segment_shards: Vec<usize>,
+    /// One task per **touched** shard, in shard order; their segments lie
+    /// back to back in `fill`. Emptied after every batch, so the plan
+    /// never keeps a snapshot alive.
+    tasks: Vec<FillTask>,
     /// Shard-grouped local draws, scattered to slot order at the end.
     fill: Vec<usize>,
     /// The frozen level-one cut, refilled in place per batch.
     cut: TotalsCut,
-    /// First fill error by task index (parallel fills report here; the
-    /// lowest task index wins so the surfaced error is deterministic).
-    error: Mutex<Option<(usize, SelectionError)>>,
+}
+
+/// One touched shard's part of a batch fill.
+#[derive(Debug)]
+struct FillTask {
+    shard: usize,
+    /// Draws routed to the shard (the length of its `fill` segment).
+    draws: usize,
+    /// The shard's snapshot, taken on the calling thread.
+    snapshot: Arc<Snapshot>,
 }
 
 impl DrawPlan {
@@ -173,11 +160,9 @@ impl DrawPlan {
             assignment: Vec::new(),
             counts: Vec::new(),
             cursors: Vec::new(),
-            segments: Vec::new(),
-            segment_shards: Vec::new(),
+            tasks: Vec::new(),
             fill: Vec::new(),
             cut: TotalsCut::empty(),
-            error: Mutex::new(None),
         }
     }
 }
@@ -217,8 +202,6 @@ pub struct ServiceCore {
     offsets: Vec<usize>,
     totals: ShardTotals,
     telemetry: ServiceTelemetry,
-    /// Persistent lanes for the batch planner's parallel per-shard fills.
-    fanout: FanoutPool,
 }
 
 impl ServiceCore {
@@ -264,13 +247,11 @@ impl ServiceCore {
         offsets.push(n);
         let telemetry = ServiceTelemetry::new();
         telemetry.set_imbalance(&initial);
-        let fanout = FanoutPool::start(config.resolved_fanout(shard_count));
         Ok(Self {
             shards,
             offsets,
             totals: ShardTotals::from_totals(&initial),
             telemetry,
-            fanout,
         })
     }
 
@@ -295,10 +276,11 @@ impl ServiceCore {
         &self.telemetry
     }
 
-    /// Fan-out lanes available to the batch planner (including the
-    /// submitting thread).
+    /// Lanes the batch planner can fill on from the calling thread
+    /// (the calling thread included): the shard count, capped by the rayon
+    /// shim's thread budget (`LRB_THREADS`, or `ThreadPool::install`).
     pub fn fanout_lanes(&self) -> usize {
-        self.fanout.lanes()
+        lrb_core::current_num_threads().min(self.shards.len())
     }
 
     /// The shard owning global category `index`, as `(shard, local)`.
@@ -342,9 +324,9 @@ impl ServiceCore {
     /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
     /// engine's fused batch path — so a batch costs one snapshot
     /// acquisition and one streamed fill per touched shard instead of a
-    /// draw-by-draw walk. The per-shard fills run across the
-    /// fan-out lanes and the result is bit-identical at any lane count
-    /// (see the module docs).
+    /// draw-by-draw walk. The per-shard fills of a large batch run in
+    /// parallel and the result is bit-identical at any thread budget (see
+    /// the module docs).
     ///
     /// Scratch comes from a warm per-thread [`DrawPlan`], so the
     /// steady-state path allocates nothing; callers that manage their own
@@ -382,11 +364,6 @@ impl ServiceCore {
             other => other,
         };
         if result.is_ok() {
-            // Only the attempt that succeeded counts, so the routed
-            // counters always sum to the served draws.
-            for (&shard, &(_, count)) in plan.segment_shards.iter().zip(&plan.segments) {
-                self.shards[shard].routed.add(count as u64);
-            }
             self.telemetry.record_draws(
                 out.len() as u64,
                 started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -397,9 +374,9 @@ impl ServiceCore {
 
     /// Phase one: refresh the plan's cut from the live cells, assign every
     /// slot a shard with `pick(u)` over per-slot uniforms from
-    /// `assign_rng`, count per-shard draws, turn the counts into ascending
-    /// `(start, len)` segments of the fill buffer and seed the scatter
-    /// cursors with the segment starts.
+    /// `assign_rng`, count per-shard draws, turn the counts into one fill
+    /// task per touched shard (with its current snapshot) and seed the
+    /// scatter cursors with the segment starts.
     fn plan_assignments(
         &self,
         plan: &mut DrawPlan,
@@ -421,15 +398,17 @@ impl ServiceCore {
         }
         plan.cursors.clear();
         plan.cursors.reserve(shard_count);
-        plan.segments.clear();
-        plan.segment_shards.clear();
+        plan.tasks.clear();
         let mut start = 0usize;
-        for (shard, &count) in plan.counts.iter().enumerate() {
+        for (shard, &draws) in plan.counts.iter().enumerate() {
             plan.cursors.push(start);
-            if count > 0 {
-                plan.segments.push((start, count));
-                plan.segment_shards.push(shard);
-                start += count;
+            if draws > 0 {
+                plan.tasks.push(FillTask {
+                    shard,
+                    draws,
+                    snapshot: self.shards[shard].engine.snapshot(),
+                });
+                start += draws;
             }
         }
         plan.fill.resize(batch, 0usize);
@@ -452,8 +431,8 @@ impl ServiceCore {
     /// draw; assignment uniforms from Philox substream
     /// [`ASSIGN_SUBSTREAM`], shard `s`'s fill from substream
     /// `SHARD_SUBSTREAM_BASE + s`. Per-shard fills are pure functions of
-    /// `(snapshot, master)`, so they run across the fan-out lanes in any
-    /// order — or inline for small batches — with bit-identical results.
+    /// `(snapshot, master)`, so they run in any order — forked through
+    /// `join`, or inline for small batches — with bit-identical results.
     fn try_draw_into(
         &self,
         rng: &mut dyn RandomSource,
@@ -464,45 +443,17 @@ impl ServiceCore {
         let mut assign_rng = Philox4x32::for_substream(master, ASSIGN_SUBSTREAM);
         self.plan_assignments(plan, out.len(), &mut assign_rng)?;
         self.telemetry.record_planner_batch();
-        {
-            let mut slot = plan.error.lock().unwrap_or_else(PoisonError::into_inner);
-            *slot = None;
-        }
-        let shards = &self.shards;
-        let segment_shards = &plan.segment_shards;
-        let error = &plan.error;
-        let fill_task = |k: usize, segment: &mut [usize]| {
-            let shard = segment_shards[k];
-            let outcome = shards[shard].engine.read(|snapshot| {
-                snapshot.sample_into_substream(master, SHARD_SUBSTREAM_BASE + shard as u64, segment)
-            });
-            if let Err(e) = outcome {
-                let mut slot = error.lock().unwrap_or_else(PoisonError::into_inner);
-                // Keep the lowest task index so the surfaced error does
-                // not depend on lane scheduling.
-                if slot.map(|(prev, _)| k < prev).unwrap_or(true) {
-                    *slot = Some((k, e));
-                }
+        let filled = fill_tasks(&mut plan.fill, &plan.tasks, master);
+        if filled.is_ok() {
+            self.scatter_fill(plan, out);
+            // Only an attempt that succeeded counts, so the routed
+            // counters always sum to the served draws.
+            for task in &plan.tasks {
+                self.shards[task.shard].routed.add(task.draws as u64);
             }
-        };
-        if plan.fill.len() < FANOUT_MIN_BATCH || plan.segments.len() < 2 {
-            for (k, &(start, len)) in plan.segments.iter().enumerate() {
-                fill_task(k, &mut plan.fill[start..start + len]);
-            }
-        } else {
-            self.fanout
-                .run_disjoint(&mut plan.fill, &plan.segments, &fill_task);
         }
-        let failed = plan
-            .error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some((_, e)) = failed {
-            return Err(e);
-        }
-        self.scatter_fill(plan, out);
-        Ok(())
+        plan.tasks.clear();
+        filled
     }
 
     /// Allocating convenience around [`draw_into`](Self::draw_into).
@@ -657,7 +608,7 @@ impl ServiceCore {
             .gauge(
                 "lrb_service_fanout_lanes",
                 "Parallel fan-out lanes serving the batch planner",
-                self.fanout.lanes() as f64,
+                self.fanout_lanes() as f64,
             )
             .gauge(
                 "lrb_service_shard_imbalance",
@@ -715,6 +666,42 @@ impl ServiceCore {
         }
         snapshot
     }
+}
+
+/// Fill `fill` — the tasks' segments, back to back in task order — from
+/// each task's snapshot and Philox substream. A fill of at least
+/// [`FANOUT_MIN_BATCH`] draws over two or more tasks splits at the
+/// cumulative-draw midpoint and `join`s the halves, recursively. Either
+/// way the first fill error in task order is the one returned.
+fn fill_tasks(fill: &mut [usize], tasks: &[FillTask], master: u64) -> Result<(), SelectionError> {
+    if tasks.len() >= 2 && fill.len() >= FANOUT_MIN_BATCH {
+        // A task goes left while its segment's centre lies before the
+        // midpoint; each half keeps at least one task.
+        let half = fill.len() / 2;
+        let (mut split, mut left_draws) = (1, tasks[0].draws);
+        while split < tasks.len() - 1 && left_draws + tasks[split].draws / 2 < half {
+            left_draws += tasks[split].draws;
+            split += 1;
+        }
+        let (left_tasks, right_tasks) = tasks.split_at(split);
+        let (left_fill, right_fill) = fill.split_at_mut(left_draws);
+        let (left, right) = lrb_core::join(
+            || fill_tasks(left_fill, left_tasks, master),
+            || fill_tasks(right_fill, right_tasks, master),
+        );
+        return left.and(right);
+    }
+    let mut rest = fill;
+    for task in tasks {
+        let (segment, tail) = rest.split_at_mut(task.draws);
+        task.snapshot.sample_into_substream(
+            master,
+            SHARD_SUBSTREAM_BASE + task.shard as u64,
+            segment,
+        )?;
+        rest = tail;
+    }
+    Ok(())
 }
 
 /// The owning handle: the shared [`ServiceCore`] plus the per-shard

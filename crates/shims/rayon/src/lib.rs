@@ -2,11 +2,11 @@
 //! uses.
 //!
 //! The build environment has no network access, so the real `rayon` cannot be
-//! fetched from crates.io. This crate implements the same surface — parallel
-//! iterators over slices, vectors and ranges with `map` / `filter` /
-//! `enumerate` / `reduce` / `try_reduce` / `collect`, plus a
-//! [`ThreadPoolBuilder`] whose `num_threads` is honoured — on top of
-//! `std::thread::scope`.
+//! fetched from crates.io. This crate implements the same surface — [`join`],
+//! parallel iterators over slices, vectors and ranges with `map` / `filter`
+//! / `enumerate` / `reduce` / `try_reduce` / `collect`, plus a
+//! [`ThreadPoolBuilder`] whose `num_threads` is honoured — on one lazily
+//! started, persistent pool of helper threads (see [`join`]).
 //!
 //! Semantics match rayon where the workspace depends on them:
 //!
@@ -17,50 +17,69 @@
 //!   associative, order-insensitive operators (all uses in this workspace);
 //! * closures must be `Sync` and items `Send`, mirroring rayon's bounds.
 //!
-//! Work is only fanned out across threads when an iterator stage has at least
-//! [`PARALLEL_THRESHOLD`] items; below that, thread-spawn overhead dominates
-//! and the stage runs inline. `ThreadPoolBuilder::num_threads(1)` forces
-//! fully sequential execution.
+//! Work is only fanned out when an iterator stage has at least
+//! [`PARALLEL_THRESHOLD`] items; below that, the hand-off overhead dominates
+//! and the stage runs inline. A stage splits into one chunk per thread of
+//! the budget and runs the chunks through nested [`join`]s.
+//!
+//! The thread budget is `LRB_THREADS` when it holds a positive integer
+//! (read once per process, as rayon reads `RAYON_NUM_THREADS`), else the
+//! core count; [`ThreadPool::install`] overrides it for the closure it runs.
+//! A budget of one runs everything on the calling thread.
 //!
 //! [rayon]: https://docs.rs/rayon
 
-use std::cell::Cell;
+#![deny(unsafe_code)]
 
-/// Minimum number of items per stage before threads are spawned.
+use std::cell::Cell;
+use std::sync::OnceLock;
+
+// The pool's job hand-off is the shim's one audited unsafe island (see
+// its safety notes); everything else stays safe Rust.
+#[allow(unsafe_code)]
+mod pool;
+
+pub use pool::join;
+
+/// Minimum number of items per stage before work is handed to the pool.
 pub const PARALLEL_THRESHOLD: usize = 1024;
 
 thread_local! {
+    /// The budget `ThreadPool::install` (or a pool helper running a job)
+    /// applies on this thread.
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn configured_threads() -> usize {
-    THREAD_OVERRIDE.with(|o| o.get()).unwrap_or_else(|| {
-        // `LRB_THREADS` pins the default thread budget process-wide (the CI
-        // matrix runs the suite at 1, 2 and 8 threads with it); an explicit
-        // `ThreadPool::install` still wins over the environment.
-        if let Some(env_threads) = std::env::var("LRB_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return env_threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+/// An `LRB_THREADS` value as a thread budget: a positive integer,
+/// surrounding whitespace allowed.
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n > 0)
+}
+
+/// The process-wide default budget, read once.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        parse_threads(std::env::var("LRB_THREADS").ok().as_deref()).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 
 /// The number of threads parallel stages may use on this thread.
 pub fn current_num_threads() -> usize {
-    configured_threads()
+    THREAD_OVERRIDE
+        .with(Cell::get)
+        .unwrap_or_else(default_threads)
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`.
 ///
-/// The shim has no persistent pool; the builder records the thread budget and
-/// [`ThreadPool::install`] applies it for the duration of a closure, which is
-/// exactly how the workspace's reproducibility tests vary the thread count.
+/// The builder records a thread budget and [`ThreadPool::install`] applies
+/// it for the duration of a closure; the threads themselves come from the
+/// shim's one shared pool.
 #[derive(Debug, Default, Clone)]
 pub struct ThreadPoolBuilder {
     num_threads: Option<usize>,
@@ -99,7 +118,8 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// A virtual thread pool: a scoped thread-count override.
+/// A thread budget for the shim's shared pool, applied by
+/// [`install`](ThreadPool::install).
 #[derive(Debug)]
 pub struct ThreadPool {
     num_threads: Option<usize>,
@@ -117,7 +137,7 @@ impl ThreadPool {
 
     /// The pool's thread budget.
     pub fn current_num_threads(&self) -> usize {
-        self.num_threads.unwrap_or_else(configured_threads)
+        self.num_threads.unwrap_or_else(default_threads)
     }
 }
 
@@ -136,27 +156,34 @@ fn split_chunks<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
+/// Apply `f` to every part through nested [`join`]s; results in part
+/// order.
+fn join_map<P: Send, R: Send>(mut parts: Vec<P>, f: &(impl Fn(P) -> R + Sync)) -> Vec<R> {
+    if parts.len() <= 1 {
+        return parts.into_iter().map(f).collect();
+    }
+    let right = parts.split_off(parts.len() / 2);
+    let (mut left, right) = join(|| join_map(parts, f), || join_map(right, f));
+    left.extend(right);
+    left
+}
+
 fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
     items: Vec<T>,
     f: &F,
     min_len: usize,
 ) -> Vec<R> {
-    let threads = configured_threads();
+    let threads = current_num_threads();
     if threads <= 1 || items.len() < min_len.max(2) {
         return items.into_iter().map(f).collect();
     }
     let chunks = split_chunks(items, threads);
-    let nested: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    nested.into_iter().flatten().collect()
+    join_map(chunks, &|chunk: Vec<T>| {
+        chunk.into_iter().map(f).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn parallel_fold<T: Send, A: Send>(
@@ -166,26 +193,20 @@ fn parallel_fold<T: Send, A: Send>(
     combine: impl Fn(A, A) -> A,
     min_len: usize,
 ) -> A {
-    let threads = configured_threads();
+    let threads = current_num_threads();
     if threads <= 1 || items.len() < min_len.max(2) {
         return items.into_iter().fold(identity(), fold);
     }
     let chunks = split_chunks(items, threads);
-    let partials: Vec<A> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().fold(identity(), fold)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    partials.into_iter().fold(identity(), combine)
+    join_map(chunks, &|chunk: Vec<T>| {
+        chunk.into_iter().fold(identity(), fold)
+    })
+    .into_iter()
+    .fold(identity(), combine)
 }
 
 /// A materialised parallel iterator: combinators apply eagerly, fanning the
-/// work out across scoped threads when the stage is large enough.
+/// work out across the pool when the stage is large enough.
 pub struct ParIter<T> {
     items: Vec<T>,
     /// Stage size below which work runs inline (see [`PARALLEL_THRESHOLD`]).
@@ -371,7 +392,7 @@ impl<T: Sync> ParallelSliceExt<T> for Vec<T> {
 
 /// Mutable chunking, mirroring rayon's `ParallelSliceMut`
 /// (`par_chunks_mut`). The sub-slices are disjoint, so handing one to each
-/// worker thread is safe without any locking — exactly what a batch driver
+/// pool thread is safe without any locking — exactly what a batch driver
 /// filling one output buffer needs.
 pub trait ParallelSliceMutExt<T: Send> {
     /// Parallel iterator over disjoint `chunk_size`-sized mutable sub-slices.
@@ -497,22 +518,91 @@ mod tests {
 
     #[test]
     fn lrb_threads_env_sets_the_default_but_loses_to_install() {
-        // Save and restore any pre-existing value (the CI matrix sets
-        // LRB_THREADS job-wide; other tests must keep seeing it). The
-        // assertions use `install`-scoped or thread-local-free reads, so the
-        // brief global mutation cannot fail concurrent tests — their
-        // parallel stages are order-preserving at every thread count.
-        let previous = std::env::var("LRB_THREADS").ok();
-        std::env::set_var("LRB_THREADS", "5");
-        assert_eq!(current_num_threads(), 5);
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        pool.install(|| assert_eq!(current_num_threads(), 2));
-        std::env::set_var("LRB_THREADS", "not-a-number");
-        assert!(current_num_threads() >= 1, "garbage values fall through");
-        match previous {
-            Some(value) => std::env::set_var("LRB_THREADS", value),
-            None => std::env::remove_var("LRB_THREADS"),
+        // The default is read once per process, so a test cannot move it;
+        // it is whatever the environment said at the first read.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let env = parse_threads(std::env::var("LRB_THREADS").ok().as_deref());
+        assert_eq!(current_num_threads(), env.unwrap_or(cores));
+        let pool = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
+        pool.install(|| assert_eq!(current_num_threads(), 5));
+        assert_eq!(current_num_threads(), env.unwrap_or(cores));
+    }
+
+    #[test]
+    fn lrb_threads_parse_trims_and_rejects_zero_and_garbage() {
+        assert_eq!(parse_threads(Some("2")), Some(2));
+        assert_eq!(parse_threads(Some(" 2 ")), Some(2));
+        assert_eq!(parse_threads(Some("0")), None);
+        assert_eq!(parse_threads(Some("x")), None);
+        assert_eq!(parse_threads(None), None);
+    }
+
+    #[test]
+    fn nested_joins_return_both_results_in_order() {
+        fn sum(range: std::ops::Range<u64>) -> u64 {
+            if range.end - range.start <= 64 {
+                return range.sum();
+            }
+            let mid = range.start + (range.end - range.start) / 2;
+            let (left, right) = join(|| sum(range.start..mid), || sum(mid..range.end));
+            left + right
         }
+        for threads in [2, 4, 8] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            assert_eq!(pool.install(|| sum(0..100_000)), (0..100_000u64).sum());
+            let (a, b) = pool.install(|| join(|| "a", || vec![1, 2, 3]));
+            assert_eq!((a, b), ("a", vec![1, 2, 3]));
+        }
+    }
+
+    #[test]
+    fn a_panic_in_b_is_reraised_after_a_finishes_and_the_pool_survives() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let a_finished = AtomicBool::new(false);
+        let caught = pool.install(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                join(
+                    || {
+                        // Time for an idle helper to take `b`, so its
+                        // panic crosses threads.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        a_finished.store(true, Ordering::SeqCst);
+                    },
+                    || panic!("b failed"),
+                )
+            }))
+        });
+        let payload = caught.expect_err("b's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"b failed"));
+        assert!(
+            a_finished.load(Ordering::SeqCst),
+            "re-raised before a finished"
+        );
+        // The helper that caught the panic still serves.
+        let squares: Vec<u64> =
+            pool.install(|| (0..10_000u64).into_par_iter().map(|i| i * i).collect());
+        assert!(squares
+            .iter()
+            .enumerate()
+            .all(|(i, &x)| x == (i * i) as u64));
+        assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
+    }
+
+    #[test]
+    fn a_budget_of_one_runs_both_sides_on_the_caller() {
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let caller = std::thread::current().id();
+        let (a, b) = pool.install(|| {
+            join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            )
+        });
+        assert_eq!((a, b), (caller, caller));
     }
 
     #[test]

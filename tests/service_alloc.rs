@@ -1,13 +1,14 @@
 //! Allocation accounting for the service's hot paths.
 //!
 //! The point of the pooled [`DrawPlan`] is that a steady-state batch —
-//! plan buffers warm, fan-out pool long-lived, level-one cut refilled in
-//! place — touches no allocator at all on the submitting thread:
+//! plan buffers warm, the rayon shim's pool started, level-one cut
+//! refilled in place — touches no allocator at all on the submitting
+//! thread:
 //! assignment, per-shard fused fills and the cursor scatter all run in
 //! reused storage. This test installs a counting global allocator (this
 //! test binary only; each integration-test target is its own process) and
 //! asserts **zero** submitter-side allocator events across thousands of
-//! warm batches, for the inline path and the pooled fan-out path.
+//! warm batches, for the inline path and the forked fill.
 //!
 //! Those batch tests count **per thread** (a `const`-initialised
 //! `thread_local`, so the counter itself never allocates): fan-out helper
@@ -82,12 +83,11 @@ fn serial() -> MutexGuard<'static, ()> {
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
 use lrb_service::{DrawPlan, ServiceClient, ServiceConfig, ServiceServer, ShardedService};
 
-fn build(fanout_workers: usize) -> ShardedService {
+fn build() -> ShardedService {
     ShardedService::new(
         (0..1_024).map(|i| ((i % 13) + 1) as f64).collect(),
         ServiceConfig {
             shards: 4,
-            fanout_workers,
             ..ServiceConfig::default()
         },
     )
@@ -95,41 +95,48 @@ fn build(fanout_workers: usize) -> ShardedService {
 }
 
 /// Warm the plan, then assert zero submitter-side allocator events over
-/// `rounds` batches of `batch` draws.
+/// `rounds` batches of `batch` draws under a thread budget of `lanes`
+/// (1 = every fill inline).
 fn assert_zero_alloc_steady_state(
     service: &ShardedService,
+    lanes: usize,
     batch: usize,
     rounds: usize,
     label: &str,
 ) {
-    let mut plan = DrawPlan::new();
-    let mut rng = Philox4x32::seed_from_u64(0xA110C);
-    let mut out = vec![0usize; batch];
-    // Warm-up: grow the plan's buffers to the batch shape, fault in each
-    // shard's snapshot cache (on helpers too, for the pooled path) and
-    // any lazy TLS the first acquisitions perform.
-    for _ in 0..4 {
-        service
-            .draw_into_with_plan(&mut rng as &mut dyn RandomSource, &mut out, &mut plan)
-            .expect("warm-up batch failed");
-    }
-    let (events, drawn) = allocator_events(|| {
-        let mut drawn = 0usize;
-        for _ in 0..rounds {
-            service
-                .draw_into_with_plan(&mut rng as &mut dyn RandomSource, &mut out, &mut plan)
-                .expect("steady-state batch failed");
-            drawn += out.len();
-        }
-        drawn
-    });
-    assert_eq!(drawn, rounds * batch);
-    assert_eq!(
-        events, 0,
-        "{label}: steady-state batch path touched the allocator"
-    );
-    // The draws are real: every index is in range.
-    assert!(out.iter().all(|&index| index < service.len()));
+    let budget = rayon::ThreadPoolBuilder::new().num_threads(lanes).build();
+    budget
+        .expect("the shim's pool builder cannot fail")
+        .install(|| {
+            let mut plan = DrawPlan::new();
+            let mut rng = Philox4x32::seed_from_u64(0xA110C);
+            let mut out = vec![0usize; batch];
+            // Warm-up: grow the plan's buffers to the batch shape, fault in each
+            // shard's snapshot cache, start the pool's helpers (for the forked
+            // path) and any lazy TLS the first acquisitions perform.
+            for _ in 0..4 {
+                service
+                    .draw_into_with_plan(&mut rng as &mut dyn RandomSource, &mut out, &mut plan)
+                    .expect("warm-up batch failed");
+            }
+            let (events, drawn) = allocator_events(|| {
+                let mut drawn = 0usize;
+                for _ in 0..rounds {
+                    service
+                        .draw_into_with_plan(&mut rng as &mut dyn RandomSource, &mut out, &mut plan)
+                        .expect("steady-state batch failed");
+                    drawn += out.len();
+                }
+                drawn
+            });
+            assert_eq!(drawn, rounds * batch);
+            assert_eq!(
+                events, 0,
+                "{label}: steady-state batch path touched the allocator"
+            );
+            // The draws are real: every index is in range.
+            assert!(out.iter().all(|&index| index < service.len()));
+        })
 }
 
 #[test]
@@ -137,19 +144,17 @@ fn inline_v2_batches_allocate_nothing_once_warm() {
     let _serial = serial();
     // One lane = the planner runs entirely inline on the calling thread,
     // so this covers the whole path: assignment, substream fills, scatter.
-    let service = build(1);
-    assert_zero_alloc_steady_state(&service, 512, 2_000, "inline v2");
+    assert_zero_alloc_steady_state(&build(), 1, 512, 2_000, "inline v2");
 }
 
 #[test]
 fn pooled_v2_batches_allocate_nothing_on_the_submitter() {
     let _serial = serial();
-    // Batches above the inline threshold hand fills to the persistent
-    // pool; the submission, wait and scatter must stay silent on the
-    // calling thread (helpers own their warm-up, counted on their own
-    // thread-local counters).
-    let service = build(4);
-    assert_zero_alloc_steady_state(&service, 4_096, 500, "pooled v2");
+    // Batches above the inline threshold fork their fills through the
+    // shim's `join`; the offer, the wait and the scatter must stay silent
+    // on the calling thread (helpers own their warm-up, counted on their
+    // own thread-local counters).
+    assert_zero_alloc_steady_state(&build(), 4, 4_096, 500, "pooled v2");
 }
 
 #[test]
@@ -158,7 +163,7 @@ fn thread_local_plan_path_is_quiet_after_first_use() {
     // The public `draw_into` borrows a per-thread plan; after the first
     // call warms it, the convenience path is as silent as the explicit
     // one.
-    let service = build(1);
+    let service = build();
     let mut rng = Philox4x32::seed_from_u64(0x71A);
     let mut out = vec![0usize; 256];
     for _ in 0..4 {
@@ -182,7 +187,7 @@ fn a_served_pipelined_draw_burst_allocates_nothing_on_either_end() {
     // threads are joined before the next test may run.
     let _serial = serial();
     const BURST: usize = 32;
-    let service = build(0);
+    let service = build();
     let path =
         std::env::temp_dir().join(format!("lrb-alloc-{}-served-draw.sock", std::process::id()));
     let server = ServiceServer::bind_uds(service.core(), &path, 0xA110C).unwrap();

@@ -1,9 +1,10 @@
 //! Cross-shard batch-planner contract tests: the layout that
 //! `ROUTE_LAYOUT_VERSION = 2` names must match a hand-rolled reference
 //! built from public pieces draw for draw, be a pure function of
-//! `(snapshots, master draw)` — bit-identical at any fan-out lane count
-//! and any `LRB_THREADS` budget — and carry the two-level law through the
-//! parallel path statistically.
+//! `(snapshots, master draw)` — bit-identical at any fan-out lane count,
+//! which the rayon shim's thread budget sets (`LRB_THREADS`, or
+//! `ThreadPool::install` as here), and with concurrent submitters — and
+//! carry the two-level law through the parallel path statistically.
 
 use lrb_core::sharding::TotalsCut;
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
@@ -25,16 +26,38 @@ fn test_weights(categories: usize) -> Vec<f64> {
         .collect()
 }
 
-fn service(categories: usize, shards: usize, fanout_workers: usize) -> ShardedService {
+fn service(categories: usize, shards: usize) -> ShardedService {
     ShardedService::new(
         test_weights(categories),
         ServiceConfig {
             shards,
-            fanout_workers,
             ..ServiceConfig::default()
         },
     )
     .expect("planner test service construction cannot fail")
+}
+
+/// Run `op` under a thread budget of `lanes` (1 = every fill inline).
+fn with_lanes<R>(lanes: usize, op: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(lanes)
+        .build()
+        .expect("the shim's pool builder cannot fail")
+        .install(op)
+}
+
+/// `batches` draws of `batch` from `seed`, in order.
+fn draw_batches(service: &ShardedService, seed: u64, batches: usize, batch: usize) -> Vec<usize> {
+    let mut rng = Philox4x32::seed_from_u64(seed);
+    let mut drawn = Vec::with_capacity(batches * batch);
+    let mut out = vec![0usize; batch];
+    for _ in 0..batches {
+        service
+            .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
+            .expect("batch draw failed");
+        drawn.extend_from_slice(&out);
+    }
+    drawn
 }
 
 /// Layout v2 rebuilt from public pieces: one `next_u64` master draw from
@@ -85,13 +108,15 @@ fn v2_reference(service: &ShardedService, rng: &mut Philox4x32, batch: usize) ->
 #[test]
 fn route_layout_is_versioned_and_defaults_to_parallel() {
     // One layout is left and `ROUTE_LAYOUT_VERSION` names it; a default
-    // config (auto lanes) must serve exactly that layout, above the inline
-    // threshold so the pooled fan-out runs wherever there are lanes.
+    // config at the default budget must serve exactly that layout, above
+    // the inline threshold so the fill forks wherever there are lanes.
     assert_eq!(ROUTE_LAYOUT_VERSION, 2);
-    assert_eq!(ServiceConfig::default().fanout_workers, 0);
     let service = ShardedService::new(test_weights(64), ServiceConfig::default())
         .expect("default-config service construction cannot fail");
     assert!(service.fanout_lanes() >= 1);
+    // Lanes follow the shim's budget, capped by the shard count.
+    assert_eq!(with_lanes(1, || service.fanout_lanes()), 1);
+    assert_eq!(with_lanes(8, || service.fanout_lanes()), 4);
     let mut reference_rng = Philox4x32::seed_from_u64(0x5EED);
     let expected = v2_reference(&service, &mut reference_rng, 2_048);
     let mut rng = Philox4x32::seed_from_u64(0x5EED);
@@ -106,7 +131,7 @@ proptest! {
     /// The tentpole determinism contract: the v2 output is invariant in
     /// the lane count. Lanes = 1 forces inline (sequential) execution, so
     /// this is also a parallel-vs-sequential-execution parity oracle;
-    /// batches above the inline threshold exercise the pooled hand-off.
+    /// batches above the inline threshold exercise the forked fill.
     #[test]
     fn prop_v2_output_is_invariant_across_lane_counts(
         seed: u64,
@@ -115,12 +140,8 @@ proptest! {
         for batch in [small_batch, 2_048] {
             let mut reference: Option<Vec<usize>> = None;
             for lanes in [1usize, 2, 8] {
-                let service = service(384, 6, lanes);
-                let mut rng = Philox4x32::seed_from_u64(seed);
-                let mut out = vec![0usize; batch];
-                service
-                    .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-                    .expect("v2 batch draw failed");
+                let service = service(384, 6);
+                let out = with_lanes(lanes, || draw_batches(&service, seed, 1, batch));
                 match &reference {
                     None => reference = Some(out),
                     Some(expected) => prop_assert_eq!(
@@ -138,23 +159,25 @@ proptest! {
     /// The planner must be draw-for-draw identical to the hand-rolled
     /// layout-v2 reference and consume exactly one word of the caller's
     /// generator, inline (lanes 1, and batches under the 1024-draw
-    /// threshold) and through the pooled fan-out (lanes 4 above it).
+    /// threshold) and through the forked fill (lanes 4 above it).
     #[test]
     fn prop_v2_matches_the_handrolled_substream_reference(
         seed: u64,
         small_batch in 1usize..512,
     ) {
         for lanes in [1usize, 4] {
-            let service = service(300, 5, lanes);
+            let service = service(300, 5);
             for batch in [small_batch, 2_048] {
                 let mut reference_rng = Philox4x32::seed_from_u64(seed);
                 let expected = v2_reference(&service, &mut reference_rng, batch);
 
                 let mut rng = Philox4x32::seed_from_u64(seed);
                 let mut out = vec![0usize; batch];
-                service
-                    .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-                    .expect("planner batch draw failed");
+                with_lanes(lanes, || {
+                    service
+                        .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
+                        .expect("planner batch draw failed")
+                });
                 prop_assert_eq!(
                     &out,
                     &expected,
@@ -170,31 +193,45 @@ proptest! {
 
 #[test]
 fn v2_output_is_invariant_in_the_lrb_threads_budget() {
-    // `fanout_workers: 0` resolves the lane count from `LRB_THREADS`;
-    // the drawn indices must not notice. (Only this test mutates the
-    // variable; the one other auto-budget service, in the default-config
-    // test, checks nothing a lane count could change.)
-    let saved = std::env::var("LRB_THREADS").ok();
-    let mut reference: Option<Vec<usize>> = None;
-    for budget in ["1", "2", "8"] {
-        std::env::set_var("LRB_THREADS", budget);
-        let service = service(512, 8, 0);
-        let mut rng = Philox4x32::seed_from_u64(0xBEEF);
-        let mut out = vec![0usize; 4_096];
-        service
-            .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-            .expect("budgeted batch draw failed");
-        match &reference {
-            None => reference = Some(out),
-            Some(expected) => {
-                assert_eq!(expected, &out, "LRB_THREADS={budget} changed v2 output")
-            }
-        }
+    // The shim's thread budget sets the lane count. `LRB_THREADS` is
+    // read once per process, so the CI matrix's value is the default
+    // leg; `install` sets the others. The drawn indices must not notice.
+    let service = service(512, 8);
+    let reference = with_lanes(1, || draw_batches(&service, 0xBEEF, 1, 4_096));
+    assert_eq!(
+        draw_batches(&service, 0xBEEF, 1, 4_096),
+        reference,
+        "the default budget changed v2 output"
+    );
+    for budget in [2, 8] {
+        let out = with_lanes(budget, || draw_batches(&service, 0xBEEF, 1, 4_096));
+        assert_eq!(out, reference, "a budget of {budget} changed v2 output");
     }
-    match saved {
-        Some(value) => std::env::set_var("LRB_THREADS", value),
-        None => std::env::remove_var("LRB_THREADS"),
-    }
+}
+
+#[test]
+fn concurrent_submitters_each_draw_what_their_seed_gives_alone() {
+    // Two threads fork large batches through the shared pool at the
+    // same time; neither may see the other's fills.
+    let service = service(600, 6);
+    let alone: Vec<Vec<usize>> = [0xA1, 0xB2]
+        .iter()
+        .map(|&seed| with_lanes(4, || draw_batches(&service, seed, 16, 4_096)))
+        .collect();
+    let together: Vec<Vec<usize>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = [0xA1, 0xB2]
+            .iter()
+            .map(|&seed| {
+                let service = &service;
+                scope.spawn(move || with_lanes(4, || draw_batches(service, seed, 16, 4_096)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("a submitter panicked"))
+            .collect()
+    });
+    assert_eq!(together, alone);
 }
 
 #[test]
@@ -211,21 +248,13 @@ fn two_level_law_survives_the_parallel_path() {
             weights.clone(),
             ServiceConfig {
                 shards: 6,
-                fanout_workers: 4,
                 ..ServiceConfig::default()
             },
         )
         .expect("conformance service construction cannot fail");
-        let mut rng = Philox4x32::seed_from_u64(seed);
         let mut counts = vec![0u64; weights.len()];
-        let mut out = vec![0usize; 4_096];
-        for _ in 0..8 {
-            service
-                .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-                .expect("conformance batch draw failed");
-            for &index in &out {
-                counts[index] += 1;
-            }
+        for index in with_lanes(4, || draw_batches(&service, seed, 8, 4_096)) {
+            counts[index] += 1;
         }
         chi_square_gof(&counts, &probs).is_consistent(0.01)
     };
