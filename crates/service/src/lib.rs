@@ -24,8 +24,9 @@
 //!   per-shard publisher threads, merged metrics. Batched draws run
 //!   through the versioned **parallel batch planner** (see [`sharded`]'s
 //!   module docs): one master draw, per-shard Philox substreams,
-//!   reusable [`DrawPlan`] scratch and per-shard fills forked through
-//!   the rayon shim's `join` (re-exported by `lrb-core`) —
+//!   reusable [`DrawPlan`] scratch, and level-one picks and per-shard
+//!   fills forked through the rayon shim's `join` (re-exported by
+//!   `lrb-core`) —
 //!   bit-deterministic at any thread budget and allocation-free once warm.
 //! * [`DrawAggregator`] — flat combining for in-process single draws
 //!   from many threads (the server does not use it).

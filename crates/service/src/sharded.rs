@@ -27,31 +27,36 @@
 //! Batched draws ([`ServiceCore::draw_into`]) run through a versioned
 //! **batch planner**. The layout ([`ROUTE_LAYOUT_VERSION`] = 2) consumes
 //! exactly **one** master `u64` from the caller's RNG and derives
-//! everything else from counter-based Philox substreams: substream 0
-//! yields the level-one assignment uniforms, substream `1 + s` yields
-//! shard `s`'s in-shard fill stream. Because each shard's stream is
-//! independent of execution order, the per-shard fills can run **in
-//! parallel** while the result stays a pure function of
+//! everything else from counter-based Philox substreams: word `j` of
+//! substream 0 is slot `j`'s level-one assignment uniform, substream
+//! `1 + s` yields shard `s`'s in-shard fill stream. Because every slot's
+//! word and every shard's stream is addressed by counter, independent of
+//! execution order, the level-one picks and the per-shard fills can run
+//! **in parallel** while the result stays a pure function of
 //! `(snapshots, master draw)` — bit-identical at any thread budget, the
 //! same contract discipline as the engine's `STREAM_LAYOUT_VERSION = 2`
 //! batch driver. `tests/service_planner.rs`
 //! rebuilds the layout from public pieces and diffs it draw for draw.
 //!
 //! A batch runs in three phases over a reusable [`DrawPlan`]: assign (one
-//! level-one pick per slot, counting per-shard draws), fill (per touched
-//! shard, **one** fused [`Snapshot::sample_into`] into that shard's
-//! contiguous segment of the plan's fill buffer) and a **single-pass
-//! cursor scatter** back to slot order — `O(batch + shards)`. With a warm
-//! plan the whole path performs no allocation on the calling thread (see
-//! `tests/service_alloc.rs`).
+//! level-one pick per slot, then one counting pass for per-shard draws),
+//! fill (per touched shard, **one** fused [`Snapshot::sample_into`] into
+//! that shard's contiguous segment of the plan's fill buffer) and a
+//! **single-pass cursor scatter** back to slot order —
+//! `O(batch + shards)`. With a warm plan the whole path performs no
+//! allocation on the calling thread (see `tests/service_alloc.rs`).
 //!
-//! The fill forks: a batch of at least `FANOUT_MIN_BATCH` draws over two
-//! or more shards splits its segments at the cumulative-draw midpoint and
-//! runs the halves through the rayon shim's `join` (re-exported as
-//! [`lrb_core::join`]), recursively, so up to the thread budget's lanes
-//! fill at once. The calling thread takes every touched shard's snapshot
-//! before the split, so a pool helper never touches an engine (nor its
-//! thread-local snapshot cache).
+//! Assign and fill both fork through the rayon shim's `join`
+//! (re-exported as [`lrb_core::join`]), recursively, above one threshold
+//! (`FANOUT_MIN_BATCH`). Level one splits a run of at least that many
+//! slots at an even midpoint, so each half starts on a Philox block, and
+//! picks each half from the one [`TotalsCut`]. The fill splits a batch of
+//! at least that many draws over two or more shards at the
+//! cumulative-draw midpoint of its shard segments. Up to the thread
+//! budget's lanes work at once. The calling thread takes every touched
+//! shard's snapshot before the fill splits, so a pool helper reads only
+//! the cut and snapshots, never an engine (nor its thread-local snapshot
+//! cache).
 //!
 //! [`Snapshot::sample_into`]: lrb_engine::Snapshot::sample_into
 //! [`TotalsCut`]: lrb_core::sharding::TotalsCut
@@ -66,7 +71,7 @@ use lrb_core::sharding::{ShardTotals, TotalsCut};
 use lrb_core::SelectionError;
 use lrb_engine::{EngineConfig, SelectionEngine, Snapshot};
 use lrb_obs::{Counter, MetricsSnapshot};
-use lrb_rng::{Philox4x32, RandomSource};
+use lrb_rng::{f64_from_bits_53, PhiloxBlock, RandomSource};
 
 use crate::telemetry::ServiceTelemetry;
 
@@ -82,9 +87,10 @@ const ASSIGN_SUBSTREAM: u64 = 0;
 /// `SHARD_SUBSTREAM_BASE + s`.
 const SHARD_SUBSTREAM_BASE: u64 = 1;
 
-/// Fills of fewer draws than this run inline on one thread: below it,
-/// the hand-off latency outweighs the parallel fill (determinism is
-/// unaffected — the schedule never changes results).
+/// Level-one runs of fewer slots, and fills of fewer draws, than this run
+/// inline on one thread: below it, the hand-off latency outweighs the
+/// parallel work (determinism is unaffected — the schedule never changes
+/// results).
 const FANOUT_MIN_BATCH: usize = 1024;
 
 /// Tuning knobs for a [`ShardedService`].
@@ -279,6 +285,8 @@ impl ServiceCore {
     /// Lanes the batch planner can fill on from the calling thread
     /// (the calling thread included): the shard count, capped by the rayon
     /// shim's thread budget (`LRB_THREADS`, or `ThreadPool::install`).
+    /// Level one is not capped by the shard count: its slot ranges fork up
+    /// to the thread budget itself.
     pub fn fanout_lanes(&self) -> usize {
         lrb_core::current_num_threads().min(self.shards.len())
     }
@@ -324,9 +332,9 @@ impl ServiceCore {
     /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
     /// engine's fused batch path — so a batch costs one snapshot
     /// acquisition and one streamed fill per touched shard instead of a
-    /// draw-by-draw walk. The per-shard fills of a large batch run in
-    /// parallel and the result is bit-identical at any thread budget (see
-    /// the module docs).
+    /// draw-by-draw walk. The level-one picks and the per-shard fills of a
+    /// large batch run in parallel and the result is bit-identical at any
+    /// thread budget (see the module docs).
     ///
     /// Scratch comes from a warm per-thread [`DrawPlan`], so the
     /// steady-state path allocates nothing; callers that manage their own
@@ -373,28 +381,25 @@ impl ServiceCore {
     }
 
     /// Phase one: refresh the plan's cut from the live cells, assign every
-    /// slot a shard with `pick(u)` over per-slot uniforms from
-    /// `assign_rng`, count per-shard draws, turn the counts into one fill
-    /// task per touched shard (with its current snapshot) and seed the
-    /// scatter cursors with the segment starts.
+    /// slot a shard through [`assign_slots`] (forked for a large batch),
+    /// count per-shard draws in one pass over the assignment, turn the
+    /// counts into one fill task per touched shard (with its current
+    /// snapshot) and seed the scatter cursors with the segment starts.
     fn plan_assignments(
         &self,
         plan: &mut DrawPlan,
         batch: usize,
-        assign_rng: &mut Philox4x32,
+        master: u64,
     ) -> Result<(), SelectionError> {
         let shard_count = self.shards.len();
         self.totals.refill_cut(&mut plan.cut);
-        plan.assignment.clear();
-        plan.assignment.reserve(batch);
+        plan.assignment.resize(batch, 0);
+        assign_slots(&plan.cut, master, 0, &mut plan.assignment)
+            .ok_or(SelectionError::AllZeroFitness)?;
         plan.counts.clear();
         plan.counts.resize(shard_count, 0);
-        for _ in 0..batch {
-            let Some((shard, _)) = plan.cut.pick_uniform(assign_rng.next_f64()) else {
-                return Err(SelectionError::AllZeroFitness);
-            };
-            plan.assignment.push(shard as u32);
-            plan.counts[shard] += 1;
+        for &shard in &plan.assignment {
+            plan.counts[shard as usize] += 1;
         }
         plan.cursors.clear();
         plan.cursors.reserve(shard_count);
@@ -430,9 +435,10 @@ impl ServiceCore {
     /// One batch through the planner: exactly one `rng.next_u64()` master
     /// draw; assignment uniforms from Philox substream
     /// [`ASSIGN_SUBSTREAM`], shard `s`'s fill from substream
-    /// `SHARD_SUBSTREAM_BASE + s`. Per-shard fills are pure functions of
-    /// `(snapshot, master)`, so they run in any order — forked through
-    /// `join`, or inline for small batches — with bit-identical results.
+    /// `SHARD_SUBSTREAM_BASE + s`. Slot picks and per-shard fills are pure
+    /// functions of `(cut, master)` and `(snapshot, master)`, so they run
+    /// in any order — forked through `join`, or inline for small batches —
+    /// with bit-identical results.
     fn try_draw_into(
         &self,
         rng: &mut dyn RandomSource,
@@ -440,8 +446,7 @@ impl ServiceCore {
         plan: &mut DrawPlan,
     ) -> Result<(), SelectionError> {
         let master = rng.next_u64();
-        let mut assign_rng = Philox4x32::for_substream(master, ASSIGN_SUBSTREAM);
-        self.plan_assignments(plan, out.len(), &mut assign_rng)?;
+        self.plan_assignments(plan, out.len(), master)?;
         self.telemetry.record_planner_batch();
         let filled = fill_tasks(&mut plan.fill, &plan.tasks, master);
         if filled.is_ok() {
@@ -607,7 +612,7 @@ impl ServiceCore {
             )
             .gauge(
                 "lrb_service_fanout_lanes",
-                "Parallel fan-out lanes serving the batch planner",
+                "Parallel fan-out lanes serving the batch planner's shard fills",
                 self.fanout_lanes() as f64,
             )
             .gauge(
@@ -666,6 +671,32 @@ impl ServiceCore {
         }
         snapshot
     }
+}
+
+/// Level one for slots `first..first + slots.len()` of a batch (`first`
+/// even): slot `j` reads word `j` of the master's Philox substream
+/// [`ASSIGN_SUBSTREAM`] by its counter, block `j / 2`, so a slot range
+/// picks the same shards on any lane. A run of at least
+/// [`FANOUT_MIN_BATCH`] slots splits at an even midpoint, so each half
+/// starts on a block boundary, and `join`s the halves, recursively.
+/// Returns `None` when the cut carries no mass.
+fn assign_slots(cut: &TotalsCut, master: u64, first: usize, slots: &mut [u32]) -> Option<()> {
+    debug_assert_eq!(first % 2, 0, "a slot range starts on a block boundary");
+    if slots.len() >= FANOUT_MIN_BATCH {
+        let mid = (slots.len() / 2) & !1;
+        let (left, right) = slots.split_at_mut(mid);
+        let (left, right) = lrb_core::join(
+            || assign_slots(cut, master, first, left),
+            || assign_slots(cut, master, first + mid, right),
+        );
+        return left.and(right);
+    }
+    let block = ((ASSIGN_SUBSTREAM as u128) << 64) + (first / 2) as u128;
+    let mut words = PhiloxBlock::at_block(master, block);
+    let uniforms = std::iter::repeat_with(move || words.next_u64_pair())
+        .flatten()
+        .map(f64_from_bits_53);
+    cut.pick_uniforms(uniforms, slots)
 }
 
 /// Fill `fill` — the tasks' segments, back to back in task order — from

@@ -7,6 +7,7 @@
 //! `LRB_THREADS` environment default used by the CI matrix).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use lrb_engine::{EngineConfig, SelectionEngine};
 use lrb_rng::{Philox4x32, SeedableSource, SplitMix64};
@@ -48,6 +49,9 @@ fn concurrent_draws_always_match_a_published_snapshot() {
     let violations = AtomicU64::new(0);
     let draws_total = AtomicU64::new(0);
     let readers = reader_threads();
+    // The writer publishes only once every reader holds a snapshot, so
+    // its publishes cannot all finish before a reader is scheduled.
+    let started = Barrier::new(readers + 1);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -56,6 +60,7 @@ fn concurrent_draws_always_match_a_published_snapshot() {
             let stop = &stop;
             let violations = &violations;
             let draws_total = &draws_total;
+            let started = &started;
             handles.push(scope.spawn(move || {
                 let mut rng = SplitMix64::seed_from_u64(reader as u64 + 1);
                 let mut draws = 0u64;
@@ -64,6 +69,10 @@ fn concurrent_draws_always_match_a_published_snapshot() {
                     // must respect THAT snapshot's support, no matter how
                     // many versions the writer publishes meanwhile.
                     let snapshot = engine.snapshot();
+                    if draws == 0 {
+                        // First pass only: `draws` grows by 16 per pass.
+                        started.wait();
+                    }
                     let class = snapshot.version() % SUPPORT_CLASSES;
                     for _ in 0..16 {
                         let index = snapshot.sample(&mut rng).expect("support is never empty");
@@ -80,6 +89,7 @@ fn concurrent_draws_always_match_a_published_snapshot() {
 
         // Writer: publish PUBLISHES rotated-support snapshots, each through
         // the coalescing batch (a full rewrite of all 64 categories).
+        started.wait();
         for version in 1..=PUBLISHES {
             let weights = class_weights(version);
             let updates: Vec<(usize, f64)> = weights.iter().cloned().enumerate().collect();

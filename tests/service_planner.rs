@@ -109,7 +109,8 @@ fn v2_reference(service: &ShardedService, rng: &mut Philox4x32, batch: usize) ->
 fn route_layout_is_versioned_and_defaults_to_parallel() {
     // One layout is left and `ROUTE_LAYOUT_VERSION` names it; a default
     // config at the default budget must serve exactly that layout, above
-    // the inline threshold so the fill forks wherever there are lanes.
+    // the inline threshold so level one and the fill fork wherever there
+    // are lanes.
     assert_eq!(ROUTE_LAYOUT_VERSION, 2);
     let service = ShardedService::new(test_weights(64), ServiceConfig::default())
         .expect("default-config service construction cannot fail");
@@ -131,13 +132,14 @@ proptest! {
     /// The tentpole determinism contract: the v2 output is invariant in
     /// the lane count. Lanes = 1 forces inline (sequential) execution, so
     /// this is also a parallel-vs-sequential-execution parity oracle;
-    /// batches above the inline threshold exercise the forked fill.
+    /// batches above the inline threshold exercise the forked level one
+    /// and fill, and the odd one its even split point and odd tail.
     #[test]
     fn prop_v2_output_is_invariant_across_lane_counts(
         seed: u64,
         small_batch in 1usize..192,
     ) {
-        for batch in [small_batch, 2_048] {
+        for batch in [small_batch, 2_048, 1_025 + 2 * small_batch] {
             let mut reference: Option<Vec<usize>> = None;
             for lanes in [1usize, 2, 8] {
                 let service = service(384, 6);
@@ -159,7 +161,8 @@ proptest! {
     /// The planner must be draw-for-draw identical to the hand-rolled
     /// layout-v2 reference and consume exactly one word of the caller's
     /// generator, inline (lanes 1, and batches under the 1024-draw
-    /// threshold) and through the forked fill (lanes 4 above it).
+    /// threshold) and through the forked level one and fill (lanes 4
+    /// above it, at an even and an odd batch size).
     #[test]
     fn prop_v2_matches_the_handrolled_substream_reference(
         seed: u64,
@@ -167,7 +170,7 @@ proptest! {
     ) {
         for lanes in [1usize, 4] {
             let service = service(300, 5);
-            for batch in [small_batch, 2_048] {
+            for batch in [small_batch, 2_048, 1_025 + 2 * small_batch] {
                 let mut reference_rng = Philox4x32::seed_from_u64(seed);
                 let expected = v2_reference(&service, &mut reference_rng, batch);
 
