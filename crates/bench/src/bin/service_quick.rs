@@ -13,8 +13,8 @@
 //! scheduled at `start + j/rate` and latency is measured from that scheduled
 //! instant, so a stalled write path surfaces in the tail instead of being
 //! hidden by coordinated omission. Two sections run: single draws (each
-//! from its connection's server-side RNG, executed on the reactor that
-//! read it) and batch draws (the fused buffer-fill path).
+//! keyed by its connection and request ordinal, executed on the reactor
+//! that read it) and batch draws (one planner call per request).
 //!
 //! Gates (all recorded as [`GateMargin`]s in the `--json 1` report, the
 //! `BENCH_service.json` baseline):
@@ -150,7 +150,7 @@ fn measure_with_retry(
 
 /// End-to-end conformance: a fresh 24-category service, 30 000 socket
 /// draws, chi-square against the flat law. One connection = one server-side
-/// RNG stream, so "best of two seeds" is best of two connections.
+/// draw master, so "best of two seeds" is best of two connections.
 fn chi_square_end_to_end(seed: u64) -> bool {
     let weights: Vec<f64> = (1..=24).map(f64::from).collect();
     let service = ShardedService::new(

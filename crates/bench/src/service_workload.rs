@@ -47,9 +47,9 @@ pub struct ServiceLoadConfig {
     pub requests: u64,
     /// Client connections the requests are striped across.
     pub connections: usize,
-    /// Draws per request: `0` issues single draws (each from its
-    /// connection's server-side RNG), `b > 0` issues `draw_batch(b)` (the
-    /// fused buffer-fill path).
+    /// Draws per request: `0` issues single draws (each keyed by its
+    /// connection and request ordinal), `b > 0` issues `draw_batch(b)`
+    /// (one planner call per request).
     pub batch: u32,
 }
 
@@ -255,8 +255,8 @@ pub fn process_threads() -> u64 {
 /// fd budget), then drive draws across all of them from `config.lanes`
 /// threads. With `window > 1` each scheduled slot issues a whole window
 /// of pipelined draws on one connection (queued back-to-back, one flush,
-/// reaped in order), so the slot's requests share the wire and coalesce
-/// server-side into a fused batch. Latency is charged per request from
+/// reaped in order), so the slot's requests share the wire and are drawn
+/// server-side in one planner call. Latency is charged per request from
 /// the slot's scheduled instant — a stalled service is charged its full
 /// wait, never hidden by the driver slowing down.
 pub fn run_fan_in(addr: &ServerAddr, config: &FanInConfig) -> Result<FanInReport, ServiceError> {
@@ -429,7 +429,7 @@ pub struct BatchPlanReport {
 /// Measure [`BatchPlanReport`]: one in-process service timed over
 /// `iters` warm batches of `batch` draws (best of two rounds per side),
 /// once under the default thread budget and once under a one-thread
-/// budget (`ThreadPool::install`, every fill inline on the calling
+/// budget (`ThreadPool::install`, every slot range inline on the calling
 /// thread). Both sides run the same layout, so only the lane count
 /// differs.
 pub fn measure_batch_speedup(

@@ -13,17 +13,17 @@
 //! * [`TotalsCut`] — one consistent snapshot of the totals, frozen into a
 //!   **Fenwick prefix tree over the shard totals** so each shard pick is an
 //!   `O(log S)` descent (the paper's tree, one level up). A cut is built
-//!   once per draw batch and serves every pick in it, one at a time
-//!   ([`TotalsCut::pick_uniform`]) or a slice of slots per call
-//!   ([`TotalsCut::pick_uniforms`], one mass check per slice). A cut is
-//!   read-only once built, so threads can pick disjoint slot ranges from
-//!   one cut at once; the service does, with each slot's uniform addressed
-//!   by counter.
+//!   once per draw batch and serves every pick in it
+//!   ([`TotalsCut::pick_uniform`]). A cut is read-only once built, so
+//!   threads can pick disjoint slot ranges from one cut at once; the
+//!   service does, with each slot's uniform addressed by counter.
 //!
 //! A pick returns the landing shard *and the residual mass* inside it
-//! (`residual / shard_total` is a uniform the in-shard draw could reuse);
-//! the service discards it and draws the second level from its own
-//! stream.
+//! (`residual / shard_total` is a uniform the in-shard draw could reuse).
+//! The service discards it and draws the second level from the slot's own
+//! stream: the residual of a 53-bit uniform that landed on a shard holding
+//! a share `p` of the mass keeps only about `53 + log₂ p` bits, so reusing
+//! it would coarsen the in-shard draw on every shard but a lone one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,51 +209,7 @@ impl TotalsCut {
     /// positive-total shard: zero-total shards are walked over exactly like
     /// zero weights in the flat tree.
     pub fn pick(&self, r: f64) -> Option<(usize, f64)> {
-        if !self.has_mass() {
-            return None;
-        }
-        self.descend(r)
-    }
-
-    /// Like [`pick`](Self::pick) but takes a unit uniform `u ∈ [0, 1)` and
-    /// scales it onto the cut's mass — the common caller shape (`u` fresh
-    /// from a [`RandomSource`](lrb_rng::RandomSource)).
-    pub fn pick_uniform(&self, u: f64) -> Option<(usize, f64)> {
-        self.pick(u * self.total)
-    }
-
-    /// Level-one picks for a whole slice of slots: `out[k]` becomes the
-    /// shard `pick_uniform(u_k)` lands on, for `u_k` the `k`-th value of
-    /// `uniforms`, which must yield at least `out.len()` of them (fewer
-    /// panic). The mass check runs once for the slice, the descent once per
-    /// slot. Returns `None`, with `out` partly written, where `pick_uniform`
-    /// would return `None` for some slot: the cut carries no mass, or a
-    /// uniform is not finite.
-    pub fn pick_uniforms(
-        &self,
-        uniforms: impl IntoIterator<Item = f64>,
-        out: &mut [u32],
-    ) -> Option<()> {
-        if !self.has_mass() {
-            return None;
-        }
-        let mut uniforms = uniforms.into_iter();
-        for slot in out {
-            let u = uniforms.next().expect("one uniform per slot");
-            *slot = self.descend(u * self.total)?.0 as u32;
-        }
-        Some(())
-    }
-
-    /// Whether the cut carries finite, positive mass to pick from.
-    fn has_mass(&self) -> bool {
-        self.total.is_finite() && self.total > 0.0
-    }
-
-    /// [`pick`](Self::pick) for a cut that [carries mass](Self::has_mass):
-    /// clamp `r` onto `[0, total)` and descend the Fenwick.
-    fn descend(&self, r: f64) -> Option<(usize, f64)> {
-        if !r.is_finite() {
+        if !self.total.is_finite() || self.total <= 0.0 || !r.is_finite() {
             return None;
         }
         let r = r.clamp(0.0, self.total * (1.0 - f64::EPSILON));
@@ -280,6 +236,13 @@ impl TotalsCut {
             .rposition(|&t| t > 0.0)
             .or_else(|| self.totals.iter().position(|&t| t > 0.0))?;
         Some((shard, self.totals[shard] * (1.0 - f64::EPSILON)))
+    }
+
+    /// Like [`pick`](Self::pick) but takes a unit uniform `u ∈ [0, 1)` and
+    /// scales it onto the cut's mass — the common caller shape (`u` fresh
+    /// from a [`RandomSource`](lrb_rng::RandomSource)).
+    pub fn pick_uniform(&self, u: f64) -> Option<(usize, f64)> {
+        self.pick(u * self.total)
     }
 }
 
@@ -314,24 +277,6 @@ mod tests {
             assert!(totals[shard] > 0.0, "r={r} landed on an empty shard");
             assert!(residual < totals[shard] || residual == 0.0);
         }
-        let uniforms: Vec<f64> = (0..1500).map(|k| k as f64 * 0.01 / 15.0).collect();
-        assert_slice_pick_matches(&cut, &uniforms);
-    }
-
-    /// `pick_uniforms` must land every slot where `pick_uniform` does.
-    fn assert_slice_pick_matches(cut: &TotalsCut, uniforms: &[f64]) {
-        let mut out = vec![u32::MAX; uniforms.len()];
-        assert_eq!(
-            cut.pick_uniforms(uniforms.iter().copied(), &mut out),
-            Some(())
-        );
-        for (&u, &shard) in uniforms.iter().zip(&out) {
-            assert_eq!(
-                Some(shard as usize),
-                cut.pick_uniform(u).map(|p| p.0),
-                "u={u}"
-            );
-        }
     }
 
     #[test]
@@ -344,9 +289,8 @@ mod tests {
         // The extreme right edge (clamped) still lands on the mass.
         assert_eq!(cut.pick(7.0).unwrap().0, 2);
         assert_eq!(cut.pick_uniform(0.999_999).unwrap().0, 2);
-        let mut uniforms: Vec<f64> = (0..700).map(|k| k as f64 * 0.01 / 7.0).collect();
-        uniforms.extend([1.0, 0.999_999, 1.0 - lrb_rng::uniform::F64_EPS_53]);
-        assert_slice_pick_matches(&cut, &uniforms);
+        let largest = 1.0 - lrb_rng::uniform::F64_EPS_53;
+        assert_eq!(cut.pick_uniform(largest).unwrap().0, 2);
     }
 
     #[test]
@@ -354,7 +298,6 @@ mod tests {
         let cut = TotalsCut::from_totals(vec![0.0, 0.0]);
         assert_eq!(cut.pick(0.0), None);
         assert_eq!(cut.pick_uniform(0.5), None);
-        assert_eq!(cut.pick_uniforms([0.0, 0.5], &mut [0u32; 2]), None);
     }
 
     #[test]

@@ -190,6 +190,19 @@ impl Snapshot {
         Ok(index)
     }
 
+    /// Draw one index like [`sample`](Self::sample), uncounted and
+    /// untimed: the service planner's per-slot draw, which credits a whole
+    /// batch through one [`count_served`](Self::count_served) per shard.
+    pub fn sample_uncounted(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
+        self.sampler.sample(rng)
+    }
+
+    /// Credit `draws` successful [`sample_uncounted`](Self::sample_uncounted)
+    /// draws to [`served`](Self::served).
+    pub fn count_served(&self, draws: u64) {
+        self.served.add(draws);
+    }
+
     /// Fill `out` with independent draws, lock-free, through the backend's
     /// tight-loop buffer primitive — the preferred reader hot path (one
     /// virtual call and one telemetry increment per buffer instead of per
@@ -220,16 +233,9 @@ impl Snapshot {
     /// Fill `out` from the deterministic counter-based substream
     /// `substream` of `master_seed` — [`sample_into`](Self::sample_into)
     /// with a [`Philox4x32::for_substream`] stream constructed on the
-    /// stack, no RNG state threaded by the caller.
-    ///
-    /// This is the fill primitive behind the service's parallel batch
-    /// planner (`ROUTE_LAYOUT` v2): each shard of a cross-shard batch
-    /// consumes its own substream of one master draw, so the batch's
-    /// output is a pure function of `(snapshots, master_seed)` no matter
-    /// which thread runs which shard — the same contract discipline as
-    /// [`batch_indices`](Self::batch_indices) and `STREAM_LAYOUT_VERSION`.
-    /// Allocation-free like `sample_into` (the Philox state is a stack
-    /// value).
+    /// stack. The service's planner no longer calls it (it draws slot by
+    /// slot through [`sample_uncounted`](Self::sample_uncounted)); it
+    /// stays for the end-to-end benchmark's per-shard fill replay.
     pub fn sample_into_substream(
         &self,
         master_seed: u64,
@@ -391,6 +397,14 @@ mod tests {
         let _ = snap.sample(&mut rng).unwrap();
         let _ = snap.batch_indices(50, 1).unwrap();
         assert_eq!(snap.served(), 151);
+        assert!(snap.sample_uncounted(&mut rng).unwrap() < 2);
+        assert_eq!(
+            snap.served(),
+            151,
+            "uncounted draws count only when credited"
+        );
+        snap.count_served(3);
+        assert_eq!(snap.served(), 154);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! window of requests in flight on the one connection. The server
 //! executes a connection's frames strictly in order and answers in that
 //! order, so responses correlate by position — no message ids on the
-//! wire — and a run of consecutive pipelined draws coalesces server-side
-//! into one fused two-level batch.
+//! wire. A run of consecutive pipelined draws is drawn server-side in one
+//! planner call, and each draw is keyed by the connection and its request
+//! ordinal, so the window does not change the answers.
 //!
 //! ## Fault tolerance
 //!
@@ -466,8 +467,10 @@ impl ServiceClient {
 
     /// `count` draws with up to `window` requests in flight: the windowed
     /// pipelined mode. One connection, no round-trip-per-draw stall —
-    /// consecutive in-flight draws also coalesce server-side into fused
-    /// batches, so this is the cheapest way to stream single draws.
+    /// consecutive in-flight draws are also drawn server-side in one
+    /// planner call, so this is the cheapest way to stream single draws.
+    /// Each index depends on the connection, the request's ordinal and
+    /// the shards' snapshots, never on the window.
     pub fn draw_pipelined(
         &mut self,
         count: usize,
@@ -488,7 +491,7 @@ impl ServiceClient {
         Ok(indices)
     }
 
-    /// One draw from this connection's server-side RNG stream.
+    /// One draw, keyed by this connection and the request's ordinal on it.
     pub fn draw(&mut self) -> Result<usize, ServiceError> {
         self.call(OpCode::Draw, &[], |cursor| Ok(cursor.u64()? as usize))
     }

@@ -23,7 +23,8 @@
 //! Responses are correlated **by order**: frames execute strictly in the
 //! order they arrived on the connection, so a pipelining client matches
 //! the `n`th response to the `n`th request without any message ids on the
-//! wire.
+//! wire. Each run also gets its first request ordinal, which with the
+//! connection's master keys its draws (see [`crate::server`]).
 //!
 //! Everything here is transport-generic (`S: Read + Write`), so the cap,
 //! the syscall count and partial-write behaviour are unit-tested against
@@ -33,8 +34,6 @@
 //! [`ServerConfig::inflight_budget`]: crate::server::ServerConfig
 
 use std::io::{self, Read, Write};
-
-use lrb_rng::{MersenneTwister64, SeedableSource};
 
 use crate::protocol::{FrameReader, Frames};
 
@@ -124,9 +123,11 @@ pub(crate) struct Connection<S> {
     reader: FrameReader,
     /// Outbound responses, in request order.
     out: OutBuf,
-    /// The connection's server-side RNG: every draw it requests comes
-    /// from this stream.
-    rng: MersenneTwister64,
+    /// The connection's draw master: request `r`'s draws come from
+    /// Philox substream `r` of it.
+    master: u64,
+    /// Ordinal of the next request frame (the first is 0).
+    ordinal: u64,
     /// The epoll interest mask currently registered for this connection.
     pub(crate) interest: u32,
     /// Whether the connection is on its reactor's ready list.
@@ -134,14 +135,14 @@ pub(crate) struct Connection<S> {
 }
 
 impl<S: Read + Write> Connection<S> {
-    /// A fresh connection over `sock`, drawing from an RNG seeded with
-    /// `rng_seed`.
-    pub(crate) fn new(sock: S, rng_seed: u64) -> Self {
+    /// A fresh connection over `sock`, drawing under `master`.
+    pub(crate) fn new(sock: S, master: u64) -> Self {
         Self {
             sock,
             reader: FrameReader::new(),
             out: OutBuf::default(),
-            rng: MersenneTwister64::seed_from_u64(rng_seed),
+            master,
+            ordinal: 0,
             interest: 0,
             listed: false,
         }
@@ -156,13 +157,14 @@ impl<S: Read + Write> Connection<S> {
     /// One readiness pass. Unless a whole frame is already buffered, one
     /// `read` fills the read buffer (`WouldBlock` reads nothing). Then up
     /// to `cap` buffered whole frames go to `exec` as one run, together
-    /// with the connection's RNG and the outbound buffer their responses
-    /// encode into, and are consumed. `Err` on EOF, framing violation or
-    /// transport error (the caller closes the connection).
+    /// with the connection's master, the run's first request ordinal and
+    /// the outbound buffer their responses encode into, and are consumed.
+    /// `Err` on EOF, framing violation or transport error (the caller
+    /// closes the connection).
     pub(crate) fn pass(
         &mut self,
         cap: usize,
-        exec: impl FnOnce(Frames<'_>, &mut MersenneTwister64, &mut Vec<u8>),
+        exec: impl FnOnce(Frames<'_>, u64, u64, &mut Vec<u8>),
     ) -> io::Result<Pass> {
         if self.reader.run(1)?.len() == 0 {
             match self.reader.fill(&mut self.sock) {
@@ -175,7 +177,8 @@ impl<S: Read + Write> Connection<S> {
         let frames = run.len();
         let bytes = run.wire_len();
         if frames > 0 {
-            exec(run, &mut self.rng, self.out.queue());
+            exec(run, self.master, self.ordinal, self.out.queue());
+            self.ordinal += frames as u64;
         }
         self.reader.consume(bytes);
         Ok(Pass {
@@ -273,7 +276,7 @@ mod tests {
     fn pass(conn: &mut Connection<FakeSock>, cap: usize) -> (Pass, Vec<Vec<u8>>) {
         let mut bodies = Vec::new();
         let pass = conn
-            .pass(cap, |frames, _, _| {
+            .pass(cap, |frames, _, _, _| {
                 bodies.extend(frames.map(<[u8]>::to_vec));
             })
             .unwrap();

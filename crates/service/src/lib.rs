@@ -10,9 +10,10 @@
 //! Unix-domain sockets served by hand-rolled **epoll reactor threads**
 //! (raw syscalls, no async runtime, no thread-per-connection — see
 //! [`server`] for the sizing and backpressure knobs). Each reactor runs
-//! every request it reads to completion on its own thread, drawing from
-//! the connection's own RNG stream; pipelined runs of draws on a
-//! connection coalesce into one fused batch.
+//! every request it reads to completion on its own thread. A request's
+//! draws are keyed by its connection and its ordinal on it, so a
+//! pipelined run of draws is one planner call whose answers do not
+//! depend on how reads split the run.
 //!
 //! The crate is **Linux-only**: the reactor is built on `epoll`, and a
 //! build for any other target stops with a compile error. The library
@@ -23,10 +24,9 @@
 //!   partitioning, two-level draws, cross-shard atomic update batches,
 //!   per-shard publisher threads, merged metrics. Batched draws run
 //!   through the versioned **parallel batch planner** (see [`sharded`]'s
-//!   module docs): one master draw, per-shard Philox substreams,
-//!   reusable [`DrawPlan`] scratch, and level-one picks and per-shard
-//!   fills forked through the rayon shim's `join` (re-exported by
-//!   `lrb-core`) —
+//!   module docs): one master draw, one Philox substream per slot,
+//!   reusable [`DrawPlan`] scratch, and slot ranges forked through the
+//!   rayon shim's `join` (re-exported by `lrb-core`) —
 //!   bit-deterministic at any thread budget and allocation-free once warm.
 //! * [`DrawAggregator`] — flat combining for in-process single draws
 //!   from many threads (the server does not use it).

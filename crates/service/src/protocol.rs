@@ -40,8 +40,9 @@ pub const MAX_BATCH: u32 = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
-    /// One draw from the connection's server-side RNG stream; consecutive
-    /// pipelined `DRAW`s coalesce into one batch.
+    /// One draw, keyed by the connection and the request's ordinal on it
+    /// (see [`crate::server`]); consecutive pipelined `DRAW`s are drawn in
+    /// one planner call, with the same answers as one at a time.
     Draw = 0x01,
     /// `count` draws in one response.
     DrawBatch = 0x02,

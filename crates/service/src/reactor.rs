@@ -9,7 +9,7 @@
 //!  accept thread ──round-robin──▶ reactor 0..R   (epoll_wait loop)
 //!                                   │
 //!                  readable socket: one read, run ≤ budget frames,
-//!                  execute_run ──▶ ServiceCore (connection's own RNG),
+//!                  execute_run ──▶ ServiceCore (connection master, ordinals),
 //!                  encode into the connection's OutBuf, flush
 //!                  ready list: connections with frames still buffered
 //! ```
@@ -132,8 +132,8 @@ mod imp {
         pub(crate) socket: Socket,
         /// The connection's epoll token (process-unique, never reused).
         pub(crate) token: u64,
-        /// Seed for the connection's server-side RNG stream.
-        pub(crate) rng_seed: u64,
+        /// The connection's draw master (see [`crate::server`]).
+        pub(crate) master: u64,
     }
 
     /// The shared face of one reactor thread: its epoll instance, its
@@ -337,7 +337,7 @@ mod imp {
         conns: &mut HashMap<u64, Connection<Socket>>,
         registration: Registration,
     ) {
-        let mut conn = Connection::new(registration.socket, registration.rng_seed);
+        let mut conn = Connection::new(registration.socket, registration.master);
         let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
         if ctx
             .shared
@@ -395,8 +395,8 @@ mod imp {
         slots: &mut Vec<usize>,
     ) -> Fate {
         let telemetry = ctx.core.telemetry();
-        let pass = conn.pass(ctx.budget, |frames, rng, out| {
-            execute_run(frames, &ctx.core, rng, out, slots)
+        let pass = conn.pass(ctx.budget, |frames, master, first, out| {
+            execute_run(frames, &ctx.core, master, first, out, slots)
         });
         // EOF, framing violation or transport error: the protocol has no
         // half-close, so buffered frames die with the connection.

@@ -14,11 +14,15 @@
 //!
 //! * frames execute strictly in arrival order and responses are written in
 //!   that order, so a pipelining client correlates by position;
-//! * every draw comes from the connection's own server-side RNG stream,
-//!   and a **run** of consecutive `DRAW` frames decoded in one readiness
-//!   pass becomes a single two-level batch ([`ServiceCore::draw_into`]) —
-//!   a lone `DRAW` is a run of one, and pipelined single draws get batch
-//!   throughput automatically;
+//! * a connection holds one draw master (from the server seed and its
+//!   connection id), and request `r` (every frame counts, from 0) owns
+//!   Philox substream `r` of it: a `DRAW` is slot `r` of the master's
+//!   batch, a **run** of consecutive `DRAW` frames decoded in one pass is
+//!   one planner call over its slots ([`ServiceCore::draw_slots`]), and a
+//!   `DRAW_BATCH` of `m` draws slots `0..m` of the master given by
+//!   substream `r`'s first word. Responses are a pure function of
+//!   (connection, request ordinal) and the shards' snapshots, however
+//!   reads, the frame cap or the reactor count split the stream;
 //! * one readiness pass makes at most one `read` into the connection's
 //!   read buffer, which may land a whole pipelined burst, and executes at
 //!   most [`ServerConfig::inflight_budget`] of its whole frames, decoded in
@@ -41,7 +45,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lrb_core::SelectionError;
-use lrb_rng::MersenneTwister64;
+use lrb_rng::Philox4x32;
 
 use crate::protocol::{
     codes, encode_err, encode_ok, encode_ok_list, error_code, Cursor, Frames, OpCode, MAX_BATCH,
@@ -142,7 +146,7 @@ impl std::fmt::Debug for ServiceServer {
 impl ServiceServer {
     /// Bind a TCP listener (e.g. `"127.0.0.1:0"` for an ephemeral port)
     /// and start serving `core` with default sizing. `seed` keys the
-    /// server-side RNGs.
+    /// connections' draw masters.
     pub fn bind_tcp(
         core: Arc<ServiceCore>,
         addr: impl ToSocketAddrs,
@@ -286,9 +290,9 @@ impl Drop for ServiceServer {
     }
 }
 
-/// Derive the per-connection RNG seed for connection `token` (SplitMix
-/// keeps adjacent tokens decorrelated).
-fn connection_seed(seed: u64, token: u64) -> u64 {
+/// Derive the draw master of connection `token` (SplitMix keeps adjacent
+/// tokens decorrelated).
+fn connection_master(seed: u64, token: u64) -> u64 {
     let mut mixer = lrb_rng::SplitMix64::new(seed ^ token.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     lrb_rng::RandomSource::next_u64(&mut mixer)
 }
@@ -405,7 +409,7 @@ fn accept_loop(
         reactors[(token as usize) % reactors.len()].register(Registration {
             socket,
             token,
-            rng_seed: connection_seed(seed, token),
+            master: connection_master(seed, token),
         });
     }
 }
@@ -415,22 +419,25 @@ fn accept_loop(
 // ---------------------------------------------------------------------------
 
 /// Execute a run of frames from one connection, in order, encoding one
-/// response per frame into `out`.
+/// response per frame into `out`. The run's frames are requests `first`,
+/// `first + 1`, … of the connection whose draw master is `master`.
 ///
-/// Each run of consecutive payload-free `DRAW` frames becomes one
-/// two-level batch of that many slots from the connection's `rng`, drawn
-/// into the reactor's reused `slots` scratch. Protocol and selection
-/// errors are answered in-band, so this never fails — transport problems
-/// are the caller's (the reactor's) concern.
+/// Each run of consecutive payload-free `DRAW` frames becomes one planner
+/// call over their slots, drawn into the reactor's reused `slots`
+/// scratch. Protocol and selection errors are answered in-band, so this
+/// never fails — transport problems are the caller's (the reactor's)
+/// concern.
 pub(crate) fn execute_run(
     frames: Frames<'_>,
     core: &ServiceCore,
-    rng: &mut MersenneTwister64,
+    master: u64,
+    first: u64,
     out: &mut Vec<u8>,
     slots: &mut Vec<usize>,
 ) {
     let telemetry = core.telemetry();
     let mut rest = frames;
+    let mut ordinal = first;
     while let Some(body) = rest.clone().next() {
         let started = Instant::now();
         let draws = rest
@@ -438,30 +445,33 @@ pub(crate) fn execute_run(
             .take_while(|&body| body == [OpCode::Draw as u8])
             .count();
         let answered = if draws > 0 {
-            execute_draws(draws, core, rng, out, slots);
+            execute_draws(draws, core, master, ordinal, out, slots);
             draws
         } else {
-            execute_one(body, core, rng, out, slots);
+            execute_one(body, core, master, ordinal, out, slots);
             1
         };
         for _ in 0..answered {
             telemetry.record_request_span(started);
         }
         rest.nth(answered - 1);
+        ordinal += answered as u64;
     }
 }
 
-/// Answer `n` consecutive `DRAW` frames with one batch of `n` slots.
+/// Answer `n` consecutive `DRAW` frames, requests `first..first + n`, with
+/// slots `first..first + n` of `master`.
 fn execute_draws(
     n: usize,
     core: &ServiceCore,
-    rng: &mut MersenneTwister64,
+    master: u64,
+    first: u64,
     out: &mut Vec<u8>,
     slots: &mut Vec<usize>,
 ) {
     slots.clear();
     slots.resize(n, 0);
-    match core.draw_into(rng, slots) {
+    match core.draw_slots(master, first, slots) {
         Ok(()) => {
             for &index in slots.iter() {
                 encode_ok(out, &(index as u64).to_le_bytes());
@@ -477,13 +487,14 @@ fn execute_draws(
     }
 }
 
-/// Handle one decoded frame that is not part of a `DRAW` run, appending
-/// its encoded response to `out`. Protocol and selection errors are
-/// answered in-band.
+/// Handle request `ordinal`, one decoded frame that is not part of a
+/// `DRAW` run, appending its encoded response to `out`. Protocol and
+/// selection errors are answered in-band.
 fn execute_one(
     body: &[u8],
     core: &ServiceCore,
-    rng: &mut MersenneTwister64,
+    master: u64,
+    ordinal: u64,
     out: &mut Vec<u8>,
     slots: &mut Vec<usize>,
 ) {
@@ -508,7 +519,8 @@ fn execute_one(
         OpCode::DrawBatch => decode_count(payload).and_then(|count| {
             slots.clear();
             slots.resize(count as usize, 0);
-            core.draw_into(rng, slots).map_err(selection)?;
+            let mut stream = Philox4x32::for_substream(master, ordinal);
+            core.draw_into(&mut stream, slots).map_err(selection)?;
             encode_ok_list(out, slots.iter().map(|&index| index as u64));
             Ok(())
         }),

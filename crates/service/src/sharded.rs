@@ -5,10 +5,10 @@
 //! [`lrb_core::sharding`] layer — every shard's total weight lives in a
 //! lock-free [`ShardTotals`] cell, frozen per draw batch into a
 //! [`TotalsCut`] (a Fenwick prefix tree over the shard totals, the paper's
-//! tree one level up). Level two is the shard's own read path:
-//! [`SelectionEngine::read`] + [`Snapshot::sample_into`], so a draw takes
-//! no lock in steady state (only the first read on a thread after a
-//! publish takes the shard engine's swap-cell mutex, for one `Arc` clone)
+//! tree one level up). Level two is the shard's own published snapshot
+//! ([`SelectionEngine::snapshot`] + [`Snapshot::sample_uncounted`]), so a
+//! draw takes no lock in steady state (only the first read on a thread
+//! after a publish takes the shard engine's swap-cell mutex)
 //! and never waits on a backend build — the composite distribution is
 //! exactly `F_i = w_i / Σ_j w_j` against the cut's totals and each shard's
 //! published snapshot.
@@ -22,43 +22,36 @@
 //! draws that land on a shard whose snapshot went all-zero refresh the
 //! totals and retry once, so staleness costs latency, never correctness.
 //!
-//! ## Batch planning: `ROUTE_LAYOUT` v2
+//! ## Batch planning: `ROUTE_LAYOUT` v3
 //!
 //! Batched draws ([`ServiceCore::draw_into`]) run through a versioned
-//! **batch planner**. The layout ([`ROUTE_LAYOUT_VERSION`] = 2) consumes
-//! exactly **one** master `u64` from the caller's RNG and derives
-//! everything else from counter-based Philox substreams: word `j` of
-//! substream 0 is slot `j`'s level-one assignment uniform, substream
-//! `1 + s` yields shard `s`'s in-shard fill stream. Because every slot's
-//! word and every shard's stream is addressed by counter, independent of
-//! execution order, the level-one picks and the per-shard fills can run
-//! **in parallel** while the result stays a pure function of
-//! `(snapshots, master draw)` — bit-identical at any thread budget, the
-//! same contract discipline as the engine's `STREAM_LAYOUT_VERSION = 2`
-//! batch driver. `tests/service_planner.rs`
-//! rebuilds the layout from public pieces and diffs it draw for draw.
+//! **batch planner**. The layout ([`ROUTE_LAYOUT_VERSION`] = 3) consumes
+//! exactly **one** master `u64` from the caller's RNG, and slot `j` of the
+//! batch draws from Philox substream `j` of that master alone: the
+//! substream's first word picks the shard through the batch's
+//! [`TotalsCut`], and the shard snapshot's sampler carries on along the
+//! same stream (fenwick reads the second word of the same block; alias
+//! and stochastic acceptance read as far as they need). Level one's
+//! residual is not reused as the in-shard uniform: on a shard holding a
+//! share `p` of the mass it keeps only about `53 + log₂ p` bits. So slot
+//! `j`'s index is a pure function of `(master, j, cut, its shard's
+//! snapshot)` and no slot waits on another, as in the paper's CRCW-PRAM
+//! bidding: any slot range ([`ServiceCore::draw_slots`]) draws the same
+//! indices on any lane, bit-identical at any thread budget.
+//! `tests/service_planner.rs` rebuilds the layout from public pieces and
+//! diffs it draw for draw.
 //!
-//! A batch runs in three phases over a reusable [`DrawPlan`]: assign (one
-//! level-one pick per slot, then one counting pass for per-shard draws),
-//! fill (per touched shard, **one** fused [`Snapshot::sample_into`] into
-//! that shard's contiguous segment of the plan's fill buffer) and a
-//! **single-pass cursor scatter** back to slot order —
-//! `O(batch + shards)`. With a warm plan the whole path performs no
-//! allocation on the calling thread (see `tests/service_alloc.rs`).
+//! A batch is one recursive pass over slot ranges with a reusable
+//! [`DrawPlan`]: a range of at least `FANOUT_MIN_BATCH` slots splits at
+//! its midpoint and forks its halves through the rayon shim's `join`
+//! (re-exported as [`lrb_core::join`]), and a shorter one writes each
+//! slot's global index straight into the output. The calling thread
+//! takes every shard's snapshot before the first fork, so a pool helper
+//! never touches an engine (nor its thread-local snapshot cache). With a
+//! warm plan the whole path performs no allocation on the calling thread
+//! (see `tests/service_alloc.rs`).
 //!
-//! Assign and fill both fork through the rayon shim's `join`
-//! (re-exported as [`lrb_core::join`]), recursively, above one threshold
-//! (`FANOUT_MIN_BATCH`). Level one splits a run of at least that many
-//! slots at an even midpoint, so each half starts on a Philox block, and
-//! picks each half from the one [`TotalsCut`]. The fill splits a batch of
-//! at least that many draws over two or more shards at the
-//! cumulative-draw midpoint of its shard segments. Up to the thread
-//! budget's lanes work at once. The calling thread takes every touched
-//! shard's snapshot before the fill splits, so a pool helper reads only
-//! the cut and snapshots, never an engine (nor its thread-local snapshot
-//! cache).
-//!
-//! [`Snapshot::sample_into`]: lrb_engine::Snapshot::sample_into
+//! [`Snapshot::sample_uncounted`]: lrb_engine::Snapshot::sample_uncounted
 //! [`TotalsCut`]: lrb_core::sharding::TotalsCut
 
 use std::cell::RefCell;
@@ -71,26 +64,18 @@ use lrb_core::sharding::{ShardTotals, TotalsCut};
 use lrb_core::SelectionError;
 use lrb_engine::{EngineConfig, SelectionEngine, Snapshot};
 use lrb_obs::{Counter, MetricsSnapshot};
-use lrb_rng::{f64_from_bits_53, PhiloxBlock, RandomSource};
+use lrb_rng::{Philox4x32, RandomSource};
 
 use crate::telemetry::ServiceTelemetry;
 
 /// Version of the batch-planner route layout (how a batch's randomness is
-/// laid out across level-one picks and per-shard fills). Bumped when the
-/// derivation changes; see the module docs for the current one.
-pub const ROUTE_LAYOUT_VERSION: u32 = 2;
+/// laid out across its slots). Bumped when the derivation changes; see
+/// the module docs for the current one.
+pub const ROUTE_LAYOUT_VERSION: u32 = 3;
 
-/// Substream of the master draw that yields level-one assignment uniforms.
-const ASSIGN_SUBSTREAM: u64 = 0;
-
-/// Substream of the master draw for shard `s`'s fill is
-/// `SHARD_SUBSTREAM_BASE + s`.
-const SHARD_SUBSTREAM_BASE: u64 = 1;
-
-/// Level-one runs of fewer slots, and fills of fewer draws, than this run
-/// inline on one thread: below it, the hand-off latency outweighs the
-/// parallel work (determinism is unaffected — the schedule never changes
-/// results).
+/// Slot ranges shorter than this draw inline on one thread: below it, the
+/// hand-off latency outweighs the parallel work (determinism is
+/// unaffected — the schedule never changes results).
 const FANOUT_MIN_BATCH: usize = 1024;
 
 /// Tuning knobs for a [`ShardedService`].
@@ -119,11 +104,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Reusable scratch for the batch planner: the per-slot shard assignment,
-/// per-shard counts and cursors, the fill tasks, the shard-grouped fill
-/// buffer and the level-one cut — everything a batch needs, owned by the
-/// caller and reused across batches so the steady-state path never
-/// allocates.
+/// Reusable scratch for the batch planner: the level-one cut, every
+/// shard's snapshot and the per-shard draw counts — everything a batch
+/// needs, owned by the caller and reused across batches so the
+/// steady-state path never allocates.
 ///
 /// Hold one per thread (the server's reactors do, through a
 /// thread-local inside [`ServiceCore::draw_into`]) or pass your own to
@@ -131,31 +115,15 @@ impl Default for ServiceConfig {
 /// batch/shard-count seen and stay there.
 #[derive(Debug)]
 pub struct DrawPlan {
-    /// Slot → owning shard (the level-one picks, in slot order).
-    assignment: Vec<u32>,
-    /// Draws routed to each shard this batch.
-    counts: Vec<usize>,
-    /// Per-shard write cursors into `fill`: seeded with each shard's
-    /// segment start (prefix sums of `counts`), consumed by the scatter.
-    cursors: Vec<usize>,
-    /// One task per **touched** shard, in shard order; their segments lie
-    /// back to back in `fill`. Emptied after every batch, so the plan
-    /// never keeps a snapshot alive.
-    tasks: Vec<FillTask>,
-    /// Shard-grouped local draws, scattered to slot order at the end.
-    fill: Vec<usize>,
     /// The frozen level-one cut, refilled in place per batch.
     cut: TotalsCut,
-}
-
-/// One touched shard's part of a batch fill.
-#[derive(Debug)]
-struct FillTask {
-    shard: usize,
-    /// Draws routed to the shard (the length of its `fill` segment).
-    draws: usize,
-    /// The shard's snapshot, taken on the calling thread.
-    snapshot: Arc<Snapshot>,
+    /// Every shard's snapshot, taken on the calling thread before any
+    /// fork. Emptied after every batch, so the plan never keeps a
+    /// snapshot alive.
+    snapshots: Vec<Arc<Snapshot>>,
+    /// Draws routed to each shard: one row of per-shard counts for each
+    /// leaf range of the batch (see `leaves`).
+    counts: Vec<usize>,
 }
 
 impl DrawPlan {
@@ -163,12 +131,9 @@ impl DrawPlan {
     /// buffers grow on first use.
     pub const fn new() -> Self {
         Self {
-            assignment: Vec::new(),
-            counts: Vec::new(),
-            cursors: Vec::new(),
-            tasks: Vec::new(),
-            fill: Vec::new(),
             cut: TotalsCut::empty(),
+            snapshots: Vec::new(),
+            counts: Vec::new(),
         }
     }
 }
@@ -180,8 +145,9 @@ impl Default for DrawPlan {
 }
 
 thread_local! {
-    /// The per-thread plan behind [`ServiceCore::draw_into`] — one warm
-    /// scratch per server reactor / publisher / caller thread.
+    /// The per-thread plan behind [`ServiceCore::draw_into`] and
+    /// [`ServiceCore::draw_slots`] — one warm scratch per server reactor /
+    /// publisher / caller thread.
     static THREAD_PLAN: RefCell<DrawPlan> = const { RefCell::new(DrawPlan::new()) };
 }
 
@@ -282,13 +248,12 @@ impl ServiceCore {
         &self.telemetry
     }
 
-    /// Lanes the batch planner can fill on from the calling thread
-    /// (the calling thread included): the shard count, capped by the rayon
-    /// shim's thread budget (`LRB_THREADS`, or `ThreadPool::install`).
-    /// Level one is not capped by the shard count: its slot ranges fork up
-    /// to the thread budget itself.
+    /// Lanes the batch planner can draw on from the calling thread (the
+    /// calling thread included): the rayon shim's thread budget
+    /// (`LRB_THREADS`, or `ThreadPool::install`). A batch forks over slot
+    /// ranges, so the shard count does not cap it.
     pub fn fanout_lanes(&self) -> usize {
-        lrb_core::current_num_threads().min(self.shards.len())
+        lrb_core::current_num_threads()
     }
 
     /// The shard owning global category `index`, as `(shard, local)`.
@@ -326,15 +291,10 @@ impl ServiceCore {
     }
 
     /// Fill `out` with independent draws (with replacement) through the
-    /// batch planner: one level-one pick per slot, then the slots are
-    /// grouped per shard and each group is served by **one** buffer fill
-    /// through the shard's
-    /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
-    /// engine's fused batch path — so a batch costs one snapshot
-    /// acquisition and one streamed fill per touched shard instead of a
-    /// draw-by-draw walk. The level-one picks and the per-shard fills of a
-    /// large batch run in parallel and the result is bit-identical at any
-    /// thread budget (see the module docs).
+    /// batch planner: one `rng.next_u64()` master, then slots
+    /// `0..out.len()` of it (see [`draw_slots`](Self::draw_slots)). A large
+    /// batch forks over slot ranges, and the result is bit-identical at
+    /// any thread budget (see the module docs).
     ///
     /// Scratch comes from a warm per-thread [`DrawPlan`], so the
     /// steady-state path allocates nothing; callers that manage their own
@@ -350,7 +310,7 @@ impl ServiceCore {
     /// [`draw_into`](Self::draw_into) with caller-owned scratch: `plan`'s
     /// buffers grow to the batch shape on first use and are reused as-is
     /// afterwards, so a warm plan makes the whole batch path
-    /// allocation-free.
+    /// allocation-free. An empty `out` consumes no master.
     pub fn draw_into_with_plan(
         &self,
         rng: &mut dyn RandomSource,
@@ -360,14 +320,38 @@ impl ServiceCore {
         if out.is_empty() {
             return Ok(());
         }
+        self.draw_slots_with_plan(rng.next_u64(), 0, out, plan)
+    }
+
+    /// Draw slots `first..first + out.len()` of `master`'s batch into
+    /// `out` (the server's `DRAW` runs: one slot per request ordinal),
+    /// with the per-thread [`DrawPlan`]. A cut gone stale against a fresh
+    /// publish (a shard evaporated to zero after its cell was read) is
+    /// refreshed, and the same slots are drawn again from the same master
+    /// before an error is returned.
+    pub fn draw_slots(
+        &self,
+        master: u64,
+        first: u64,
+        out: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        THREAD_PLAN
+            .with(|plan| self.draw_slots_with_plan(master, first, out, &mut plan.borrow_mut()))
+    }
+
+    /// [`draw_slots`](Self::draw_slots) with caller-owned scratch.
+    fn draw_slots_with_plan(
+        &self,
+        master: u64,
+        first: u64,
+        out: &mut [usize],
+        plan: &mut DrawPlan,
+    ) -> Result<(), SelectionError> {
         let started = Instant::now();
-        let result = match self.try_draw_into(rng, out, plan) {
-            // The cut can go stale against a fresh publish (e.g. a shard
-            // evaporated to zero after its cell was read): re-read the
-            // cells once and retry before giving up.
+        let result = match self.try_draw_slots(master, first, out, plan) {
             Err(SelectionError::AllZeroFitness) => {
                 self.refresh_totals();
-                self.try_draw_into(rng, out, plan)
+                self.try_draw_slots(master, first, out, plan)
             }
             other => other,
         };
@@ -380,85 +364,78 @@ impl ServiceCore {
         result
     }
 
-    /// Phase one: refresh the plan's cut from the live cells, assign every
-    /// slot a shard through [`assign_slots`] (forked for a large batch),
-    /// count per-shard draws in one pass over the assignment, turn the
-    /// counts into one fill task per touched shard (with its current
-    /// snapshot) and seed the scatter cursors with the segment starts.
-    fn plan_assignments(
+    /// One attempt: refill the plan's cut from the live cells, take every
+    /// shard's snapshot, draw the slots (forked for a large batch) and,
+    /// only if every slot drew, credit each shard's draws to its routed
+    /// counter and its snapshot's served count — so the routed counters
+    /// always sum to the served draws.
+    fn try_draw_slots(
         &self,
-        plan: &mut DrawPlan,
-        batch: usize,
         master: u64,
-    ) -> Result<(), SelectionError> {
-        let shard_count = self.shards.len();
-        self.totals.refill_cut(&mut plan.cut);
-        plan.assignment.resize(batch, 0);
-        assign_slots(&plan.cut, master, 0, &mut plan.assignment)
-            .ok_or(SelectionError::AllZeroFitness)?;
-        plan.counts.clear();
-        plan.counts.resize(shard_count, 0);
-        for &shard in &plan.assignment {
-            plan.counts[shard as usize] += 1;
-        }
-        plan.cursors.clear();
-        plan.cursors.reserve(shard_count);
-        plan.tasks.clear();
-        let mut start = 0usize;
-        for (shard, &draws) in plan.counts.iter().enumerate() {
-            plan.cursors.push(start);
-            if draws > 0 {
-                plan.tasks.push(FillTask {
-                    shard,
-                    draws,
-                    snapshot: self.shards[shard].engine.snapshot(),
-                });
-                start += draws;
-            }
-        }
-        plan.fill.resize(batch, 0usize);
-        Ok(())
-    }
-
-    /// Phase three: one pass over the assignment, writing each slot from
-    /// its shard's segment through that shard's cursor —
-    /// `O(batch + shards)` total.
-    fn scatter_fill(&self, plan: &mut DrawPlan, out: &mut [usize]) {
-        for (slot, &owner) in plan.assignment.iter().enumerate() {
-            let shard = owner as usize;
-            let cursor = plan.cursors[shard];
-            out[slot] = self.offsets[shard] + plan.fill[cursor];
-            plan.cursors[shard] = cursor + 1;
-        }
-    }
-
-    /// One batch through the planner: exactly one `rng.next_u64()` master
-    /// draw; assignment uniforms from Philox substream
-    /// [`ASSIGN_SUBSTREAM`], shard `s`'s fill from substream
-    /// `SHARD_SUBSTREAM_BASE + s`. Slot picks and per-shard fills are pure
-    /// functions of `(cut, master)` and `(snapshot, master)`, so they run
-    /// in any order — forked through `join`, or inline for small batches —
-    /// with bit-identical results.
-    fn try_draw_into(
-        &self,
-        rng: &mut dyn RandomSource,
+        first: u64,
         out: &mut [usize],
         plan: &mut DrawPlan,
     ) -> Result<(), SelectionError> {
-        let master = rng.next_u64();
-        self.plan_assignments(plan, out.len(), master)?;
+        let DrawPlan {
+            cut,
+            snapshots,
+            counts,
+        } = plan;
+        let shards = self.shards.len();
+        self.totals.refill_cut(cut);
+        snapshots.extend(self.shards.iter().map(|shard| shard.engine.snapshot()));
+        counts.clear();
+        counts.resize(shards * leaves(out.len()), 0);
         self.telemetry.record_planner_batch();
-        let filled = fill_tasks(&mut plan.fill, &plan.tasks, master);
-        if filled.is_ok() {
-            self.scatter_fill(plan, out);
-            // Only an attempt that succeeded counts, so the routed
-            // counters always sum to the served draws.
-            for task in &plan.tasks {
-                self.shards[task.shard].routed.add(task.draws as u64);
+        let drawn = self.draw_range(cut, snapshots, master, first, out, counts);
+        if drawn.is_ok() {
+            for (s, (shard, snapshot)) in self.shards.iter().zip(snapshots.iter()).enumerate() {
+                let draws = counts.iter().skip(s).step_by(shards).sum::<usize>() as u64;
+                if draws > 0 {
+                    shard.routed.add(draws);
+                    snapshot.count_served(draws);
+                }
             }
         }
-        plan.tasks.clear();
-        filled
+        snapshots.clear();
+        drawn
+    }
+
+    /// Draw slots `first..first + out.len()` of `master` into `out`,
+    /// counting each slot's shard in `counts`, whose [`leaves`] rows of
+    /// one count per shard cover the range. A range of at least
+    /// [`FANOUT_MIN_BATCH`] slots splits at its midpoint and `join`s its
+    /// halves, recursively; either way the first error in slot order is
+    /// the one returned.
+    fn draw_range(
+        &self,
+        cut: &TotalsCut,
+        snapshots: &[Arc<Snapshot>],
+        master: u64,
+        first: u64,
+        out: &mut [usize],
+        counts: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        if out.len() >= FANOUT_MIN_BATCH {
+            let mid = out.len() / 2;
+            let (left, right) = out.split_at_mut(mid);
+            let (left_counts, right_counts) = counts.split_at_mut(snapshots.len() * leaves(mid));
+            let right_first = first + mid as u64;
+            let (left, right) = lrb_core::join(
+                || self.draw_range(cut, snapshots, master, first, left, left_counts),
+                || self.draw_range(cut, snapshots, master, right_first, right, right_counts),
+            );
+            return left.and(right);
+        }
+        for (slot, index) in (first..).zip(out) {
+            let mut stream = Philox4x32::for_substream(master, slot);
+            let (shard, _) = cut
+                .pick_uniform(stream.next_f64())
+                .ok_or(SelectionError::AllZeroFitness)?;
+            *index = self.offsets[shard] + snapshots[shard].sample_uncounted(&mut stream)?;
+            counts[shard] += 1;
+        }
+        Ok(())
     }
 
     /// Allocating convenience around [`draw_into`](Self::draw_into).
@@ -612,7 +589,7 @@ impl ServiceCore {
             )
             .gauge(
                 "lrb_service_fanout_lanes",
-                "Parallel fan-out lanes serving the batch planner's shard fills",
+                "Parallel fan-out lanes serving the batch planner's slot ranges",
                 self.fanout_lanes() as f64,
             )
             .gauge(
@@ -673,66 +650,14 @@ impl ServiceCore {
     }
 }
 
-/// Level one for slots `first..first + slots.len()` of a batch (`first`
-/// even): slot `j` reads word `j` of the master's Philox substream
-/// [`ASSIGN_SUBSTREAM`] by its counter, block `j / 2`, so a slot range
-/// picks the same shards on any lane. A run of at least
-/// [`FANOUT_MIN_BATCH`] slots splits at an even midpoint, so each half
-/// starts on a block boundary, and `join`s the halves, recursively.
-/// Returns `None` when the cut carries no mass.
-fn assign_slots(cut: &TotalsCut, master: u64, first: usize, slots: &mut [u32]) -> Option<()> {
-    debug_assert_eq!(first % 2, 0, "a slot range starts on a block boundary");
-    if slots.len() >= FANOUT_MIN_BATCH {
-        let mid = (slots.len() / 2) & !1;
-        let (left, right) = slots.split_at_mut(mid);
-        let (left, right) = lrb_core::join(
-            || assign_slots(cut, master, first, left),
-            || assign_slots(cut, master, first + mid, right),
-        );
-        return left.and(right);
+/// Leaf ranges [`ServiceCore::draw_range`] splits `slots` slots into:
+/// the rows of per-shard counts a batch of that many slots needs.
+fn leaves(slots: usize) -> usize {
+    if slots < FANOUT_MIN_BATCH {
+        1
+    } else {
+        leaves(slots / 2) + leaves(slots - slots / 2)
     }
-    let block = ((ASSIGN_SUBSTREAM as u128) << 64) + (first / 2) as u128;
-    let mut words = PhiloxBlock::at_block(master, block);
-    let uniforms = std::iter::repeat_with(move || words.next_u64_pair())
-        .flatten()
-        .map(f64_from_bits_53);
-    cut.pick_uniforms(uniforms, slots)
-}
-
-/// Fill `fill` — the tasks' segments, back to back in task order — from
-/// each task's snapshot and Philox substream. A fill of at least
-/// [`FANOUT_MIN_BATCH`] draws over two or more tasks splits at the
-/// cumulative-draw midpoint and `join`s the halves, recursively. Either
-/// way the first fill error in task order is the one returned.
-fn fill_tasks(fill: &mut [usize], tasks: &[FillTask], master: u64) -> Result<(), SelectionError> {
-    if tasks.len() >= 2 && fill.len() >= FANOUT_MIN_BATCH {
-        // A task goes left while its segment's centre lies before the
-        // midpoint; each half keeps at least one task.
-        let half = fill.len() / 2;
-        let (mut split, mut left_draws) = (1, tasks[0].draws);
-        while split < tasks.len() - 1 && left_draws + tasks[split].draws / 2 < half {
-            left_draws += tasks[split].draws;
-            split += 1;
-        }
-        let (left_tasks, right_tasks) = tasks.split_at(split);
-        let (left_fill, right_fill) = fill.split_at_mut(left_draws);
-        let (left, right) = lrb_core::join(
-            || fill_tasks(left_fill, left_tasks, master),
-            || fill_tasks(right_fill, right_tasks, master),
-        );
-        return left.and(right);
-    }
-    let mut rest = fill;
-    for task in tasks {
-        let (segment, tail) = rest.split_at_mut(task.draws);
-        task.snapshot.sample_into_substream(
-            master,
-            SHARD_SUBSTREAM_BASE + task.shard as u64,
-            segment,
-        )?;
-        rest = tail;
-    }
-    Ok(())
 }
 
 /// The owning handle: the shared [`ServiceCore`] plus the per-shard
@@ -1003,6 +928,27 @@ mod tests {
             .journal()
             .iter()
             .any(|e| matches!(e, ServiceEvent::TotalsRefresh)));
+    }
+
+    #[test]
+    fn a_stale_cut_retry_redraws_the_same_slots_from_the_same_master() {
+        // Shard 2 evaporates through its engine, so its cell goes stale.
+        let service = ShardedService::new(weights_1_to_12(), ServiceConfig::default()).unwrap();
+        let engine = service.shard_engine(2);
+        engine.scale_all(0.0).unwrap();
+        engine.publish().unwrap();
+        assert_eq!(service.shard_totals(), vec![6.0, 15.0, 24.0, 33.0]);
+        let mut rng = Philox4x32::seed_from_u64(21);
+        let retried = service.draw_many(&mut rng, 64).unwrap();
+        assert_eq!(
+            service.shard_totals(),
+            vec![6.0, 15.0, 0.0, 33.0],
+            "no retry"
+        );
+        // The retry redrew the same master against the refreshed totals.
+        let mut fresh = Philox4x32::seed_from_u64(21);
+        assert_eq!(service.draw_many(&mut fresh, 64).unwrap(), retried);
+        assert_eq!(rng.next_u64(), fresh.next_u64());
     }
 
     #[test]

@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = ServiceServer::bind_uds(service.core(), &path, 42)?;
     println!("serving at {:?}", server.local_addr());
 
-    // A handful of concurrent clients issuing single draws: each draw
-    // comes from its connection's own server-side RNG stream.
+    // A handful of concurrent clients issuing single draws: each draw is
+    // keyed by its connection and its request ordinal on it, so no
+    // client's draws depend on another's traffic.
     let mut readers = Vec::new();
     for _ in 0..4 {
         let addr = server.local_addr().clone();

@@ -1,18 +1,20 @@
 //! End-to-end tests of the sharded selection service over real sockets:
 //! a Unix-domain server under mixed single/batch/update traffic, exact
 //! two-level conformance (service draws vs the flat distribution),
-//! per-connection draw streams, wire error mapping, and a TCP smoke test.
+//! per-connection draw streams, responses that ignore how a pipelined
+//! stream is split, wire error mapping, and a TCP smoke test.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
+use std::time::Duration;
 
 use lrb_core::SelectionError;
 use lrb_service::protocol::OpCode;
 use lrb_service::{
-    protocol, ServiceClient, ServiceConfig, ServiceError, ServiceEvent, ServiceServer,
-    ShardedService,
+    protocol, ServerConfig, ServiceClient, ServiceConfig, ServiceError, ServiceEvent,
+    ServiceServer, ShardedService,
 };
 use lrb_stats::chi_square_gof;
 
@@ -57,7 +59,7 @@ fn uds_two_level_draws_match_the_flat_distribution() {
 
     let total: f64 = weights.iter().sum();
     let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
-    // A fresh connection gets a fresh server-side RNG stream, so "best of
+    // A fresh connection gets a fresh server-side draw master, so "best of
     // two seeds" is "best of two connections" (a correct sampler fails a
     // 1% chi-square ~1% of the time; both failing is ~10⁻⁴).
     let consistent = || {
@@ -140,9 +142,9 @@ fn uds_mixed_traffic_stays_coherent() {
     assert_eq!(totals[0], 31.0);
     assert_eq!(totals[3], (19..24).map(f64::from).sum::<f64>() + 50.0);
 
-    // The metrics document reports the traffic, and wire draws come from
-    // each connection's own RNG: nothing rides the cross-connection
-    // aggregator.
+    // The metrics document reports the traffic, and wire draws are keyed
+    // by connection and request ordinal: nothing rides the
+    // cross-connection aggregator.
     let metrics = client.metrics_json().unwrap();
     for needle in [
         "lrb_service_draws_total",
@@ -236,6 +238,86 @@ fn serial_draws_on_a_connection_ignore_other_connections() {
     assert_eq!(
         alone, beside,
         "another connection's draws changed this connection's serial draws"
+    );
+}
+
+/// `script` against a fresh service and server (same seed, so its one
+/// connection always gets the same master), sent `window` frames at a
+/// time — byte by byte when `trickle` — with each window's responses read
+/// before the next window goes out. Returns the responses' payloads; a
+/// failed request panics.
+fn replay(script: &[Vec<u8>], window: usize, trickle: bool, config: ServerConfig) -> Vec<u8> {
+    let service = ShardedService::new(weights_1_to_24(), ServiceConfig::default()).unwrap();
+    let (reactors, budget) = (config.reactors, config.inflight_budget);
+    let path = socket_path(&format!("replay-{window}-{trickle}-{reactors}-{budget}"));
+    let server = ServiceServer::bind_uds_with(service.core(), &path, 0x0D1A, config).unwrap();
+    let mut stream = UnixStream::connect(&path).unwrap();
+    let mut responses = Vec::new();
+    for frames in script.chunks(window) {
+        let bytes = frames.concat();
+        for piece in bytes.chunks(if trickle { 1 } else { bytes.len() }) {
+            stream.write_all(piece).unwrap();
+            if trickle {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        for _ in frames {
+            responses.extend(protocol::read_response(&mut stream).unwrap());
+        }
+    }
+    drop(server);
+    responses
+}
+
+#[test]
+fn wire_responses_are_a_pure_function_of_connection_and_request_ordinal() {
+    // DRAW runs of several lengths (one past the default frame cap),
+    // batches below and above the planner's fork threshold, and TOTALS;
+    // no writes, so every replay serves the same snapshots.
+    let frame = |opcode: OpCode, payload: &[u8]| {
+        let mut wire = Vec::new();
+        protocol::encode_request(&mut wire, opcode, payload);
+        wire
+    };
+    let draws = |n: usize| vec![frame(OpCode::Draw, &[]); n];
+    let batch = |m: u32| vec![frame(OpCode::DrawBatch, &m.to_le_bytes())];
+    let totals = vec![frame(OpCode::Totals, &[])];
+    let script = [
+        draws(5),
+        batch(7),
+        draws(40),
+        totals.clone(),
+        draws(3),
+        batch(1_100),
+        draws(70),
+        batch(7),
+        batch(1),
+        draws(1),
+        totals,
+        draws(9),
+    ]
+    .concat();
+    let reference = replay(&script, 1, false, ServerConfig::default());
+    for window in [1, 4, 32] {
+        for reactors in [1, 4] {
+            for inflight_budget in [1, ServerConfig::default().inflight_budget] {
+                let config = ServerConfig {
+                    reactors,
+                    inflight_budget,
+                    ..ServerConfig::default()
+                };
+                assert!(
+                    replay(&script, window, false, config) == reference,
+                    "responses changed at window {window}, {reactors} reactors, frame cap \
+                     {inflight_budget}"
+                );
+            }
+        }
+    }
+    let trickled = replay(&script[..12], 12, true, ServerConfig::default());
+    assert!(
+        reference.starts_with(&trickled),
+        "a byte-by-byte trickle changed the responses"
     );
 }
 

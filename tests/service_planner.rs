@@ -1,10 +1,11 @@
 //! Cross-shard batch-planner contract tests: the layout that
-//! `ROUTE_LAYOUT_VERSION = 2` names must match a hand-rolled reference
-//! built from public pieces draw for draw, be a pure function of
-//! `(snapshots, master draw)` — bit-identical at any fan-out lane count,
-//! which the rayon shim's thread budget sets (`LRB_THREADS`, or
-//! `ThreadPool::install` as here), and with concurrent submitters — and
-//! carry the two-level law through the parallel path statistically.
+//! `ROUTE_LAYOUT_VERSION = 3` names must match a hand-rolled reference
+//! built from public pieces draw for draw, slot ranges included, be a
+//! pure function of `(snapshots, master draw)` — bit-identical at any
+//! fan-out lane count, which the rayon shim's thread budget sets
+//! (`LRB_THREADS`, or `ThreadPool::install` as here), and with concurrent
+//! submitters — and carry the two-level law through the parallel path
+//! statistically.
 
 use lrb_core::sharding::TotalsCut;
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
@@ -60,47 +61,28 @@ fn draw_batches(service: &ShardedService, seed: u64, batches: usize, batch: usiz
     drawn
 }
 
-/// Layout v2 rebuilt from public pieces: one `next_u64` master draw from
-/// the caller's generator; Philox substream 0 of the master yields one
-/// level-one uniform per slot, picked through a cut of the shard totals;
-/// each touched shard `s` fills its draws from substream `1 + s`; the
-/// grouped fills scatter back to slot order.
-fn v2_reference(service: &ShardedService, rng: &mut Philox4x32, batch: usize) -> Vec<usize> {
+/// Layout v3 rebuilt from public pieces: one `next_u64` master draw from
+/// the caller's generator; slot `j` draws from Philox substream `j` of
+/// the master alone. Its first uniform picks the shard through a cut of
+/// the shard totals, the shard's snapshot draws the in-shard index from
+/// the same stream, and the shard's offset makes it global.
+fn v3_reference(service: &ShardedService, rng: &mut Philox4x32, batch: usize) -> Vec<usize> {
     let shards = service.shard_count();
     let master = rng.next_u64();
-    let mut assign_rng = Philox4x32::for_substream(master, 0);
     let cut = TotalsCut::from_totals(service.shard_totals());
-    let assignment: Vec<usize> = (0..batch)
-        .map(|_| {
-            cut.pick_uniform(assign_rng.next_f64())
-                .expect("live totals cannot be all-zero")
-                .0
-        })
-        .collect();
     // Shard starts within each shard's contiguous category range.
     let (base, extra) = (service.len() / shards, service.len() % shards);
-    let offsets: Vec<usize> = (0..shards).map(|s| s * base + s.min(extra)).collect();
-    let fills: Vec<Vec<usize>> = (0..shards)
-        .map(|s| {
-            let mut fill = vec![0usize; assignment.iter().filter(|&&a| a == s).count()];
-            if !fill.is_empty() {
-                service
-                    .shard_engine(s)
-                    .read(|snapshot| {
-                        snapshot.sample_into_substream(master, 1 + s as u64, &mut fill)
-                    })
-                    .expect("reference shard fill failed");
-            }
-            fill
-        })
-        .collect();
-    let mut cursors = vec![0usize; shards];
-    assignment
-        .iter()
-        .map(|&s| {
-            let local = fills[s][cursors[s]];
-            cursors[s] += 1;
-            offsets[s] + local
+    (0..batch as u64)
+        .map(|slot| {
+            let mut stream = Philox4x32::for_substream(master, slot);
+            let (s, _) = cut
+                .pick_uniform(stream.next_f64())
+                .expect("live totals cannot be all-zero");
+            let local = service
+                .shard_engine(s)
+                .read(|snapshot| snapshot.sample(&mut stream))
+                .expect("reference shard draw failed");
+            s * base + s.min(extra) + local
         })
         .collect()
 }
@@ -109,17 +91,17 @@ fn v2_reference(service: &ShardedService, rng: &mut Philox4x32, batch: usize) ->
 fn route_layout_is_versioned_and_defaults_to_parallel() {
     // One layout is left and `ROUTE_LAYOUT_VERSION` names it; a default
     // config at the default budget must serve exactly that layout, above
-    // the inline threshold so level one and the fill fork wherever there
-    // are lanes.
-    assert_eq!(ROUTE_LAYOUT_VERSION, 2);
+    // the inline threshold so the slot ranges fork wherever there are
+    // lanes.
+    assert_eq!(ROUTE_LAYOUT_VERSION, 3);
     let service = ShardedService::new(test_weights(64), ServiceConfig::default())
         .expect("default-config service construction cannot fail");
     assert!(service.fanout_lanes() >= 1);
-    // Lanes follow the shim's budget, capped by the shard count.
+    // Lanes follow the shim's budget; the shard count does not cap them.
     assert_eq!(with_lanes(1, || service.fanout_lanes()), 1);
-    assert_eq!(with_lanes(8, || service.fanout_lanes()), 4);
+    assert_eq!(with_lanes(8, || service.fanout_lanes()), 8);
     let mut reference_rng = Philox4x32::seed_from_u64(0x5EED);
-    let expected = v2_reference(&service, &mut reference_rng, 2_048);
+    let expected = v3_reference(&service, &mut reference_rng, 2_048);
     let mut rng = Philox4x32::seed_from_u64(0x5EED);
     let mut out = vec![0usize; 2_048];
     service
@@ -129,13 +111,13 @@ fn route_layout_is_versioned_and_defaults_to_parallel() {
 }
 
 proptest! {
-    /// The tentpole determinism contract: the v2 output is invariant in
-    /// the lane count. Lanes = 1 forces inline (sequential) execution, so
-    /// this is also a parallel-vs-sequential-execution parity oracle;
-    /// batches above the inline threshold exercise the forked level one
-    /// and fill, and the odd one its even split point and odd tail.
+    /// The determinism contract: the v3 output is invariant in the lane
+    /// count. Lanes = 1 forces inline (sequential) execution, so this is
+    /// also a parallel-vs-sequential-execution parity oracle; batches
+    /// above the inline threshold exercise the forked slot ranges, and the
+    /// odd one an odd half.
     #[test]
-    fn prop_v2_output_is_invariant_across_lane_counts(
+    fn prop_v3_output_is_invariant_across_lane_counts(
         seed: u64,
         small_batch in 1usize..192,
     ) {
@@ -149,7 +131,7 @@ proptest! {
                     Some(expected) => prop_assert_eq!(
                         expected,
                         &out,
-                        "lane count changed v2 output (lanes {}, batch {})",
+                        "lane count changed v3 output (lanes {}, batch {})",
                         lanes,
                         batch
                     ),
@@ -159,12 +141,14 @@ proptest! {
     }
 
     /// The planner must be draw-for-draw identical to the hand-rolled
-    /// layout-v2 reference and consume exactly one word of the caller's
-    /// generator, inline (lanes 1, and batches under the 1024-draw
-    /// threshold) and through the forked level one and fill (lanes 4
-    /// above it, at an even and an odd batch size).
+    /// layout-v3 reference and consume exactly one word of the caller's
+    /// generator, inline (lanes 1, and batches under the 1024-slot
+    /// threshold) and through the forked slot ranges (lanes 4 above it,
+    /// at an even and an odd batch size). The batch's slots from a third
+    /// of the way in, drawn alone as a slot range of the same master,
+    /// match too.
     #[test]
-    fn prop_v2_matches_the_handrolled_substream_reference(
+    fn prop_v3_matches_the_handrolled_slot_reference(
         seed: u64,
         small_batch in 1usize..512,
     ) {
@@ -172,30 +156,37 @@ proptest! {
             let service = service(300, 5);
             for batch in [small_batch, 2_048, 1_025 + 2 * small_batch] {
                 let mut reference_rng = Philox4x32::seed_from_u64(seed);
-                let expected = v2_reference(&service, &mut reference_rng, batch);
+                let expected = v3_reference(&service, &mut reference_rng, batch);
 
                 let mut rng = Philox4x32::seed_from_u64(seed);
                 let mut out = vec![0usize; batch];
+                let first = batch / 3;
+                let mut tail = vec![usize::MAX; batch - first];
                 with_lanes(lanes, || {
                     service
                         .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-                        .expect("planner batch draw failed")
+                        .expect("planner batch draw failed");
+                    let master = Philox4x32::seed_from_u64(seed).next_u64();
+                    service
+                        .draw_slots(master, first as u64, &mut tail)
+                        .expect("slot-range draw failed");
                 });
+                prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
+                prop_assert_eq!(&tail[..], &expected[first..], "slots from {} alone", first);
                 prop_assert_eq!(
                     &out,
                     &expected,
-                    "planner diverged from the v2 reference (lanes {}, batch {})",
+                    "planner diverged from the v3 reference (lanes {}, batch {})",
                     lanes,
                     batch
                 );
-                prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
             }
         }
     }
 }
 
 #[test]
-fn v2_output_is_invariant_in_the_lrb_threads_budget() {
+fn v3_output_is_invariant_in_the_lrb_threads_budget() {
     // The shim's thread budget sets the lane count. `LRB_THREADS` is
     // read once per process, so the CI matrix's value is the default
     // leg; `install` sets the others. The drawn indices must not notice.
@@ -204,11 +195,11 @@ fn v2_output_is_invariant_in_the_lrb_threads_budget() {
     assert_eq!(
         draw_batches(&service, 0xBEEF, 1, 4_096),
         reference,
-        "the default budget changed v2 output"
+        "the default budget changed v3 output"
     );
     for budget in [2, 8] {
         let out = with_lanes(budget, || draw_batches(&service, 0xBEEF, 1, 4_096));
-        assert_eq!(out, reference, "a budget of {budget} changed v2 output");
+        assert_eq!(out, reference, "a budget of {budget} changed v3 output");
     }
 }
 

@@ -124,7 +124,7 @@ fn fan_in_storm_pipelined_draws_hold_the_two_level_law() {
     };
 
     // A correct sampler fails a 1% chi-square ~1% of the time; re-run the
-    // storm with fresh connections (fresh server-side RNG streams) before
+    // storm with fresh connections (fresh server-side draw masters) before
     // declaring the merged histogram broken.
     let consistent = || {
         let mut counts = vec![0u64; weights.len()];
@@ -269,8 +269,8 @@ fn pipelined_responses_arrive_in_request_order() {
     }
 
     // A draw run sandwiched between batches keeps its slots: the server
-    // coalesces the two DRAWs into one fused batch but still answers one
-    // OK frame per request, in place.
+    // draws the two DRAWs in one planner call but still answers one OK
+    // frame per request, in place.
     let mut wire = Vec::new();
     protocol::encode_request(&mut wire, protocol::OpCode::DrawBatch, &3u32.to_le_bytes());
     protocol::encode_request(&mut wire, protocol::OpCode::Draw, &[]);
