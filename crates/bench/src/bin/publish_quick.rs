@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Sweeps publish latency over `n × dirty-fraction × backend`, comparing a
-//! full snapshot rebuild ([`FrozenBackend::build_pooled`] over the folded
-//! weights) against the incremental patch path
+//! full snapshot rebuild ([`FrozenBackend::build`] over a copy of the
+//! folded weights) against the incremental patch path
 //! ([`FrozenBackend::try_patch`]: Fenwick point updates on a pooled copy,
 //! stochastic-acceptance `O(d)` aggregate maintenance; the alias table has
 //! no patch path and always rebuilds, single-threaded). An end-to-end engine section records
@@ -23,7 +23,7 @@
 //! a [`GateMargin`] in the `--json 1` report, the `BENCH_publish.json`
 //! baseline.
 //!
-//! [`FrozenBackend::build_pooled`]: lrb_engine::FrozenBackend::build_pooled
+//! [`FrozenBackend::build`]: lrb_engine::FrozenBackend::build
 //! [`FrozenBackend::try_patch`]: lrb_engine::FrozenBackend::try_patch
 
 use lrb_bench::cli::{Options, OrExit};

@@ -5,11 +5,12 @@
 //! Two levels are measured:
 //!
 //! * **Backend level** ([`bench_backend_publish`]) — the freeze step in
-//!   isolation: [`FrozenBackend::build_pooled`] over the folded weights
+//!   isolation: [`FrozenBackend::build`] over a copy of the folded weights
 //!   against [`FrozenBackend::try_patch`] over the previous sampler plus
-//!   the same coalesced batch. This isolates exactly the cost the patch
-//!   path removes; everything else a publish does (weight fold, snapshot
-//!   assembly, pointer swap) is common to both paths.
+//!   the same coalesced batch. This isolates the cost the patch path
+//!   removes: the rebuild side times the copy its publish branch makes
+//!   plus the build (not the fold's multiply pass); snapshot assembly and
+//!   the pointer swap are common to both paths.
 //! * **Engine level** ([`bench_engine_publish`]) — end-to-end
 //!   [`SelectionEngine::publish`] latency under a [`PatchPolicy`], so the
 //!   backend-level win is shown in its serving context.
@@ -110,23 +111,27 @@ pub fn bench_backend_publish(
         folded[index] = weight;
     }
     prime_allocator();
-    let prev = backend.build(&weights).expect("bench weights are valid");
+    let mut scratch = BuildScratch::default();
+    let prev = backend
+        .build(weights, &mut scratch)
+        .expect("bench weights are valid");
     let reps = (budget / n as u64).clamp(5, 400) as usize;
     // Noise robustness on shared hosts: split the reps into batches and
     // keep the *fastest* batch mean of each path — a scheduler or reclaim
     // hiccup inflates some batches, never deflates one.
     let batches = 5usize;
     let batch_reps = reps.div_ceil(batches);
-    let mut scratch = BuildScratch::default();
     // Warm the pooled scratch so the rebuild path is steady-state.
-    let _ = backend.build_pooled(&folded, &mut scratch);
+    let _ = backend.build(folded.clone(), &mut scratch);
     let mut rebuild_us = f64::INFINITY;
     for _ in 0..batches {
         let started = Instant::now();
         for _ in 0..batch_reps {
+            // The timed rebuild includes one copy of the folded vector, as
+            // a publish's rebuild branch pays for its fold.
             std::hint::black_box(
                 backend
-                    .build_pooled(&folded, &mut scratch)
+                    .build(folded.clone(), &mut scratch)
                     .expect("folded weights are valid"),
             );
         }

@@ -136,8 +136,13 @@ pub trait PreparedSampler: Send + Sync {
 /// }
 /// ```
 pub trait DynamicSampler: Send + Sync {
+    /// The current weights, one per category.
+    fn weights(&self) -> &[f64];
+
     /// Number of categories (fixed at construction).
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.weights().len()
+    }
 
     /// Whether the sampler has zero categories.
     fn is_empty(&self) -> bool {
@@ -147,7 +152,9 @@ pub trait DynamicSampler: Send + Sync {
     /// Current weight of category `index`.
     ///
     /// Panics if `index` is out of range.
-    fn weight(&self, index: usize) -> f64;
+    fn weight(&self, index: usize) -> f64 {
+        self.weights()[index]
+    }
 
     /// Sum of all current weights.
     fn total_weight(&self) -> f64;
@@ -206,30 +213,22 @@ pub trait DynamicSampler: Send + Sync {
     }
 }
 
-/// A **frozen** weighted sampler: read-only draws with exact probabilities.
+/// A **frozen** weighted sampler: a snapshot's weights plus read-only
+/// draws with exact probabilities.
 ///
 /// This is the read side of the `lrb-engine` snapshot contract: a snapshot
-/// exposes draws and aggregate inspection but no mutation, so a reader
-/// holding one can never perturb what other readers see. Every
+/// exposes draws and its weights but no mutation, so a reader holding one
+/// can never perturb what other readers see. The sampler is the snapshot's
+/// only weight store — the snapshot answers every weight, length and
+/// probability query from [`weights`](FrozenSampler::weights). Every
 /// [`DynamicSampler`] satisfies the shape (its `sample` already takes
 /// `&self`); the blanket impl below makes each one usable as a frozen
 /// backend the moment it stops being updated.
 pub trait FrozenSampler: Send + Sync {
-    /// Number of categories.
-    fn len(&self) -> usize;
+    /// The frozen weights, one per category.
+    fn weights(&self) -> &[f64];
 
-    /// Whether the sampler has zero categories.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current weight of category `index` (panics if out of range).
-    fn weight(&self, index: usize) -> f64;
-
-    /// Sum of all weights.
-    fn total_weight(&self) -> f64;
-
-    /// Draw one index with probability `w_i / total_weight()`.
+    /// Draw one index with probability `w_i / Σ w_j`.
     fn sample(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError>;
 
     /// Fill `out` with independent draws. The default loops over
@@ -254,16 +253,8 @@ pub trait FrozenSampler: Send + Sync {
 }
 
 impl<T: DynamicSampler + 'static> FrozenSampler for T {
-    fn len(&self) -> usize {
-        DynamicSampler::len(self)
-    }
-
-    fn weight(&self, index: usize) -> f64 {
-        DynamicSampler::weight(self, index)
-    }
-
-    fn total_weight(&self) -> f64 {
-        DynamicSampler::total_weight(self)
+    fn weights(&self) -> &[f64] {
+        DynamicSampler::weights(self)
     }
 
     fn sample(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
@@ -352,19 +343,14 @@ mod tests {
     }
 
     impl DynamicSampler for TwoWeights {
-        fn len(&self) -> usize {
-            2
-        }
-        fn weight(&self, index: usize) -> f64 {
-            self.weights[index]
+        fn weights(&self) -> &[f64] {
+            &self.weights
         }
         fn total_weight(&self) -> f64 {
             self.weights.iter().sum()
         }
         fn sample(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-            // Qualified: the `FrozenSampler` blanket impl offers the same
-            // method name whenever both traits are in scope.
-            let total = DynamicSampler::total_weight(self);
+            let total = self.total_weight();
             if total <= 0.0 {
                 return Err(SelectionError::AllZeroFitness);
             }
@@ -391,6 +377,7 @@ mod tests {
         let mut rng = MersenneTwister64::seed_from_u64(9);
         assert_eq!(boxed.len(), 2);
         assert!(!boxed.is_empty());
+        assert_eq!(boxed.weight(1), 3.0);
         assert_eq!(boxed.total_weight(), 4.0);
         let draws = boxed.sample_many(&mut rng, 100).unwrap();
         assert!(draws.iter().all(|&i| i < 2));
@@ -408,10 +395,7 @@ mod tests {
             weights: [1.0, 3.0],
         };
         let frozen: &dyn FrozenSampler = &sampler;
-        assert_eq!(frozen.len(), 2);
-        assert!(!frozen.is_empty());
-        assert_eq!(frozen.weight(1), 3.0);
-        assert_eq!(frozen.total_weight(), 4.0);
+        assert_eq!(frozen.weights(), &[1.0, 3.0]);
         let mut rng = MersenneTwister64::seed_from_u64(2);
         assert!(frozen.sample(&mut rng).unwrap() < 2);
     }

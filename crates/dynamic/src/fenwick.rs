@@ -225,11 +225,6 @@ impl FenwickSampler {
         self.non_zero
     }
 
-    /// The raw weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Find the smallest index whose cumulative weight exceeds `r`
     /// (the inverse-CDF descent), skipping zero-weight indices.
     #[inline]
@@ -286,12 +281,8 @@ pub(crate) fn non_finite_weight_error(weights: &[f64]) -> Option<SelectionError>
 }
 
 impl DynamicSampler for FenwickSampler {
-    fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    fn weight(&self, index: usize) -> f64 {
-        self.weights[index]
+    fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     fn total_weight(&self) -> f64 {

@@ -187,20 +187,11 @@ impl StochasticAcceptanceSampler {
     pub fn non_zero_count(&self) -> usize {
         self.non_zero
     }
-
-    /// The raw weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 impl DynamicSampler for StochasticAcceptanceSampler {
-    fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    fn weight(&self, index: usize) -> f64 {
-        self.weights[index]
+    fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     fn total_weight(&self) -> f64 {

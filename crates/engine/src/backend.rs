@@ -1,8 +1,9 @@
 //! The pluggable frozen-backend registry.
 //!
 //! A [`FrozenBackend`] knows how to freeze a weight vector into a read-only
-//! [`FrozenSampler`] and, optionally, how to patch the previous snapshot's
-//! sampler with a coalesced batch instead of rebuilding. The engine
+//! [`FrozenSampler`] — which keeps that vector as the snapshot's only weight
+//! store — and, optionally, how to patch the previous snapshot's sampler
+//! with a coalesced batch instead of rebuilding. The engine
 //! dispatches through a [`BackendRegistry`] of trait objects instead of a
 //! closed enum, so new sampler families plug in without touching the
 //! engine; an engine serves the one backend its config names.
@@ -33,14 +34,14 @@ use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
 use lrb_rng::RandomSource;
 
 /// Pooled transient build buffers, owned by the engine and passed to every
-/// snapshot build on the (serialised) publish path. Nothing in here
-/// survives a build — a snapshot's *retained* storage (its weight vector,
-/// Fenwick tree, alias table) is state, not a buffer, and is still
-/// allocated per publish — but the scratch kills the per-publish transients:
-/// the drained override list and the alias method's worklists and
+/// snapshot build, the first one included. Nothing in here survives a
+/// build — a snapshot's *retained* storage (its sampler's weight vector,
+/// Fenwick tree, alias table) is state, not a buffer, and is allocated once
+/// per publish — but the scratch kills the per-publish transients: the
+/// drained override list and the alias method's worklists and
 /// scaled-probability vector. Buffers grow to the workload's high-water
-/// mark and are reused thereafter, so a steady-state publish performs no
-/// transient allocation.
+/// mark and are reused thereafter, so a steady-state publish allocates
+/// only the new sampler's state (`crates/engine/tests/publish_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct BuildScratch {
     /// Drained coalesced overrides, reused across publishes.
@@ -59,39 +60,35 @@ pub trait FrozenBackend: Send + Sync {
     /// [`EngineConfig::backend`](crate::EngineConfig::backend)).
     fn name(&self) -> &'static str;
 
-    /// Freeze `weights` (already validated: non-empty, finite, non-negative;
-    /// an all-zero vector is allowed and must build a sampler whose draws
-    /// fail with [`SelectionError::AllZeroFitness`]).
-    fn build(&self, weights: &[f64]) -> Result<Box<dyn FrozenSampler>, SelectionError>;
-
-    /// Like [`build`](FrozenBackend::build), but with access to the
-    /// engine's pooled [`BuildScratch`] so repeated rebuilds can reuse
-    /// transient buffers. The default ignores the scratch and delegates to
-    /// `build`; backends with allocation-heavy constructions (the alias
-    /// table) override it. Must produce a sampler indistinguishable from
-    /// `build`'s.
-    fn build_pooled(
+    /// Freeze `weights` (non-empty; an all-zero vector is allowed and must
+    /// build a sampler whose draws fail with
+    /// [`SelectionError::AllZeroFitness`]; a weight a publish-time scale
+    /// fold pushed to `∞` must fail the build). The sampler keeps the
+    /// vector and serves it back through [`FrozenSampler::weights`] as the
+    /// snapshot's one weight store. `scratch` is the engine's pooled
+    /// [`BuildScratch`]; backends with allocation-heavy constructions (the
+    /// alias table) reuse its transient buffers.
+    fn build(
         &self,
-        weights: &[f64],
+        weights: Vec<f64>,
         scratch: &mut BuildScratch,
-    ) -> Result<Box<dyn FrozenSampler>, SelectionError> {
-        let _ = scratch;
-        self.build(weights)
-    }
+    ) -> Result<Box<dyn FrozenSampler>, SelectionError>;
 
     /// Incremental-publish fast path: build the next snapshot's sampler
     /// from the previous one plus the coalesced batch (`scale` fold first,
     /// then absolute `overrides`), skipping the `O(n)` rebuild.
     ///
     /// Returns `None` when the backend has no patch path (or `prev` is not
-    /// a sampler this backend built); the engine then falls back to
-    /// [`build_pooled`](FrozenBackend::build_pooled). A `Some(Err(…))`
-    /// carries the same validation failures a full rebuild over the folded
-    /// weights would raise (a scale fold overflowing a weight to `∞`), so
-    /// the two paths are interchangeable error-for-error.
+    /// a sampler this backend built); the engine then folds the batch over
+    /// `prev`'s weights and falls back to [`build`](FrozenBackend::build).
+    /// A `Some(Err(…))` carries the same validation failures a full rebuild
+    /// over the folded weights would raise (a scale fold overflowing a
+    /// weight to `∞`), so the two paths are interchangeable error-for-error.
     ///
     /// **Contract:** the patched sampler's weights must equal, bit for
-    /// bit, those of a full rebuild over the folded vector.
+    /// bit, those of a full rebuild over the folded vector. They are the
+    /// next snapshot's weights, so its total and the indices it serves do
+    /// not depend on which path froze it.
     fn try_patch(
         &self,
         prev: &dyn FrozenSampler,
@@ -122,8 +119,12 @@ impl FrozenBackend for FenwickBackend {
         "fenwick"
     }
 
-    fn build(&self, weights: &[f64]) -> Result<Box<dyn FrozenSampler>, SelectionError> {
-        Ok(Box::new(FenwickSampler::from_weights(weights.to_vec())?))
+    fn build(
+        &self,
+        weights: Vec<f64>,
+        _scratch: &mut BuildScratch,
+    ) -> Result<Box<dyn FrozenSampler>, SelectionError> {
+        Ok(Box::new(FenwickSampler::from_weights(weights)?))
     }
 
     fn try_patch(
@@ -151,12 +152,12 @@ impl FrozenBackend for FenwickBackend {
     }
 }
 
-/// A Vose alias table frozen at snapshot-build time: the table is built
-/// once per publish, so readers never pay a rebuild and share it without
-/// a lock.
+/// A Vose alias table frozen at snapshot-build time, beside the weights it
+/// was built from (the snapshot's weight store): the table is built once
+/// per publish, so readers never pay a rebuild and share it without a
+/// lock.
 struct FrozenAlias {
     weights: Vec<f64>,
-    total: f64,
     /// `None` when every weight is zero (the table cannot be built; draws
     /// fail with [`SelectionError::AllZeroFitness`]).
     table: Option<AliasSampler>,
@@ -181,25 +182,13 @@ impl FrozenAlias {
         } else {
             None
         };
-        Ok(Self {
-            weights,
-            total,
-            table,
-        })
+        Ok(Self { weights, table })
     }
 }
 
 impl FrozenSampler for FrozenAlias {
-    fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    fn weight(&self, index: usize) -> f64 {
-        self.weights[index]
-    }
-
-    fn total_weight(&self) -> f64 {
-        self.total
+    fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     fn sample(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
@@ -237,21 +226,13 @@ impl FrozenBackend for AliasBackend {
         "alias"
     }
 
-    fn build(&self, weights: &[f64]) -> Result<Box<dyn FrozenSampler>, SelectionError> {
-        let mut scratch = AliasScratch::default();
-        Ok(Box::new(FrozenAlias::build_with(
-            weights.to_vec(),
-            &mut scratch,
-        )?))
-    }
-
-    fn build_pooled(
+    fn build(
         &self,
-        weights: &[f64],
+        weights: Vec<f64>,
         scratch: &mut BuildScratch,
     ) -> Result<Box<dyn FrozenSampler>, SelectionError> {
         Ok(Box::new(FrozenAlias::build_with(
-            weights.to_vec(),
+            weights,
             &mut scratch.alias,
         )?))
     }
@@ -267,9 +248,13 @@ impl FrozenBackend for StochasticAcceptanceBackend {
         "stochastic-acceptance"
     }
 
-    fn build(&self, weights: &[f64]) -> Result<Box<dyn FrozenSampler>, SelectionError> {
+    fn build(
+        &self,
+        weights: Vec<f64>,
+        _scratch: &mut BuildScratch,
+    ) -> Result<Box<dyn FrozenSampler>, SelectionError> {
         Ok(Box::new(StochasticAcceptanceSampler::from_weights(
-            weights.to_vec(),
+            weights,
         )?))
     }
 
@@ -403,11 +388,10 @@ mod tests {
     #[test]
     fn every_standard_backend_freezes_the_same_distribution() {
         let weights = vec![0.0, 1.0, 2.0, 3.0, 4.0];
+        let mut scratch = BuildScratch::default();
         for backend in BackendRegistry::standard().entries() {
-            let sampler = backend.build(&weights).unwrap();
-            assert_eq!(sampler.len(), 5);
-            assert!((sampler.total_weight() - 10.0).abs() < 1e-12);
-            assert_eq!(sampler.weight(3), 3.0);
+            let sampler = backend.build(weights.clone(), &mut scratch).unwrap();
+            assert_eq!(sampler.weights(), weights.as_slice(), "{}", backend.name());
             let mut rng = MersenneTwister64::seed_from_u64(5);
             for _ in 0..2_000 {
                 let i = sampler.sample(&mut rng).unwrap();
@@ -418,9 +402,10 @@ mod tests {
 
     #[test]
     fn all_zero_weights_build_but_refuse_to_draw() {
+        let mut scratch = BuildScratch::default();
         for backend in BackendRegistry::standard().entries() {
-            let sampler = backend.build(&[0.0, 0.0]).unwrap();
-            assert_eq!(sampler.total_weight(), 0.0);
+            let sampler = backend.build(vec![0.0, 0.0], &mut scratch).unwrap();
+            assert_eq!(sampler.weights(), &[0.0, 0.0]);
             let mut rng = MersenneTwister64::seed_from_u64(2);
             assert_eq!(
                 sampler.sample(&mut rng),

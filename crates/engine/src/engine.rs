@@ -19,16 +19,19 @@
 //!   published state — the snapshot-isolation guarantee.
 //! * **Writers** enqueue weight overrides and evaporation scales into a
 //!   mutex-guarded coalescing batch, then call
-//!   [`publish`](SelectionEngine::publish), which folds the batch over the
-//!   previous weights (through pooled build scratch, so a steady-state
-//!   publish performs no transient allocation), freezes a new [`Snapshot`]
-//!   under the one backend the config names ([`EngineConfig::backend`],
-//!   `"fenwick"` by default) and swaps it in atomically. The freeze may take
-//!   the backend's **incremental patch path** — the previous sampler plus
-//!   the coalesced batch, `O(d · log n)`-ish instead of `O(n)` for small
-//!   batches — under [`PatchPolicy`]; by default the backend's closed-form
-//!   [`patch_pays`](crate::backend::FrozenBackend::patch_pays) rule decides
-//!   per publish. Publishers serialise on a dedicated publish
+//!   [`publish`](SelectionEngine::publish), which freezes a new
+//!   [`Snapshot`] under the one backend the config names
+//!   ([`EngineConfig::backend`], `"fenwick"` by default) and swaps it in
+//!   atomically. The freeze either takes the backend's **incremental patch
+//!   path** — the previous sampler plus the coalesced batch,
+//!   `O(d · log n)`-ish instead of `O(n)` for small batches — or folds the
+//!   batch over the previous weights into a fresh vector and rebuilds from
+//!   it; under [`PatchPolicy::Auto`] the backend's closed-form
+//!   [`patch_pays`](crate::backend::FrozenBackend::patch_pays) rule picks
+//!   per publish. Either way the new sampler holds the snapshot's only copy
+//!   of the weights, and pooled build scratch absorbs every transient, so a
+//!   steady-state publish allocates only the new sampler's state.
+//!   Publishers serialise on a dedicated publish
 //!   mutex — the batch mutex is held only for the drain itself — so
 //!   versions are strictly ordered and no batch is ever lost, while
 //!   `enqueue`/`enqueue_many`/`scale_all` never wait on a backend build:
@@ -320,7 +323,10 @@ impl SelectionEngine {
                 Some(Mutex::new(store))
             }
         };
-        let mut snapshot = Snapshot::build(initial_version, weights, &registry.entries()[backend])?;
+        let mut scratch = BuildScratch::default();
+        let chosen = &registry.entries()[backend];
+        let sampler = chosen.build(weights, &mut scratch)?;
+        let mut snapshot = Snapshot::from_parts(initial_version, chosen.name(), sampler);
         if config.reader_timing_every > 0 {
             snapshot.set_reader_timing(config.reader_timing_every, Arc::clone(&obs));
         }
@@ -329,7 +335,7 @@ impl SelectionEngine {
             engine_id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             pending: Mutex::new(CoalescingQueue::new()),
             publish_lock: Mutex::new(()),
-            scratch: Mutex::new(BuildScratch::default()),
+            scratch: Mutex::new(scratch),
             registry,
             backend,
             durable,
@@ -550,15 +556,16 @@ impl SelectionEngine {
         Ok(())
     }
 
-    /// Fold the pending batch over the current weights, freeze the result
-    /// into a new snapshot — through the backend's **incremental patch
-    /// path** when its patch rule (or [`PatchPolicy::Always`]) says it
-    /// beats a rebuild — and atomically swap it in. Returns the version
-    /// now current. A publish with nothing pending is a no-op returning the
-    /// unchanged version.
+    /// Apply the pending batch to the current snapshot's weights, freeze
+    /// the result into a new snapshot — through the backend's
+    /// **incremental patch path** when its patch rule (or
+    /// [`PatchPolicy::Always`]) says it beats a rebuild, else by folding
+    /// the batch into a fresh weight vector and rebuilding — and atomically
+    /// swap it in. Returns the version now current. A publish with nothing
+    /// pending is a no-op returning the unchanged version.
     ///
     /// The batch mutex is held only for the drain itself: writers keep
-    /// enqueuing while the fold and freeze run, and their writes land in
+    /// enqueuing while the freeze runs, and their writes land in
     /// the *next* batch. Concurrent publishers serialise on a dedicated
     /// publish mutex, so versions stay strictly ordered. Should the freeze
     /// fail, the drained batch is re-merged **under** whatever arrived
@@ -582,16 +589,7 @@ impl SelectionEngine {
             // O(batch) drain, not after the O(n) build below.
         };
         let previous = self.current.load();
-        let mut weights = previous.weights().to_vec();
-        if scale != 1.0 {
-            for w in weights.iter_mut() {
-                *w *= scale;
-            }
-        }
-        for &(index, weight) in &overrides {
-            weights[index] = weight;
-        }
-        let result = self.install(&previous, weights, &overrides, scale, &mut scratch);
+        let result = self.install(&previous, &overrides, scale, &mut scratch);
         let version = match result {
             Ok(version) => version,
             Err(error) => {
@@ -608,15 +606,16 @@ impl SelectionEngine {
         Ok(version)
     }
 
-    /// The tail of [`publish`](SelectionEngine::publish): freeze the folded
-    /// `weights` under the configured backend — by **patching** the previous
-    /// sampler with the coalesced batch (`overrides` after a `scale` fold)
-    /// when the [`PatchPolicy`] allows it, otherwise by a full build —
-    /// log the batch (under durability), and swap the new snapshot in.
+    /// The tail of [`publish`](SelectionEngine::publish): freeze the
+    /// coalesced batch (`overrides` after a `scale` fold) under the
+    /// configured backend — by **patching** the previous sampler when the
+    /// [`PatchPolicy`] allows it and the backend has a patch path, otherwise
+    /// by folding the batch over the previous weights into a fresh vector
+    /// and building from it — log the batch (under durability), and swap
+    /// the new snapshot in.
     fn install(
         &self,
         previous: &Arc<Snapshot>,
-        weights: Vec<f64>,
         overrides: &[(usize, f64)],
         scale: f64,
         scratch: &mut BuildScratch,
@@ -629,14 +628,26 @@ impl SelectionEngine {
             PatchPolicy::Auto => backend.patch_pays(self.len, overrides.len(), scaled),
         };
         let started = Instant::now();
-        let (sampler, patched) = if try_patching {
-            match backend.try_patch(previous.sampler(), overrides, scale) {
-                Some(Ok(sampler)) => (sampler, true),
-                Some(Err(error)) => return Err(error),
-                None => (backend.build_pooled(&weights, scratch)?, false),
-            }
+        let patch = if try_patching {
+            backend.try_patch(previous.sampler(), overrides, scale)
         } else {
-            (backend.build_pooled(&weights, scratch)?, false)
+            None
+        };
+        let (sampler, patched) = match patch {
+            Some(sampler) => (sampler?, true),
+            None => {
+                // The rebuild's one weight copy, kept by the new sampler.
+                let mut weights = previous.weights().to_vec();
+                if scaled {
+                    for w in weights.iter_mut() {
+                        *w *= scale;
+                    }
+                }
+                for &(index, weight) in overrides {
+                    weights[index] = weight;
+                }
+                (backend.build(weights, scratch)?, false)
+            }
         };
         let freeze_ns = started.elapsed().as_nanos() as u64;
         self.obs.record_freeze_ns(freeze_ns);
@@ -668,7 +679,7 @@ impl SelectionEngine {
             }
             if store.should_checkpoint() {
                 let checkpoint_started = Instant::now();
-                match store.checkpoint(version, &weights) {
+                match store.checkpoint(version, sampler.weights()) {
                     Ok(bytes) => {
                         self.obs
                             .record_checkpoint_ns(checkpoint_started.elapsed().as_nanos() as u64);
@@ -681,7 +692,7 @@ impl SelectionEngine {
                 }
             }
         }
-        let mut snapshot = Snapshot::from_parts(version, weights, backend.name(), sampler);
+        let mut snapshot = Snapshot::from_parts(version, backend.name(), sampler);
         if self.config.reader_timing_every > 0 {
             snapshot.set_reader_timing(self.config.reader_timing_every, Arc::clone(&self.obs));
         }
@@ -1021,10 +1032,11 @@ mod tests {
 
         fn build(
             &self,
-            weights: &[f64],
+            weights: Vec<f64>,
+            scratch: &mut BuildScratch,
         ) -> Result<Box<dyn lrb_core::traits::FrozenSampler>, SelectionError> {
             if self.builds.fetch_add(1, Ordering::Relaxed) == 0 {
-                crate::backend::FenwickBackend.build(weights)
+                crate::backend::FenwickBackend.build(weights, scratch)
             } else {
                 Err(SelectionError::AllZeroFitness)
             }

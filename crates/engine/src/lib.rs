@@ -9,9 +9,11 @@
 //!   multiplicative evaporation scales into a **coalescing batch**
 //!   (last-write-wins per category, scales folded into one factor — the
 //!   `DesirabilityTables` algebra lifted to the serving layer), then
-//!   [`publish`](SelectionEngine::publish) freezes the folded weights into
-//!   an immutable [`Snapshot`] and atomically swaps it in.
-//! * [`Snapshot`] — a versioned, immutable frozen sampler. The current
+//!   [`publish`](SelectionEngine::publish) freezes the batch into an
+//!   immutable [`Snapshot`] and atomically swaps it in.
+//! * [`Snapshot`] — a versioned, immutable frozen sampler. The sampler is
+//!   the snapshot's only weight store: [`Snapshot::weights`] reads
+//!   [`FrozenSampler::weights`](lrb_core::FrozenSampler::weights). The current
 //!   snapshot lives in a `Mutex<Arc<Snapshot>>` cell with a generation
 //!   counter (`hot_swap`), fronted by a thread-local version-checked
 //!   cache, so the steady-state path of [`SelectionEngine::read`] is one
@@ -30,11 +32,15 @@
 //!   plus anything the caller registers. An engine serves the one backend
 //!   its [`EngineConfig::backend`] names, `"fenwick"` by default, so the
 //!   backend never depends on traffic.
-//! * **Patch or rebuild** — a publish may freeze by an **incremental
-//!   patch** of the previous snapshot with the coalesced batch (Fenwick:
-//!   `O(d · log n)` point updates on a pooled copy; stochastic acceptance:
-//!   `O(d)` aggregate maintenance; the alias table always rebuilds, in
-//!   one sequential scale-and-classify pass plus Vose's pairing loop). Each backend's
+//! * **Patch or rebuild** — a publish either freezes by an **incremental
+//!   patch** of the previous snapshot's sampler with the coalesced batch
+//!   (Fenwick: `O(d · log n)` point updates on a copy of the previous
+//!   weights and tree; stochastic acceptance: `O(d)` aggregate maintenance
+//!   on a copy of the previous weights), or folds the batch over the
+//!   previous weights into one fresh vector and hands it to
+//!   [`FrozenBackend::build`], whose sampler keeps it (the alias table
+//!   always rebuilds, in one sequential scale-and-classify pass plus
+//!   Vose's pairing loop). Only a rebuild folds. Each backend's
 //!   closed-form [`FrozenBackend::patch_pays`] decides per publish
 //!   ([`PatchPolicy`] overrides it for tests and benches).
 //!

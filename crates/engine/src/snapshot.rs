@@ -1,7 +1,11 @@
 //! Immutable, versioned sampler snapshots — the read side of the engine.
 //!
 //! A [`Snapshot`] freezes one weight vector behind a [`FrozenSampler`]
-//! built by a registered [`FrozenBackend`]. It is never mutated
+//! built (or patched) by a registered
+//! [`FrozenBackend`](crate::backend::FrozenBackend). The sampler is the
+//! snapshot's only weight store: every weight, length and probability
+//! query reads [`FrozenSampler::weights`]; the snapshot adds the total,
+//! summed once in index order. A snapshot is never mutated
 //! after construction, so any number of reader threads can draw from the
 //! same `Arc<Snapshot>` without coordination, and a reader that keeps an old
 //! snapshot keeps sampling the exact distribution it observed — publication
@@ -23,7 +27,6 @@ use lrb_core::traits::FrozenSampler;
 use lrb_obs::Counter;
 use lrb_rng::{Philox4x32, RandomSource};
 
-use crate::backend::FrozenBackend;
 use crate::telemetry::EngineTelemetry;
 
 thread_local! {
@@ -56,13 +59,13 @@ impl ReaderTiming {
     }
 }
 
-/// One immutable published state of the engine: a version number, the frozen
-/// weights, and a backend-built sampler ready to draw with exact
+/// One immutable published state of the engine: a version number and a
+/// backend-built sampler that holds the frozen weights and draws with exact
 /// probabilities `F_i = w_i / Σ w_j`.
 pub struct Snapshot {
     version: u64,
     backend: &'static str,
-    weights: Vec<f64>,
+    /// `Σ w_j` over the sampler's weights, summed in index order.
     total: f64,
     sampler: Box<dyn FrozenSampler>,
     /// Draws served from this snapshot (relaxed; telemetry only).
@@ -72,30 +75,20 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Freeze `weights` (already validated by the engine) under `backend`.
-    pub(crate) fn build(
-        version: u64,
-        weights: Vec<f64>,
-        backend: &Arc<dyn FrozenBackend>,
-    ) -> Result<Self, SelectionError> {
-        let sampler = backend.build(&weights)?;
-        Ok(Self::from_parts(version, weights, backend.name(), sampler))
-    }
-
-    /// Assemble a snapshot from an already-built sampler (the engine builds
-    /// the sampler itself so it can time the build for telemetry).
+    /// Assemble a snapshot around a sampler the `backend` built or patched
+    /// (the engine freezes the sampler itself so it can time the freeze for
+    /// telemetry).
     pub(crate) fn from_parts(
         version: u64,
-        weights: Vec<f64>,
         backend: &'static str,
         sampler: Box<dyn FrozenSampler>,
     ) -> Self {
+        let weights = sampler.weights();
         assert!(!weights.is_empty(), "snapshots cover at least one category");
-        let total: f64 = weights.iter().sum();
+        let total = weights.iter().sum();
         Self {
             version,
             backend,
-            weights,
             total,
             sampler,
             served: Counter::new(),
@@ -125,26 +118,26 @@ impl Snapshot {
 
     /// Number of categories.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.weights().len()
     }
 
     /// Whether the snapshot has zero categories (never true — construction
     /// rejects empty weight vectors).
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.weights().is_empty()
     }
 
-    /// The frozen weights.
+    /// The frozen weights (the sampler's).
     pub fn weights(&self) -> &[f64] {
-        &self.weights
+        self.sampler.weights()
     }
 
     /// Weight of one category (panics if out of range).
     pub fn weight(&self, index: usize) -> f64 {
-        self.weights[index]
+        self.weights()[index]
     }
 
-    /// Sum of the frozen weights.
+    /// Sum of the frozen weights, in index order.
     pub fn total_weight(&self) -> f64 {
         self.total
     }
@@ -164,9 +157,9 @@ impl Snapshot {
     /// the total mass is zero).
     pub fn probabilities(&self) -> Vec<f64> {
         if self.total <= 0.0 {
-            return vec![0.0; self.weights.len()];
+            return vec![0.0; self.len()];
         }
-        self.weights.iter().map(|w| w / self.total).collect()
+        self.weights().iter().map(|w| w / self.total).collect()
     }
 
     /// Draw one index with probability exactly `w_i / Σ w_j`.
@@ -279,7 +272,7 @@ impl Snapshot {
     /// per-index counts.
     pub fn batch_counts(&self, trials: u64, master_seed: u64) -> Result<Vec<u64>, SelectionError> {
         let indices = self.batch_indices(trials, master_seed)?;
-        let mut counts = vec![0u64; self.weights.len()];
+        let mut counts = vec![0u64; self.len()];
         for index in indices {
             counts[index] += 1;
         }
@@ -292,7 +285,7 @@ impl std::fmt::Debug for Snapshot {
         f.debug_struct("Snapshot")
             .field("version", &self.version)
             .field("backend", &self.backend)
-            .field("len", &self.weights.len())
+            .field("len", &self.len())
             .field("total", &self.total)
             .field("served", &self.served())
             .finish()
@@ -302,12 +295,16 @@ impl std::fmt::Debug for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendRegistry;
+    use crate::backend::{BackendRegistry, BuildScratch};
     use lrb_rng::{MersenneTwister64, SeedableSource};
 
     fn build(version: u64, weights: Vec<f64>, backend: &str) -> Snapshot {
         let registry = BackendRegistry::standard();
-        Snapshot::build(version, weights, registry.get(backend).unwrap()).unwrap()
+        let backend = registry.get(backend).unwrap();
+        let sampler = backend
+            .build(weights, &mut BuildScratch::default())
+            .unwrap();
+        Snapshot::from_parts(version, backend.name(), sampler)
     }
 
     #[test]

@@ -97,11 +97,11 @@ pub struct JournalEntry {
 pub struct EngineTelemetry {
     /// Construction instant; journal stamps are offsets from it.
     started: Instant,
-    /// Full `publish()` spans, nanoseconds (lock wait + fold + freeze +
+    /// Full `publish()` spans, nanoseconds (lock wait + drain + freeze +
     /// swap).
     publish_ns: Histogram,
     /// Freeze-only spans, nanoseconds (the build-or-patch section of a
-    /// publish).
+    /// publish; a rebuild's span includes its fold).
     freeze_ns: Histogram,
     /// Writer-side `enqueue`/`enqueue_many`/`scale_all` spans, nanoseconds
     /// (validation + batch-lock wait + the queue operation). Always on:

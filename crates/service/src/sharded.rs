@@ -639,11 +639,6 @@ impl ServiceCore {
                     &format!("lrb_service_shard{s}_enqueue_ns"),
                     "Shard writer enqueue latency",
                     &obs.enqueue_latency(),
-                )
-                .histogram(
-                    &format!("lrb_service_shard{s}_read_ns"),
-                    "Shard sampled reader-draw latency",
-                    &obs.reader_draw_latency(),
                 );
         }
         snapshot

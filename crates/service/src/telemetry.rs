@@ -5,11 +5,13 @@
 //! counted per shard (`lrb_service_shard<N>_routed_draws_total`), not
 //! journaled, so draw traffic never evicts those events.
 //!
-//! The per-shard engine telemetry (publish/enqueue/reader-draw histograms)
-//! stays inside each shard's [`EngineTelemetry`](lrb_engine::EngineTelemetry);
-//! [`ServiceCore::metrics`](crate::ServiceCore::metrics) merges those rows
-//! into the service's [`MetricsSnapshot`] under shard-prefixed names, so one
-//! scrape sees the whole two-level picture.
+//! The per-shard engine telemetry stays inside each shard's
+//! [`EngineTelemetry`](lrb_engine::EngineTelemetry);
+//! [`ServiceCore::metrics`](crate::ServiceCore::metrics) merges its publish
+//! and enqueue histograms into the service's [`MetricsSnapshot`] under
+//! shard-prefixed names, so one scrape sees the whole two-level picture.
+//! The engine's sampled reader-draw histogram is not merged: the planner's
+//! per-slot draws are untimed, so service traffic never fills it.
 //!
 //! [`MetricsSnapshot`]: lrb_obs::MetricsSnapshot
 

@@ -21,7 +21,9 @@ use std::time::{Duration, Instant};
 
 use lrb_core::error::SelectionError;
 use lrb_core::traits::FrozenSampler;
-use lrb_engine::{BackendRegistry, EngineConfig, FenwickBackend, FrozenBackend, SelectionEngine};
+use lrb_engine::{
+    BackendRegistry, BuildScratch, EngineConfig, FenwickBackend, FrozenBackend, SelectionEngine,
+};
 
 /// A Fenwick backend whose builds can be gated: while `armed`, a build
 /// announces itself on `entered` and parks on `release`; with `fail_next`
@@ -55,7 +57,11 @@ impl FrozenBackend for GatedBackend {
         "gated-fenwick"
     }
 
-    fn build(&self, weights: &[f64]) -> Result<Box<dyn FrozenSampler>, SelectionError> {
+    fn build(
+        &self,
+        weights: Vec<f64>,
+        scratch: &mut BuildScratch,
+    ) -> Result<Box<dyn FrozenSampler>, SelectionError> {
         self.builds.fetch_add(1, Ordering::SeqCst);
         if self.armed.load(Ordering::SeqCst) {
             self.entered.lock().unwrap().send(()).unwrap();
@@ -64,7 +70,7 @@ impl FrozenBackend for GatedBackend {
         if self.fail_next.swap(false, Ordering::SeqCst) {
             return Err(SelectionError::AllZeroFitness);
         }
-        FenwickBackend.build(weights)
+        FenwickBackend.build(weights, scratch)
     }
 }
 
