@@ -15,13 +15,14 @@
 //! `Always`.
 //!
 //! Exits non-zero when the Fenwick patch speedup at `--gate-n` /
-//! `--gate-dirty` falls below `--min-speedup`. The gate is **enforced on
-//! every host** — it compares two single-thread code paths doing the same
-//! logical work, so it needs no cores and no SIMD; only a pathologically
-//! noisy machine could flip it, and a thin-margin miss is re-measured once
-//! (the better run counts). The measured-vs-threshold margin is recorded as
-//! a [`GateMargin`] in the `--json 1` report, the `BENCH_publish.json`
-//! baseline.
+//! `--gate-dirty` falls below `--min-speedup`. The gate reads the
+//! **median** of [`GATE_PAIRS`] alternating rebuild/patch measurements at
+//! that point (one read of one point swung 4.83–7.31× over six runs on a
+//! 2-vCPU host), and it is **enforced on every host** — it compares two
+//! single-thread code paths doing the same logical work, so it needs no
+//! cores and no SIMD. The pair ratios and the measured-vs-threshold
+//! margin (a [`GateMargin`]) are recorded in the `--json 1` report, the
+//! `BENCH_publish.json` baseline.
 //!
 //! [`FrozenBackend::build`]: lrb_engine::FrozenBackend::build
 //! [`FrozenBackend::try_patch`]: lrb_engine::FrozenBackend::try_patch
@@ -34,6 +35,10 @@ use lrb_bench::publish_workload::{
 use lrb_engine::{BackendRegistry, PatchPolicy};
 use serde::Serialize;
 
+/// Alternating rebuild/patch measurements of the gate point; the gate
+/// reads their median.
+const GATE_PAIRS: usize = 7;
+
 /// The machine-readable report (`--json 1`), recorded as the
 /// `BENCH_publish.json` baseline.
 #[derive(Debug, Serialize)]
@@ -42,7 +47,10 @@ struct QuickReport {
     gate_n: u64,
     gate_dirty: f64,
     min_speedup: f64,
+    /// Median of `gate_pairs`.
     speedup: f64,
+    /// Rebuild-over-patch ratio of each gate pair, in measurement order.
+    gate_pairs: Vec<f64>,
     gate_enforced: bool,
     sweep: Vec<BackendPublishReport>,
     engine: Vec<EnginePublishReport>,
@@ -99,30 +107,22 @@ fn main() {
         }
     }
 
-    let gate_row = sweep
-        .iter()
-        .find(|r| {
-            r.backend == "fenwick"
-                && r.n == gate_n as u64
-                && !r.scaled
-                && r.dirty == ((gate_n as f64 * gate_dirty) as u64).max(1)
+    // The gate point, re-measured as alternating rebuild/patch pairs
+    // (each `bench_backend_publish` times the rebuild, then the patch);
+    // the median pair ratio is robust to a scheduler hiccup in a few.
+    let fenwick = registry
+        .get("fenwick")
+        .expect("the standard registry has a fenwick backend");
+    let gate_pairs: Vec<f64> = (0..GATE_PAIRS)
+        .map(|_| {
+            bench_backend_publish(fenwick, gate_n, gate_dirty, false, budget)
+                .speedup
+                .expect("fenwick has a patch path")
         })
-        .expect("gate point is in the sweep");
-    let mut speedup = gate_row.speedup.expect("fenwick has a patch path");
-
-    // Thin-margin hardening: a miss is re-measured once and the better run
-    // kept — a scheduler hiccup passes on retry, a real regression fails
-    // twice.
-    if speedup < min_speedup {
-        eprintln!("  (gate speedup {speedup:.2}x under the bar; re-measuring the gate point once)");
-        let fenwick = registry
-            .entries()
-            .iter()
-            .find(|backend| backend.name() == "fenwick")
-            .expect("the standard registry has a fenwick backend");
-        let retry = bench_backend_publish(fenwick, gate_n, gate_dirty, false, budget);
-        speedup = speedup.max(retry.speedup.expect("fenwick has a patch path"));
-    }
+        .collect();
+    let mut sorted = gate_pairs.clone();
+    sorted.sort_by(f64::total_cmp);
+    let speedup = sorted[GATE_PAIRS / 2];
 
     println!(
         "\nend-to-end engine publish (fenwick, n = {gate_n}, {:.1}% dirty):",
@@ -142,9 +142,10 @@ fn main() {
     // needs neither cores nor SIMD, so it is enforced everywhere.
     let gate_enforced = true;
     println!(
-        "\nfenwick patch vs rebuild at n = {gate_n}, {:.1}% dirty: {speedup:.2}x \
-         (gate: >= {min_speedup}x, enforced)",
-        gate_dirty * 100.0
+        "\nfenwick patch vs rebuild at n = {gate_n}, {:.1}% dirty: median {speedup:.2}x \
+         of {GATE_PAIRS} pairs {:.2?} (gate: >= {min_speedup}x, enforced)",
+        gate_dirty * 100.0,
+        gate_pairs
     );
 
     let margins = vec![GateMargin::at_least(
@@ -162,6 +163,7 @@ fn main() {
             gate_dirty,
             min_speedup,
             speedup,
+            gate_pairs,
             gate_enforced,
             sweep,
             engine,

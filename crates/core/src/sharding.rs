@@ -25,6 +25,7 @@
 //! a share `p` of the mass keeps only about `53 + log₂ p` bits, so reusing
 //! it would coarsen the in-shard draw on every shard but a lone one.
 
+use std::hint::select_unpredictable;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lrb_obs::CachePadded;
@@ -214,17 +215,27 @@ impl TotalsCut {
         }
         let r = r.clamp(0.0, self.total * (1.0 - f64::EPSILON));
         let n = self.totals.len();
-        let mut residual = r;
+        let tree = &self.tree[..=n];
+        // Branch-free descent: each step computes `residual - node` and
+        // keeps it or the old residual through an integer select on the
+        // bits (a select on the `f64` compiles to a branch on x86), so the
+        // arithmetic is exactly the branchy walk's. Against the branchy
+        // walk it cut perfbench `batch_sparse`'s request p50 by 7–8 % on a
+        // 2-vCPU Xeon (alternating pairs won 9 of 10 on one seed, 8 of 8
+        // on another).
+        let mut residual = r.to_bits();
         let mut pos = 0usize; // one-based count of shards fully below `r`
         let mut step = self.top;
         while step > 0 {
             let next = pos + step;
-            if next <= n && self.tree[next] <= residual {
-                residual -= self.tree[next];
-                pos = next;
-            }
+            let node = tree[next.min(n)];
+            let mass = f64::from_bits(residual);
+            let take = (next <= n) & (node <= mass);
+            residual = select_unpredictable(take, (mass - node).to_bits(), residual);
+            pos = select_unpredictable(take, next, pos);
             step /= 2;
         }
+        let residual = f64::from_bits(residual);
         let candidate = pos.min(n - 1);
         if self.totals[candidate] > 0.0 {
             return Some((candidate, residual.min(self.totals[candidate])));

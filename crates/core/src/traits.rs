@@ -1,6 +1,14 @@
 //! The selector abstractions shared by every algorithm in the crate.
+//!
+//! [`DynamicSampler`] and [`FrozenSampler`] draw from any
+//! [`RandomSource`] one index at a time, fill buffers from one stream
+//! ([`sample_into`](DynamicSampler::sample_into)), and draw one index per
+//! stream from a slice of Philox substreams
+//! ([`sample_streams`](DynamicSampler::sample_streams)) — the service
+//! planner's call for one shard's group of slots, which a sampler may run
+//! in lockstep.
 
-use lrb_rng::RandomSource;
+use lrb_rng::{Philox4x32, RandomSource};
 
 use crate::error::SelectionError;
 use crate::fitness::Fitness;
@@ -200,6 +208,27 @@ pub trait DynamicSampler: Send + Sync {
         Ok(())
     }
 
+    /// One draw per stream: `out[i]` comes from `streams[i]` alone,
+    /// exactly as [`sample`](DynamicSampler::sample) on that stream draws
+    /// it, and each stream is left where that draw leaves it. The service
+    /// planner draws a shard's whole group of slots through this, one
+    /// Philox substream per slot. The default loops over `sample`;
+    /// samplers whose draw is a short fixed computation (the Fenwick
+    /// descent) override it to run several streams in lockstep.
+    ///
+    /// Panics if the two slices differ in length.
+    fn sample_streams(
+        &self,
+        streams: &mut [Philox4x32],
+        out: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        assert_eq!(streams.len(), out.len(), "one output slot per stream");
+        for (stream, slot) in streams.iter_mut().zip(out) {
+            *slot = self.sample(stream)?;
+        }
+        Ok(())
+    }
+
     /// Draw `count` indices independently (with replacement; allocating,
     /// delegates to [`sample_into`](DynamicSampler::sample_into)).
     fn sample_many(
@@ -245,6 +274,24 @@ pub trait FrozenSampler: Send + Sync {
         Ok(())
     }
 
+    /// One draw per stream, `out[i]` from `streams[i]` alone, exactly as
+    /// [`sample`](FrozenSampler::sample) on that stream draws it (see
+    /// [`DynamicSampler::sample_streams`]). The default loops over
+    /// `sample`; the blanket impl forwards to the dynamic sampler's.
+    ///
+    /// Panics if the two slices differ in length.
+    fn sample_streams(
+        &self,
+        streams: &mut [Philox4x32],
+        out: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        assert_eq!(streams.len(), out.len(), "one output slot per stream");
+        for (stream, slot) in streams.iter_mut().zip(out) {
+            *slot = self.sample(stream)?;
+        }
+        Ok(())
+    }
+
     /// The concrete sampler as [`Any`](std::any::Any), so a backend's
     /// incremental-publish path can downcast a previous snapshot's sampler
     /// back to its own type and patch it instead of rebuilding from
@@ -267,6 +314,14 @@ impl<T: DynamicSampler + 'static> FrozenSampler for T {
         out: &mut [usize],
     ) -> Result<(), SelectionError> {
         DynamicSampler::sample_into(self, rng, out)
+    }
+
+    fn sample_streams(
+        &self,
+        streams: &mut [Philox4x32],
+        out: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        DynamicSampler::sample_streams(self, streams, out)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -398,5 +453,32 @@ mod tests {
         assert_eq!(frozen.weights(), &[1.0, 3.0]);
         let mut rng = MersenneTwister64::seed_from_u64(2);
         assert!(frozen.sample(&mut rng).unwrap() < 2);
+    }
+
+    #[test]
+    fn per_stream_draws_default_to_a_sample_loop() {
+        let sampler = TwoWeights {
+            weights: [1.0, 3.0],
+        };
+        let frozen: &dyn FrozenSampler = &sampler;
+        let mut streams: Vec<Philox4x32> =
+            (0..9).map(|s| Philox4x32::for_substream(4, s)).collect();
+        let mut reference = streams.clone();
+        let mut out = vec![usize::MAX; streams.len()];
+        frozen.sample_streams(&mut streams, &mut out).unwrap();
+        for (i, stream) in reference.iter_mut().enumerate() {
+            assert_eq!(out[i], DynamicSampler::sample(&sampler, stream).unwrap());
+        }
+        assert_eq!(
+            streams, reference,
+            "each stream moves as its own draw moves it"
+        );
+        let empty = TwoWeights {
+            weights: [0.0, 0.0],
+        };
+        assert_eq!(
+            DynamicSampler::sample_streams(&empty, &mut streams[..1], &mut out[..1]),
+            Err(SelectionError::AllZeroFitness)
+        );
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! * [`FenwickSampler`] — a Fenwick (binary indexed) tree over the weights:
 //!   exact `F_i = f_i / Σ f_j` probabilities, `O(log n)` per draw **and**
-//!   `O(log n)` per single-weight update. The workhorse for
+//!   `O(log n)` per single-weight update; `O(log k)` over a sparse
+//!   support of `k` non-zeros, whose tree it builds over the support
+//!   alone (the first update that revives a category off that support
+//!   switches to the dense tree, once, in `O(n)`). The workhorse for
 //!   mutate-and-sample traffic.
 //! * [`StochasticAcceptanceSampler`] — stochastic acceptance (Lipowski &
 //!   Lipowska): `O(1)` expected draws by rejection against the maximum

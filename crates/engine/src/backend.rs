@@ -13,7 +13,7 @@
 //!
 //! | backend | build | patch (`d` dirty) | per draw |
 //! |---|---|---|---|
-//! | `fenwick` (default) | `O(n)` | `n/2 (+ n/4 scaled) + d · log₂ n` | `O(log n)`, skew-immune |
+//! | `fenwick` (default) | `O(n)` | `n/2 (+ n/4 scaled) + d · log₂ n` | `O(log n)`, skew-immune; `O(log k)` over a sparse support |
 //! | `alias` | `O(n)`, three passes | — (rebuilds) | `O(1)` |
 //! | `stochastic-acceptance` | `O(n)` | `n/4 (+ n/2 scaled) + 2d` | `n · w_max / Σ w` expected rejection rounds |
 //!
@@ -110,7 +110,9 @@ pub trait FrozenBackend: Send + Sync {
     }
 }
 
-/// Fenwick tree: `O(log n)` draws, cheapest build, skew-immune.
+/// Fenwick tree: `O(log n)` draws, cheapest build, skew-immune; built
+/// over the support alone when at most one weight in four is positive
+/// (`O(log k)` draws, patches that copy a `k`-node tree).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FenwickBackend;
 

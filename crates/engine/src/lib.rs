@@ -27,7 +27,7 @@
 //!   publication can never tear a reader across two distributions.
 //! * [`BackendRegistry`] — the sampler families snapshots can be frozen
 //!   under, as [`FrozenBackend`] trait objects: Fenwick tree (`O(log n)`
-//!   draws, skew-immune), Vose alias table (`O(1)` draws, priciest build),
+//!   draws, skew-immune, `O(log k)` over a sparse support), Vose alias table (`O(1)` draws, priciest build),
 //!   stochastic acceptance (`O(1)` expected draws on balanced weights) —
 //!   plus anything the caller registers. An engine serves the one backend
 //!   its [`EngineConfig::backend`] names, `"fenwick"` by default, so the

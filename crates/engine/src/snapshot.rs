@@ -10,7 +10,11 @@
 //! same `Arc<Snapshot>` without coordination, and a reader that keeps an old
 //! snapshot keeps sampling the exact distribution it observed — publication
 //! of newer versions cannot tear its draws. Readers fill whole buffers
-//! lock-free through [`sample_into`](Snapshot::sample_into); the only
+//! lock-free through [`sample_into`](Snapshot::sample_into), and the
+//! service planner draws a group of slots, one Philox substream each,
+//! through [`sample_streams`](Snapshot::sample_streams) (uncounted; it
+//! credits a whole batch through [`count_served`](Snapshot::count_served));
+//! the only
 //! shared state a draw touches is the served-draws telemetry (exported as
 //! `lrb_snapshot_served` and journaled with each publish; it never steers
 //! the engine), and even that is an [`lrb_obs::Counter`], sharded into
@@ -183,14 +187,21 @@ impl Snapshot {
         Ok(index)
     }
 
-    /// Draw one index like [`sample`](Self::sample), uncounted and
-    /// untimed: the service planner's per-slot draw, which credits a whole
-    /// batch through one [`count_served`](Self::count_served) per shard.
-    pub fn sample_uncounted(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-        self.sampler.sample(rng)
+    /// One draw per stream, `out[i]` from `streams[i]` alone, exactly as
+    /// [`sample`](Self::sample) on that stream draws it
+    /// ([`FrozenSampler::sample_streams`]), uncounted and untimed: the
+    /// service planner's draw for one shard's group of slots, which
+    /// credits a whole batch through one
+    /// [`count_served`](Self::count_served) per shard.
+    pub fn sample_streams(
+        &self,
+        streams: &mut [Philox4x32],
+        out: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        self.sampler.sample_streams(streams, out)
     }
 
-    /// Credit `draws` successful [`sample_uncounted`](Self::sample_uncounted)
+    /// Credit `draws` successful [`sample_streams`](Self::sample_streams)
     /// draws to [`served`](Self::served).
     pub fn count_served(&self, draws: u64) {
         self.served.add(draws);
@@ -226,9 +237,10 @@ impl Snapshot {
     /// Fill `out` from the deterministic counter-based substream
     /// `substream` of `master_seed` — [`sample_into`](Self::sample_into)
     /// with a [`Philox4x32::for_substream`] stream constructed on the
-    /// stack. The service's planner no longer calls it (it draws slot by
-    /// slot through [`sample_uncounted`](Self::sample_uncounted)); it
-    /// stays for the end-to-end benchmark's per-shard fill replay.
+    /// stack. The service's planner no longer calls it (each slot draws
+    /// from its own substream, through
+    /// [`sample_streams`](Self::sample_streams)); it stays for the
+    /// end-to-end benchmark's per-shard fill replay.
     pub fn sample_into_substream(
         &self,
         master_seed: u64,
@@ -394,11 +406,17 @@ mod tests {
         let _ = snap.sample(&mut rng).unwrap();
         let _ = snap.batch_indices(50, 1).unwrap();
         assert_eq!(snap.served(), 151);
-        assert!(snap.sample_uncounted(&mut rng).unwrap() < 2);
+        let mut streams = [
+            Philox4x32::for_substream(9, 0),
+            Philox4x32::for_substream(9, 1),
+        ];
+        let mut out = [usize::MAX; 2];
+        snap.sample_streams(&mut streams, &mut out).unwrap();
+        assert!(out.iter().all(|&i| i < 2));
         assert_eq!(
             snap.served(),
             151,
-            "uncounted draws count only when credited"
+            "per-stream draws count only when credited"
         );
         snap.count_served(3);
         assert_eq!(snap.served(), 154);

@@ -7,7 +7,9 @@
 //! small publishes must stay within the new sampler's retained words
 //! (× 8 bytes) plus a fixed slack for the snapshot, its boxes and the
 //! sampler header. A second weight copy per publish (n more words) breaks
-//! the bound on every backend.
+//! the bound on every backend, and so does a dense tree (n more words)
+//! under a sparse Fenwick snapshot, which must patch only its compact
+//! state.
 //!
 //! Kept to a single `#[test]` so no sibling test can allocate on another
 //! thread mid-measurement.
@@ -59,14 +61,23 @@ const MEASURED_PUBLISHES: usize = 300;
 /// Snapshot, `Arc` and `Box` headers plus the sampler struct.
 const SLACK_BYTES: u64 = 4096;
 
+/// Positive weights of the sparse case: one category in 64, so its
+/// Fenwick tree lies over the support (the compact layout).
+const SPARSE_STRIDE: usize = 64;
+
 /// Stage a two-entry batch and publish it; returns the bytes the publish
-/// itself allocated.
-fn publish_two(engine: &SelectionEngine, round: usize) -> u64 {
-    let index = (round * 37) % N;
+/// itself allocated. A sparse engine's batch reweights two categories of
+/// its support, so a patch stays compact.
+fn publish_two(engine: &SelectionEngine, round: usize, sparse: bool) -> u64 {
     let weight = (round % 5 + 1) as f64;
-    engine
-        .enqueue_many(&[(index, weight), ((index + 1) % N, weight + 0.5)])
-        .expect("valid batch");
+    let batch = if sparse {
+        let index = (round * 37) % (N / SPARSE_STRIDE) * SPARSE_STRIDE;
+        [(index, weight), ((index + SPARSE_STRIDE) % N, weight + 0.5)]
+    } else {
+        let index = (round * 37) % N;
+        [(index, weight), ((index + 1) % N, weight + 0.5)]
+    };
+    engine.enqueue_many(&batch).expect("valid batch");
     let before = ALLOC.bytes();
     engine.publish().expect("publish of a valid batch succeeds");
     ALLOC.bytes() - before
@@ -75,17 +86,36 @@ fn publish_two(engine: &SelectionEngine, round: usize) -> u64 {
 #[test]
 fn a_publish_allocates_only_the_new_samplers_state() {
     let n = N as u64;
-    // (backend, policy, words the new sampler retains, publishes patched)
+    let k = n / SPARSE_STRIDE as u64;
+    // (backend, policy, sparse weights, words the new sampler retains,
+    // publishes patched). A compact Fenwick sampler retains n weights,
+    // k + 1 tree nodes and k u32 support entries (k / 2 words).
     let cases = [
-        ("fenwick", PatchPolicy::Always, 2 * n + 1, true),
-        ("fenwick", PatchPolicy::Never, 2 * n + 1, false),
-        ("stochastic-acceptance", PatchPolicy::Always, n, true),
-        ("stochastic-acceptance", PatchPolicy::Never, n, false),
-        ("alias", PatchPolicy::Auto, 3 * n, false),
+        ("fenwick", PatchPolicy::Always, false, 2 * n + 1, true),
+        ("fenwick", PatchPolicy::Never, false, 2 * n + 1, false),
+        (
+            "fenwick",
+            PatchPolicy::Always,
+            true,
+            n + (k + 1) + k / 2,
+            true,
+        ),
+        ("stochastic-acceptance", PatchPolicy::Always, false, n, true),
+        ("stochastic-acceptance", PatchPolicy::Never, false, n, false),
+        ("alias", PatchPolicy::Auto, false, 3 * n, false),
     ];
-    for (backend, patch, words, patches) in cases {
+    for (backend, patch, sparse, words, patches) in cases {
+        let weights = (0..N).map(|i| {
+            if !sparse {
+                ((i % 7) + 1) as f64
+            } else if i % SPARSE_STRIDE == 0 {
+                ((i % 5) + 1) as f64
+            } else {
+                0.0
+            }
+        });
         let engine = SelectionEngine::new(
-            (0..N).map(|i| ((i % 7) + 1) as f64).collect(),
+            weights.collect(),
             EngineConfig {
                 backend,
                 patch,
@@ -94,10 +124,10 @@ fn a_publish_allocates_only_the_new_samplers_state() {
         )
         .expect("valid weights");
         for round in 0..WARM_PUBLISHES {
-            publish_two(&engine, round);
+            publish_two(&engine, round, sparse);
         }
         let cheapest = (WARM_PUBLISHES..WARM_PUBLISHES + MEASURED_PUBLISHES)
-            .map(|round| publish_two(&engine, round))
+            .map(|round| publish_two(&engine, round, sparse))
             .min()
             .expect("publishes ran");
         let publishes = (WARM_PUBLISHES + MEASURED_PUBLISHES) as u64;
@@ -105,13 +135,13 @@ fn a_publish_allocates_only_the_new_samplers_state() {
         assert_eq!(
             engine.stats().patched,
             if patches { publishes } else { 0 },
-            "{backend} under {patch:?} took the wrong freeze path"
+            "{backend} under {patch:?} (sparse {sparse}) took the wrong freeze path"
         );
         let bound = words * 8 + SLACK_BYTES;
         assert!(
             cheapest <= bound,
-            "{backend} under {patch:?}: the cheapest publish allocated \
-             {cheapest} B, over the new sampler's {words} words + slack ({bound} B)"
+            "{backend} under {patch:?} (sparse {sparse}): the cheapest publish \
+             allocated {cheapest} B, over the new sampler's {words} words + slack ({bound} B)"
         );
     }
 }

@@ -25,8 +25,9 @@
 //!   per-shard publisher threads, merged metrics. Batched draws run
 //!   through the versioned **parallel batch planner** (see [`sharded`]'s
 //!   module docs): one master draw, one Philox substream per slot,
-//!   reusable [`DrawPlan`] scratch, and slot ranges forked through the
-//!   rayon shim's `join` (re-exported by `lrb-core`) —
+//!   reusable [`DrawPlan`] scratch, slot ranges forked through the
+//!   rayon shim's `join` (re-exported by `lrb-core`), and each range's
+//!   slots grouped by shard so every shard draws its group in one call —
 //!   bit-deterministic at any thread budget and allocation-free once warm.
 //! * [`DrawAggregator`] — flat combining for in-process single draws
 //!   from many threads (the server does not use it).

@@ -6,7 +6,7 @@
 //! lock-free [`ShardTotals`] cell, frozen per draw batch into a
 //! [`TotalsCut`] (a Fenwick prefix tree over the shard totals, the paper's
 //! tree one level up). Level two is the shard's own published snapshot
-//! ([`SelectionEngine::snapshot`] + [`Snapshot::sample_uncounted`]), so a
+//! ([`SelectionEngine::snapshot`] + [`Snapshot::sample_streams`]), so a
 //! draw takes no lock in steady state (only the first read on a thread
 //! after a publish takes the shard engine's swap-cell mutex)
 //! and never waits on a backend build — the composite distribution is
@@ -44,14 +44,21 @@
 //! A batch is one recursive pass over slot ranges with a reusable
 //! [`DrawPlan`]: a range of at least `FANOUT_MIN_BATCH` slots splits at
 //! its midpoint and forks its halves through the rayon shim's `join`
-//! (re-exported as [`lrb_core::join`]), and a shorter one writes each
-//! slot's global index straight into the output. The calling thread
-//! takes every shard's snapshot before the first fork, so a pool helper
-//! never touches an engine (nor its thread-local snapshot cache). With a
-//! warm plan the whole path performs no allocation on the calling thread
-//! (see `tests/service_alloc.rs`).
+//! (re-exported as [`lrb_core::join`]). A shorter range draws shard by
+//! shard, in passes of at most `SLOT_PASS` slots: one pass fills every
+//! slot's Philox head ([`Philox4x32::fill_substreams`]), level one picks
+//! every slot's shard, a counting sort groups the slots by shard, and
+//! each shard's snapshot draws its whole group through one per-stream
+//! batch call, which fenwick runs as an 8-wide lockstep descent. Each
+//! slot still draws from its own substream with the same arithmetic, so
+//! the grouping changes no index. The calling thread takes every shard's
+//! snapshot before the first fork, so a pool helper never touches an
+//! engine (nor its thread-local snapshot cache). With a warm plan (and a
+//! warm per-thread slot scratch, bounded by the pass length) the whole
+//! path performs no allocation on the calling thread (see
+//! `tests/service_alloc.rs`).
 //!
-//! [`Snapshot::sample_uncounted`]: lrb_engine::Snapshot::sample_uncounted
+//! [`Snapshot::sample_streams`]: lrb_engine::Snapshot::sample_streams
 //! [`TotalsCut`]: lrb_core::sharding::TotalsCut
 
 use std::cell::RefCell;
@@ -77,6 +84,10 @@ pub const ROUTE_LAYOUT_VERSION: u32 = 3;
 /// hand-off latency outweighs the parallel work (determinism is
 /// unaffected — the schedule never changes results).
 const FANOUT_MIN_BATCH: usize = 1024;
+
+/// Slots a leaf range draws per pass of its phases: the bound on each
+/// thread's slot scratch (108 bytes a slot, so about 27 KiB).
+const SLOT_PASS: usize = 256;
 
 /// Tuning knobs for a [`ShardedService`].
 #[derive(Debug, Clone, PartialEq)]
@@ -105,14 +116,21 @@ impl Default for ServiceConfig {
 }
 
 /// Reusable scratch for the batch planner: the level-one cut, every
-/// shard's snapshot and the per-shard draw counts — everything a batch
-/// needs, owned by the caller and reused across batches so the
-/// steady-state path never allocates.
+/// shard's snapshot and the per-shard draw counts, owned by the caller
+/// and reused across batches.
 ///
 /// Hold one per thread (the server's reactors do, through a
 /// thread-local inside [`ServiceCore::draw_into`]) or pass your own to
 /// [`ServiceCore::draw_into_with_plan`]. Buffers grow to the largest
 /// batch/shard-count seen and stay there.
+///
+/// The leaf's slot scratch (each slot's stream, shard group and pick) is
+/// not in the plan: every thread that draws a slot range, the caller and
+/// any pool helper a fork reaches alike, keeps its own in a thread-local,
+/// capped at one pass of 256 slots (about 27 KiB). So the steady-state
+/// path allocates nothing once the plan and the drawing threads are warm;
+/// a warm plan on a thread that has not drawn before still allocates its
+/// slot scratch on the first batch.
 #[derive(Debug)]
 pub struct DrawPlan {
     /// The frozen level-one cut, refilled in place per batch.
@@ -149,6 +167,10 @@ thread_local! {
     /// [`ServiceCore::draw_slots`] — one warm scratch per server reactor /
     /// publisher / caller thread.
     static THREAD_PLAN: RefCell<DrawPlan> = const { RefCell::new(DrawPlan::new()) };
+
+    /// The per-thread slot scratch behind every leaf range a thread
+    /// draws, on the submitting thread and on the pool's helpers alike.
+    static SLOT_SCRATCH: RefCell<SlotScratch> = const { RefCell::new(SlotScratch::new()) };
 }
 
 /// One shard: a contiguous category range served by its own engine (the
@@ -309,8 +331,9 @@ impl ServiceCore {
 
     /// [`draw_into`](Self::draw_into) with caller-owned scratch: `plan`'s
     /// buffers grow to the batch shape on first use and are reused as-is
-    /// afterwards, so a warm plan makes the whole batch path
-    /// allocation-free. An empty `out` consumes no master.
+    /// afterwards. With a warm plan the batch path is allocation-free once
+    /// each drawing thread's own slot scratch is warm too (see
+    /// [`DrawPlan`]). An empty `out` consumes no master.
     pub fn draw_into_with_plan(
         &self,
         rng: &mut dyn RandomSource,
@@ -405,8 +428,9 @@ impl ServiceCore {
     /// counting each slot's shard in `counts`, whose [`leaves`] rows of
     /// one count per shard cover the range. A range of at least
     /// [`FANOUT_MIN_BATCH`] slots splits at its midpoint and `join`s its
-    /// halves, recursively; either way the first error in slot order is
-    /// the one returned.
+    /// halves, recursively; a shorter one draws in passes of at most
+    /// [`SLOT_PASS`] slots ([`SlotScratch::draw_pass`]). The first error
+    /// stops the range and is returned.
     fn draw_range(
         &self,
         cut: &TotalsCut,
@@ -427,15 +451,21 @@ impl ServiceCore {
             );
             return left.and(right);
         }
-        for (slot, index) in (first..).zip(out) {
-            let mut stream = Philox4x32::for_substream(master, slot);
-            let (shard, _) = cut
-                .pick_uniform(stream.next_f64())
-                .ok_or(SelectionError::AllZeroFitness)?;
-            *index = self.offsets[shard] + snapshots[shard].sample_uncounted(&mut stream)?;
-            counts[shard] += 1;
-        }
-        Ok(())
+        let leaf = Leaf {
+            cut,
+            snapshots,
+            offsets: &self.offsets,
+            master,
+        };
+        SLOT_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let mut slot = first;
+            for pass in out.chunks_mut(SLOT_PASS) {
+                scratch.draw_pass(&leaf, slot, pass, counts)?;
+                slot += pass.len() as u64;
+            }
+            Ok(())
+        })
     }
 
     /// Allocating convenience around [`draw_into`](Self::draw_into).
@@ -652,6 +682,117 @@ fn leaves(slots: usize) -> usize {
         1
     } else {
         leaves(slots / 2) + leaves(slots - slots / 2)
+    }
+}
+
+/// What every pass of one leaf range reads: the batch's cut, every
+/// shard's snapshot and global offset, and the master.
+struct Leaf<'a> {
+    cut: &'a TotalsCut,
+    snapshots: &'a [Arc<Snapshot>],
+    offsets: &'a [usize],
+    master: u64,
+}
+
+/// Per-thread scratch for a leaf's passes. Each buffer grows to the
+/// longest pass the thread has drawn (at most [`SLOT_PASS`] slots) and is
+/// reused, so scratch scales with the run and a warm thread allocates
+/// nothing.
+#[derive(Debug)]
+struct SlotScratch {
+    /// Each slot's stream, in slot order.
+    heads: Vec<Philox4x32>,
+    /// The same streams after their level-one word, grouped by shard.
+    grouped: Vec<Philox4x32>,
+    /// The pass offset of each grouped stream's slot.
+    slot_of: Vec<u32>,
+    /// Each grouped stream's in-shard index.
+    picks: Vec<usize>,
+    /// Group bounds: shard `s` draws grouped positions
+    /// `starts[s]..starts[s + 1]`.
+    starts: Vec<usize>,
+    /// The counting sort's next free position per shard.
+    cursors: Vec<usize>,
+}
+
+impl SlotScratch {
+    const fn new() -> Self {
+        Self {
+            heads: Vec::new(),
+            grouped: Vec::new(),
+            slot_of: Vec::new(),
+            picks: Vec::new(),
+            starts: Vec::new(),
+            cursors: Vec::new(),
+        }
+    }
+
+    /// Draw slots `first..first + out.len()` of the leaf's master into
+    /// `out`, adding each shard's draws to `counts`, in four phases:
+    /// 1. fill every slot's Philox substream with its first block
+    ///    ([`Philox4x32::fill_substreams`]);
+    /// 2. level one: each stream's first uniform picks the slot's shard
+    ///    through the cut (the shard is parked in `out[slot]`);
+    /// 3. a counting sort groups the streams by shard;
+    /// 4. each shard's snapshot draws its whole group, every stream
+    ///    carrying on where level one left it
+    ///    ([`Snapshot::sample_streams`]), and the picks land in `out`.
+    ///
+    /// Every slot reads its own substream with the same arithmetic as a
+    /// slot-by-slot loop, so the grouping changes no index.
+    fn draw_pass(
+        &mut self,
+        leaf: &Leaf<'_>,
+        first: u64,
+        out: &mut [usize],
+        counts: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        let len = out.len();
+        let shards = leaf.snapshots.len();
+        let idle = Philox4x32::with_key(0);
+        self.heads.resize(len, idle);
+        let heads = &mut self.heads[..len];
+        Philox4x32::fill_substreams(leaf.master, first, heads);
+
+        self.starts.clear();
+        self.starts.resize(shards + 1, 0);
+        for (stream, shard) in heads.iter_mut().zip(out.iter_mut()) {
+            let (s, _) = leaf
+                .cut
+                .pick_uniform(stream.next_f64())
+                .ok_or(SelectionError::AllZeroFitness)?;
+            *shard = s;
+            self.starts[s + 1] += 1;
+        }
+        for (s, count) in counts.iter_mut().enumerate() {
+            *count += self.starts[s + 1];
+            self.starts[s + 1] += self.starts[s];
+        }
+
+        self.grouped.resize(len, idle);
+        self.slot_of.resize(len, 0);
+        self.picks.resize(len, 0);
+        self.cursors.clear();
+        self.cursors.extend_from_slice(&self.starts[..shards]);
+        for (slot, (&s, stream)) in out.iter().zip(heads.iter()).enumerate() {
+            let position = self.cursors[s];
+            self.cursors[s] += 1;
+            self.grouped[position] = *stream;
+            self.slot_of[position] = slot as u32;
+        }
+
+        for (s, snapshot) in leaf.snapshots.iter().enumerate() {
+            let group = self.starts[s]..self.starts[s + 1];
+            if group.is_empty() {
+                continue;
+            }
+            let picks = &mut self.picks[group.clone()];
+            snapshot.sample_streams(&mut self.grouped[group.clone()], picks)?;
+            for (&slot, &pick) in self.slot_of[group].iter().zip(picks.iter()) {
+                out[slot as usize] = leaf.offsets[s] + pick;
+            }
+        }
+        Ok(())
     }
 }
 

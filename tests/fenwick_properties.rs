@@ -2,7 +2,8 @@
 //! [`FenwickSampler`]: the tree's aggregates must track an independent
 //! shadow vector through arbitrary update bursts, draws must never land on
 //! zero weights, and the `O(log n)` prefix descent must agree draw-for-draw
-//! with the `O(n)` linear-scan oracle on a shared random stream.
+//! with the `O(n)` linear-scan oracle on a shared random stream — on the
+//! dense layout and on the compact one a sparse vector builds.
 
 use lrb_core::sequential::LinearScanSelector;
 use lrb_core::{DynamicSampler, Fitness, Selector};
@@ -96,6 +97,45 @@ proptest! {
                 sampler.sample(&mut tree_rng).unwrap(),
                 LinearScanSelector.select(&fitness, &mut oracle_rng).unwrap()
             );
+        }
+    }
+
+    /// The compact layout against the same oracle: one positive weight in
+    /// 32, so the tree lies over the support, then bursts that zero
+    /// members of it and revive categories off it (the first revival turns
+    /// the tree dense), and a fresh build over the result (compact again
+    /// while the support stays small). Weights are multiples of 1/4, so
+    /// every partial sum is exact and both sides invert the same CDF bit
+    /// for bit.
+    #[test]
+    fn prop_compact_descent_agrees_with_the_linear_scan_oracle(
+        len in 64usize..600,
+        updates in proptest::collection::vec(0u32..40, 0..24),
+        seed: u64,
+    ) {
+        let initial: Vec<f64> = (0..len)
+            .map(|i| if i % 32 == 11 { ((i * 7) % 13 + 1) as f64 * 0.25 } else { 0.0 })
+            .collect();
+        let mut sampler = FenwickSampler::from_weights(initial.clone()).unwrap();
+        prop_assert!(sampler.is_compact());
+        let mut shadow = initial;
+        for (&quarters, &index) in updates.iter().zip(&burst_positions(seed, updates.len(), shadow.len())) {
+            let value = f64::from(quarters) * 0.25;
+            sampler.update(index, value).unwrap();
+            shadow[index] = value;
+        }
+        prop_assume!(shadow.iter().any(|&w| w > 0.0));
+        let rebuilt = FenwickSampler::from_weights(shadow.clone()).unwrap();
+        let fitness = Fitness::new(shadow).unwrap();
+        for sampler in [&sampler, &rebuilt] {
+            let mut tree_rng = MersenneTwister64::seed_from_u64(seed);
+            let mut oracle_rng = MersenneTwister64::seed_from_u64(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(
+                    sampler.sample(&mut tree_rng).unwrap(),
+                    LinearScanSelector.select(&fitness, &mut oracle_rng).unwrap()
+                );
+            }
         }
     }
 }

@@ -87,6 +87,54 @@ proptest! {
         }
     }
 
+    /// Fenwick on a sparse shard (one positive weight in 32, so every
+    /// sampler builds compact): bursts that reweight and zero members of
+    /// the support, and now and then revive a category off it, leave the
+    /// patched weights bit-identical to a rebuild's.
+    #[test]
+    fn prop_sparse_fenwick_patch_equals_rebuild(
+        len in 256usize..2048,
+        rounds in 1usize..6,
+        seed: u64,
+    ) {
+        let initial: Vec<f64> = (0..len)
+            .map(|i| if i % 32 == 5 { (i % 17 + 1) as f64 } else { 0.0 })
+            .collect();
+        let mut current = FenwickSampler::from_weights(initial.clone())
+            .expect("initial weights are valid");
+        prop_assert!(current.is_compact());
+        let mut shadow = initial;
+        for round in 0..rounds {
+            let (burst, scale) = burst(len, seed.wrapping_add(round as u64), 8);
+            // Move each override onto the support; keep the first off it
+            // on odd rounds, so some patches revive a category.
+            let mut overrides: Vec<(usize, f64)> = burst
+                .iter()
+                .enumerate()
+                .map(|(k, &(index, weight))| {
+                    if k == 0 && round % 2 == 1 { (index, weight) } else { (index / 32 * 32 + 5, weight) }
+                })
+                .filter(|&(index, _)| index < len)
+                .collect();
+            overrides.sort_unstable_by_key(|&(index, _)| index);
+            overrides.dedup_by_key(|&mut (index, _)| index);
+            current = FenwickSampler::patched_from(&current, &overrides, scale)
+                .expect("finite batch");
+            shadow = fold(&shadow, &overrides, scale);
+            let rebuilt = FenwickSampler::from_weights(shadow.clone()).unwrap();
+            for (i, (a, b)) in current.weights().iter().zip(rebuilt.weights()).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "weight {} diverged", i);
+            }
+            prop_assert_eq!(current.non_zero_count(), rebuilt.non_zero_count());
+            prop_assert!(current.is_compact());
+            let total: f64 = shadow.iter().sum();
+            prop_assert!((current.total_weight() - total).abs() <= 1e-9 * total.max(1.0));
+            let mid = len / 2;
+            let prefix: f64 = shadow[..mid].iter().sum();
+            prop_assert!((current.prefix_sum(mid) - prefix).abs() <= 1e-9 * total.max(1.0));
+        }
+    }
+
     /// Stochastic acceptance: patched weights and aggregates equal a
     /// rebuild's after any burst sequence.
     #[test]

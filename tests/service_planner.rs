@@ -8,6 +8,7 @@
 //! statistically.
 
 use lrb_core::sharding::TotalsCut;
+use lrb_dynamic::FenwickSampler;
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
 use lrb_service::{ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION};
 use lrb_stats::chi_square_gof;
@@ -27,15 +28,45 @@ fn test_weights(categories: usize) -> Vec<f64> {
         .collect()
 }
 
+/// One positive weight in 32: every shard of the planner tests builds
+/// its Fenwick tree over the support (the compact layout).
+fn sparse_weights(categories: usize) -> Vec<f64> {
+    (0..categories)
+        .map(|i| {
+            if i % 32 == 9 {
+                ((i % 29) + 1) as f64
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
 fn service(categories: usize, shards: usize) -> ShardedService {
+    service_over(test_weights(categories), shards)
+}
+
+fn service_over(weights: Vec<f64>, shards: usize) -> ShardedService {
     ShardedService::new(
-        test_weights(categories),
+        weights,
         ServiceConfig {
             shards,
             ..ServiceConfig::default()
         },
     )
     .expect("planner test service construction cannot fail")
+}
+
+/// Whether every shard of `service` draws from a compact Fenwick tree.
+fn every_shard_is_compact(service: &ShardedService) -> bool {
+    (0..service.shard_count()).all(|s| {
+        let weights = service
+            .shard_engine(s)
+            .read(|snapshot| snapshot.weights().to_vec());
+        FenwickSampler::from_weights(weights)
+            .expect("shard weights are valid")
+            .is_compact()
+    })
 }
 
 /// Run `op` under a thread budget of `lanes` (1 = every fill inline).
@@ -115,26 +146,32 @@ proptest! {
     /// count. Lanes = 1 forces inline (sequential) execution, so this is
     /// also a parallel-vs-sequential-execution parity oracle; batches
     /// above the inline threshold exercise the forked slot ranges, and the
-    /// odd one an odd half.
+    /// odd ones an odd half and short trailing passes whose shard groups
+    /// end in lockstep remainders. Dense weights and sparse ones (every
+    /// shard's tree compact) both.
     #[test]
     fn prop_v3_output_is_invariant_across_lane_counts(
         seed: u64,
         small_batch in 1usize..192,
     ) {
-        for batch in [small_batch, 2_048, 1_025 + 2 * small_batch] {
-            let mut reference: Option<Vec<usize>> = None;
-            for lanes in [1usize, 2, 8] {
-                let service = service(384, 6);
-                let out = with_lanes(lanes, || draw_batches(&service, seed, 1, batch));
-                match &reference {
-                    None => reference = Some(out),
-                    Some(expected) => prop_assert_eq!(
-                        expected,
-                        &out,
-                        "lane count changed v3 output (lanes {}, batch {})",
-                        lanes,
-                        batch
-                    ),
+        for sparse in [false, true] {
+            for batch in [small_batch, 2_048, 1_025 + 2 * small_batch, 1_029] {
+                let mut reference: Option<Vec<usize>> = None;
+                for lanes in [1usize, 2, 8] {
+                    let weights = if sparse { sparse_weights(384) } else { test_weights(384) };
+                    let service = service_over(weights, 6);
+                    let out = with_lanes(lanes, || draw_batches(&service, seed, 1, batch));
+                    match &reference {
+                        None => reference = Some(out),
+                        Some(expected) => prop_assert_eq!(
+                            expected,
+                            &out,
+                            "lane count changed v3 output (lanes {}, batch {}, sparse {})",
+                            lanes,
+                            batch,
+                            sparse
+                        ),
+                    }
                 }
             }
         }
@@ -144,17 +181,22 @@ proptest! {
     /// layout-v3 reference and consume exactly one word of the caller's
     /// generator, inline (lanes 1, and batches under the 1024-slot
     /// threshold) and through the forked slot ranges (lanes 4 above it,
-    /// at an even and an odd batch size). The batch's slots from a third
-    /// of the way in, drawn alone as a slot range of the same master,
-    /// match too.
+    /// at an even and two odd batch sizes), on dense weights and on
+    /// sparse ones whose shards all draw from compact trees. The
+    /// reference draws slot by slot, so the planner's per-shard lockstep
+    /// groups (and their remainders) must not change an index. The
+    /// batch's slots from a third of the way in, drawn alone as a slot
+    /// range of the same master, match too.
     #[test]
     fn prop_v3_matches_the_handrolled_slot_reference(
         seed: u64,
         small_batch in 1usize..512,
     ) {
-        for lanes in [1usize, 4] {
-            let service = service(300, 5);
-            for batch in [small_batch, 2_048, 1_025 + 2 * small_batch] {
+        for (lanes, sparse) in [(1usize, false), (4, false), (1, true), (4, true)] {
+            let weights = if sparse { sparse_weights(300) } else { test_weights(300) };
+            let service = service_over(weights, 5);
+            prop_assert_eq!(every_shard_is_compact(&service), sparse);
+            for batch in [small_batch, 2_048, 1_025 + 2 * small_batch, 1_029] {
                 let mut reference_rng = Philox4x32::seed_from_u64(seed);
                 let expected = v3_reference(&service, &mut reference_rng, batch);
 
@@ -176,9 +218,10 @@ proptest! {
                 prop_assert_eq!(
                     &out,
                     &expected,
-                    "planner diverged from the v3 reference (lanes {}, batch {})",
+                    "planner diverged from the v3 reference (lanes {}, batch {}, sparse {})",
                     lanes,
-                    batch
+                    batch,
+                    sparse
                 );
             }
         }
