@@ -82,7 +82,7 @@ fn bench_selection_throughput(c: &mut Criterion) {
             Box::new(LinearScanSelector),
             Box::new(IndependentRouletteSelector),
             Box::new(LogBiddingSelector::default()),
-            Box::new(ParallelLogBiddingSelector::default()),
+            Box::new(ParallelLogBiddingSelector),
             Box::new(PrefixSumSelector::default()),
         ];
         for selector in &selectors {

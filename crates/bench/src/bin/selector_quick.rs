@@ -7,14 +7,15 @@
 //!         --seed 2024 --json 1]
 //! ```
 //!
-//! Two comparisons, both single-thread (they isolate algorithmic constants,
-//! not rayon fan-out), both **enforced on every host** — neither needs more
-//! than one core, so a 1-core CI sandbox gates them exactly like a
-//! workstation:
+//! Two comparisons, both single-thread — run under a one-thread budget
+//! (`ThreadPool::install` with `num_threads(1)`), so they isolate
+//! algorithmic constants, not rayon fan-out — and both **enforced on every
+//! host**: neither needs more than one core, so a 1-core CI sandbox gates
+//! them exactly like a workstation:
 //!
 //! 1. **Block kernel vs per-index substreams** — one-shot selection through
 //!    the layout-v2 block kernel (`ParallelLogBiddingSelector::select`)
-//!    against the legacy per-index path (`PerIndexLogBiddingSelector`,
+//!    against the legacy per-index path ([`PerIndexLogBiddingSelector`],
 //!    layout v1). Gate: `--min-speedup` (default 2x) at `--gate-n`.
 //! 2. **Fused batch vs per-draw kernel** — a buffer fill through the fused
 //!    multi-draw kernel (`select_into`, eight bid streams per pass over the
@@ -25,19 +26,29 @@
 //!    fitness-reuse and batched generation, so the bar tracks what the
 //!    hardware can express; the tier is recorded in the report).
 //!
-//! A thin-margin miss on either gate is re-measured once (the better run
-//! counts); both outcomes are recorded as [`GateMargin`]s in the `--json 1`
-//! report, the `BENCH_selectors.json` baseline.
+//! Each gate reads the **median** of [`GATE_PAIRS`] alternating
+//! measurements at the gate point (the order of the timed paths flips from
+//! pair to pair), as `publish_quick` does; the sweep rows are for the
+//! record. Both outcomes are recorded as [`GateMargin`]s in the `--json 1`
+//! report, the `BENCH_selectors.json` baseline, with every pair ratio.
+//!
+//! [`PerIndexLogBiddingSelector`]: lrb_bench::selector_workload::PerIndexLogBiddingSelector
 
 use lrb_bench::cli::{Options, OrExit};
 use lrb_bench::gate::{print_margins, GateMargin};
 use lrb_bench::selector_workload::{
-    bench_fitness, bench_selector, bench_selector_per_draw, SelectorReport,
+    bench_fitness, bench_selector, bench_selector_per_draw, PerIndexLogBiddingSelector,
+    SelectorReport,
 };
 use lrb_core::parallel::bid_kernel::STREAM_LAYOUT_VERSION;
-use lrb_core::parallel::{ParallelLogBiddingSelector, PerIndexLogBiddingSelector};
+use lrb_core::parallel::ParallelLogBiddingSelector;
 use lrb_rng::SimdTier;
+use rayon::ThreadPoolBuilder;
 use serde::Serialize;
+
+/// Alternating measurements of the gate point; each gate reads the median
+/// of its pair ratios.
+const GATE_PAIRS: usize = 7;
 
 /// One size of the sweep: single-thread per-index, per-draw block and fused
 /// batch paths, plus their gate ratios.
@@ -62,32 +73,28 @@ struct QuickReport {
     stream_layout_version: u32,
     gate_n: u64,
     min_speedup: f64,
+    /// Median of `speedup_pairs`.
     speedup: f64,
+    /// Per-index over block-kernel time of each gate pair, in measurement
+    /// order.
+    speedup_pairs: Vec<f64>,
     min_fused_speedup: f64,
+    /// Median of `fused_speedup_pairs`.
     fused_speedup: f64,
+    /// Per-draw loop over fused fill time of each gate pair, in
+    /// measurement order.
+    fused_speedup_pairs: Vec<f64>,
     gate_enforced: bool,
     sweep: Vec<SweepRow>,
     block_parallel: SelectorReport,
     margins: Vec<GateMargin>,
 }
 
-/// Measure the two gate ratios at one size (used for the sweep row at
-/// `gate_n` and for the retry re-measurement on a thin-margin miss).
-fn gate_ratios(
-    per_index: &PerIndexLogBiddingSelector,
-    block: &ParallelLogBiddingSelector,
-    n: usize,
-    draws: u64,
-    seed: u64,
-) -> (f64, f64) {
-    let fitness = bench_fitness(n);
-    let a = bench_selector_per_draw(per_index, &fitness, draws, seed);
-    let b = bench_selector_per_draw(block, &fitness, draws, seed);
-    let c = bench_selector(block, &fitness, draws, seed);
-    (
-        a.ns_per_select / b.ns_per_select.max(1e-9),
-        b.ns_per_select / c.ns_per_select.max(1e-9),
-    )
+/// The middle value of `values` (odd length).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
@@ -117,14 +124,14 @@ fn main() {
         .map(|t| t.get())
         .unwrap_or(1);
 
-    // Force the sequential path on both selectors: the gates isolate
+    // The sweep and the gates run under a one-thread budget: they isolate
     // constant factors, not rayon fan-out.
-    let per_index = PerIndexLogBiddingSelector {
-        sequential_cutoff: usize::MAX,
-    };
-    let block = ParallelLogBiddingSelector {
-        sequential_cutoff: usize::MAX,
-    };
+    let single = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the shim's pool builder cannot fail");
+    let per_index = PerIndexLogBiddingSelector;
+    let block = ParallelLogBiddingSelector;
 
     println!(
         "selector_quick: block-Philox kernel (layout v{STREAM_LAYOUT_VERSION}) vs per-index \
@@ -137,14 +144,19 @@ fn main() {
         sizes.push(gate_n);
         sizes.sort_unstable();
     }
+    // Keep total work roughly constant across sizes.
+    let draws_at = |n: usize| (budget / n as u64).clamp(8, 4_096);
     let mut sweep = Vec::new();
     for n in sizes {
-        // Keep total work roughly constant across sizes.
-        let draws = (budget / n as u64).clamp(8, 4_096);
+        let draws = draws_at(n);
         let fitness = bench_fitness(n);
-        let a = bench_selector_per_draw(&per_index, &fitness, draws, seed);
-        let b = bench_selector_per_draw(&block, &fitness, draws, seed);
-        let c = bench_selector(&block, &fitness, draws, seed);
+        let (a, b, c) = single.install(|| {
+            (
+                bench_selector_per_draw(&per_index, &fitness, draws, seed),
+                bench_selector_per_draw(&block, &fitness, draws, seed),
+                bench_selector(&block, &fitness, draws, seed),
+            )
+        });
         let speedup = a.ns_per_select / b.ns_per_select.max(1e-9);
         let fused_speedup = b.ns_per_select / c.ns_per_select.max(1e-9);
         println!(
@@ -165,32 +177,40 @@ fn main() {
         });
     }
 
-    let gate_row = sweep
-        .iter()
-        .find(|row| row.n == gate_n as u64)
-        .expect("gate size is in the sweep");
-    let mut speedup = gate_row.speedup;
-    let mut fused_speedup = gate_row.fused_speedup;
-
-    // Thin-margin hardening: a miss is re-measured once and the better of
-    // the two runs kept — a one-off scheduler hiccup passes on retry, a
-    // real regression fails twice.
-    if speedup < min_speedup || fused_speedup < min_fused_speedup {
-        eprintln!("  (a gate ratio missed its bar; re-measuring the gate point once)");
-        let draws = (budget / gate_n as u64).clamp(8, 4_096);
-        let (retry_speedup, retry_fused) = gate_ratios(&per_index, &block, gate_n, draws, seed);
-        speedup = speedup.max(retry_speedup);
-        fused_speedup = fused_speedup.max(retry_fused);
-    }
-
-    // The rayon path at the gate size, for the record (identical winner to
-    // the sequential path by construction; faster only with real cores).
-    let rayon_block = ParallelLogBiddingSelector {
-        sequential_cutoff: 0,
-    };
+    // The gate point, re-measured as alternating pairs: even pairs time
+    // per-index, per-draw block, fused; odd pairs the reverse. Each pair
+    // yields one ratio per gate, and each gate reads the median, which a
+    // scheduler hiccup in a few pairs cannot move.
     let fitness = bench_fitness(gate_n);
-    let draws = (budget / gate_n as u64).clamp(8, 4_096);
-    let block_parallel = bench_selector(&rayon_block, &fitness, draws, seed);
+    let draws = draws_at(gate_n);
+    let (speedup_pairs, fused_speedup_pairs): (Vec<f64>, Vec<f64>) = single.install(|| {
+        (0..GATE_PAIRS)
+            .map(|pair| {
+                let per_index_ns =
+                    || bench_selector_per_draw(&per_index, &fitness, draws, seed).ns_per_select;
+                let block_ns =
+                    || bench_selector_per_draw(&block, &fitness, draws, seed).ns_per_select;
+                let fused_ns = || bench_selector(&block, &fitness, draws, seed).ns_per_select;
+                let (a, b, c) = if pair % 2 == 0 {
+                    let a = per_index_ns();
+                    let b = block_ns();
+                    (a, b, fused_ns())
+                } else {
+                    let c = fused_ns();
+                    let b = block_ns();
+                    (per_index_ns(), b, c)
+                };
+                (a / b.max(1e-9), b / c.max(1e-9))
+            })
+            .unzip()
+    });
+    let speedup = median(&speedup_pairs);
+    let fused_speedup = median(&fused_speedup_pairs);
+
+    // The rayon path at the gate size under the default thread budget, for
+    // the record (identical winners to the one-thread path by construction;
+    // it forks above one chunk and is faster only with real cores).
+    let block_parallel = bench_selector(&block, &fitness, draws, seed);
     println!(
         "\n  rayon block path at n = {gate_n}: {:.1} ns/select ({} threads available)",
         block_parallel.ns_per_select, host_threads
@@ -203,9 +223,10 @@ fn main() {
     // record carries the tier in its gate name.
     let gate_enforced = true;
     println!(
-        "\nblock kernel vs per-index at n = {gate_n}: {speedup:.2}x (gate: >= {min_speedup}x)\n\
-         fused batch vs per-draw at n = {gate_n}: {fused_speedup:.2}x \
-         (gate: >= {min_fused_speedup}x, {tier_name} tier)"
+        "\nblock kernel vs per-index at n = {gate_n}: median {speedup:.2}x of {GATE_PAIRS} pairs \
+         {speedup_pairs:.2?} (gate: >= {min_speedup}x)\n\
+         fused batch vs per-draw at n = {gate_n}: median {fused_speedup:.2}x of {GATE_PAIRS} \
+         pairs {fused_speedup_pairs:.2?} (gate: >= {min_fused_speedup}x, {tier_name} tier)"
     );
 
     let margins = vec![
@@ -227,8 +248,10 @@ fn main() {
             gate_n: gate_n as u64,
             min_speedup,
             speedup,
+            speedup_pairs,
             min_fused_speedup,
             fused_speedup,
+            fused_speedup_pairs,
             gate_enforced,
             sweep,
             block_parallel,

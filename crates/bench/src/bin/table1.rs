@@ -25,7 +25,7 @@ fn main() {
     let selectors: Vec<Box<dyn Selector>> = vec![
         Box::new(IndependentRouletteSelector),
         Box::new(LogBiddingSelector::default()),
-        Box::new(ParallelLogBiddingSelector::default()),
+        Box::new(ParallelLogBiddingSelector),
         Box::new(CrcwLogBiddingSelector),
     ];
     // The CRCW-PRAM simulation is orders of magnitude slower per trial than

@@ -25,7 +25,7 @@ fn main() {
     let selectors: Vec<Box<dyn Selector>> = vec![
         Box::new(IndependentRouletteSelector),
         Box::new(LogBiddingSelector::default()),
-        Box::new(ParallelLogBiddingSelector::default()),
+        Box::new(ParallelLogBiddingSelector),
     ];
 
     let fitness = Fitness::table2();

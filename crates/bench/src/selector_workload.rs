@@ -5,15 +5,62 @@
 //! The interesting comparison is constant factors at fixed `n`: the
 //! block-Philox bid kernel (`ParallelLogBiddingSelector`, stream layout v2)
 //! against the legacy per-index substream path
-//! (`PerIndexLogBiddingSelector`, layout v1). Both are exact, both do `Θ(n)`
+//! ([`PerIndexLogBiddingSelector`], layout v1). Both are exact, both do `Θ(n)`
 //! work per selection; the kernel's win is purely the purged constants (one
 //! key schedule per chunk, two uniforms per counter bump, lazy `ln`).
 
 use std::time::Instant;
 
-use lrb_core::{Fitness, Selector};
-use lrb_rng::Philox4x32;
+use lrb_core::{Fitness, SelectionError, Selector};
+use lrb_rng::exponential::log_bid;
+use lrb_rng::{Philox4x32, RandomSource};
 use serde::Serialize;
+
+/// The per-index formulation of the logarithmic bid (bid-stream layout
+/// **v1**): one master draw from the caller, then index `i` bids
+/// `ln(u_i) / f_i` with `u_i` the first uniform of
+/// `Philox4x32::for_substream(master, i)` — one key setup, one whole block
+/// and one eager `ln` per index, on one thread.
+///
+/// Exact like the block kernel, but draw-for-draw different from it (the
+/// two layouts read different uniforms). It is the baseline the
+/// `selector_quick` gate measures the kernel against, and the second
+/// layout `tests/bid_kernel.rs` checks for the same law.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PerIndexLogBiddingSelector;
+
+impl Selector for PerIndexLogBiddingSelector {
+    fn name(&self) -> &'static str {
+        "log-bidding-per-index"
+    }
+
+    fn is_exact(&self) -> bool {
+        true
+    }
+
+    fn select(
+        &self,
+        fitness: &Fitness,
+        rng: &mut dyn RandomSource,
+    ) -> Result<usize, SelectionError> {
+        if fitness.is_all_zero() {
+            return Err(SelectionError::AllZeroFitness);
+        }
+        let master = rng.next_u64();
+        let mut best = (f64::NEG_INFINITY, usize::MAX);
+        for (i, &f) in fitness.values().iter().enumerate() {
+            if f == 0.0 {
+                continue;
+            }
+            let bid = log_bid(&mut Philox4x32::for_substream(master, i as u64), f);
+            // Ties go to the larger index, as in every lrb-core arg-max.
+            if bid > best.0 || (bid == best.0 && i > best.1) {
+                best = (bid, i);
+            }
+        }
+        Ok(best.1)
+    }
+}
 
 /// One measured selector at one problem size (serialisable for
 /// `BENCH_selectors.json`).
@@ -108,14 +155,14 @@ pub fn bench_selector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrb_core::parallel::{ParallelLogBiddingSelector, PerIndexLogBiddingSelector};
+    use lrb_core::parallel::ParallelLogBiddingSelector;
 
     #[test]
     fn reports_measure_positive_throughput() {
         let fitness = bench_fitness(512);
         for selector in [
-            &ParallelLogBiddingSelector::default() as &dyn Selector,
-            &PerIndexLogBiddingSelector::default(),
+            &ParallelLogBiddingSelector as &dyn Selector,
+            &PerIndexLogBiddingSelector,
         ] {
             let report = bench_selector(selector, &fitness, 50, 7);
             assert_eq!(report.n, 512);

@@ -3,15 +3,17 @@
 //!
 //! The probability experiments (Tables I and II) and the `lrb-engine`
 //! snapshot readers need millions of
-//! independent selections from one frozen state. They all reuse the one
-//! [`BatchDriver`] here: the output buffer is split into fixed-size chunks,
-//! chunk `c` draws from its own counter-based Philox substream
+//! independent selections from one frozen state. They all reuse the
+//! drivers here ([`drive_into`], [`drive_indices`], [`drive_counts`]): the
+//! output buffer is split into [`CHUNK_SIZE`]-trial chunks, chunk `c` draws
+//! from its own counter-based Philox substream
 //! `for_substream(master_seed, c)`, and a caller-supplied closure fills each
 //! chunk through the buffer primitives ([`Selector::select_into`],
-//! `sample_into`). Chunk boundaries depend only on the driver's configured
-//! chunk size — never on the rayon schedule or thread count — so a batch is
-//! a pure function of `(state, master_seed, trials, chunk_size)`, while each
-//! chunk amortises the sampler's per-call setup across its whole sub-slice.
+//! `sample_into`). Chunk boundaries are fixed — never dependent on the
+//! rayon schedule or thread count — so a batch is a pure function of
+//! `(state, master_seed, trials)`, while each chunk amortises the sampler's
+//! per-call setup across its whole sub-slice. A batch of more than one
+//! chunk forks over its chunks when the thread budget allows.
 
 use lrb_rng::Philox4x32;
 use rayon::prelude::*;
@@ -20,151 +22,103 @@ use crate::error::SelectionError;
 use crate::fitness::Fitness;
 use crate::traits::Selector;
 
-/// Default trials per substream chunk: large enough to amortise per-chunk
-/// setup (one Philox construction, one prefix-table build), small enough
-/// that realistic batches produce many chunks to fan out over.
-pub const DEFAULT_CHUNK_SIZE: u64 = 1024;
+/// Trials per substream chunk: large enough to amortise per-chunk setup
+/// (one Philox construction, one prefix-table build), small enough that
+/// realistic batches produce many chunks to fan out over. Part of the
+/// determinism contract: it fixes which substream serves which trial.
+pub const CHUNK_SIZE: usize = 1024;
 
-/// The deterministic Philox-substream batch driver shared by `lrb-core`
-/// and `lrb-engine`.
+/// Fill `out` deterministically: the chunk covering
+/// `out[c·CHUNK_SIZE .. (c+1)·CHUNK_SIZE]` is filled by `fill` with a fresh
+/// Philox substream `(master_seed, c)`. Chunks run rayon-parallel; the
+/// first error aborts the batch.
+pub fn drive_into<E, F>(master_seed: u64, out: &mut [usize], fill: F) -> Result<(), E>
+where
+    E: Send,
+    F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
+{
+    out.par_chunks_mut(CHUNK_SIZE)
+        .with_min_len(1)
+        .enumerate()
+        .map(|(chunk, slice)| {
+            let mut rng = Philox4x32::for_substream(master_seed, chunk as u64);
+            fill(&mut rng, slice)
+        })
+        .collect::<Result<Vec<()>, E>>()?;
+    Ok(())
+}
+
+/// Run `trials` draws and return the selected indices in trial order.
 ///
 /// # Example
 ///
 /// ```
-/// use lrb_core::batch::BatchDriver;
+/// use lrb_core::batch::drive_indices;
 /// use lrb_core::sequential::LinearScanSelector;
 /// use lrb_core::{Fitness, Selector};
 ///
 /// let fitness = Fitness::new(vec![1.0, 0.0, 3.0]).unwrap();
-/// let driver = BatchDriver::new();
-/// let a = driver
-///     .drive_indices(7, 10_000, |rng, out| {
-///         LinearScanSelector.select_into(&fitness, rng, out)
-///     })
-///     .unwrap();
-/// let b = driver
-///     .drive_indices(7, 10_000, |rng, out| {
-///         LinearScanSelector.select_into(&fitness, rng, out)
-///     })
-///     .unwrap();
+/// let fill = |rng: &mut lrb_rng::Philox4x32, out: &mut [usize]| {
+///     LinearScanSelector.select_into(&fitness, rng, out)
+/// };
+/// let a = drive_indices(7, 10_000, fill).unwrap();
+/// let b = drive_indices(7, 10_000, fill).unwrap();
 /// assert_eq!(a, b); // same master seed → identical draws, any thread count
 /// assert!(a.iter().all(|&i| i != 1)); // zero-weight index never drawn
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchDriver {
-    chunk_size: u64,
+pub fn drive_indices<E, F>(master_seed: u64, trials: u64, fill: F) -> Result<Vec<usize>, E>
+where
+    E: Send,
+    F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
+{
+    let mut out = vec![0usize; trials as usize];
+    drive_into(master_seed, &mut out, fill)?;
+    Ok(out)
 }
 
-impl Default for BatchDriver {
-    fn default() -> Self {
-        Self {
-            chunk_size: DEFAULT_CHUNK_SIZE,
-        }
-    }
-}
-
-impl BatchDriver {
-    /// A driver with the [`DEFAULT_CHUNK_SIZE`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A driver with an explicit chunk size (must be positive). The chunk
-    /// size is part of the determinism contract: changing it changes which
-    /// substream serves which trial, so results are reproducible per
-    /// `(master_seed, chunk_size)` pair.
-    pub fn with_chunk_size(chunk_size: u64) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        Self { chunk_size }
-    }
-
-    /// Trials served per substream chunk.
-    pub fn chunk_size(&self) -> u64 {
-        self.chunk_size
-    }
-
-    /// Fill `out` deterministically: the chunk covering
-    /// `out[c·chunk_size .. (c+1)·chunk_size]` is filled by `fill` with a
-    /// fresh Philox substream `(master_seed, c)`. Chunks run rayon-parallel;
-    /// the first error aborts the batch.
-    pub fn drive_into<E, F>(&self, master_seed: u64, out: &mut [usize], fill: F) -> Result<(), E>
-    where
-        E: Send,
-        F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
-    {
-        out.par_chunks_mut(self.chunk_size as usize)
-            .with_min_len(1)
-            .enumerate()
-            .map(|(chunk, slice)| {
-                let mut rng = Philox4x32::for_substream(master_seed, chunk as u64);
-                fill(&mut rng, slice)
-            })
-            .collect::<Result<Vec<()>, E>>()?;
-        Ok(())
-    }
-
-    /// Run `trials` draws and return the selected indices in trial order.
-    pub fn drive_indices<E, F>(
-        &self,
-        master_seed: u64,
-        trials: u64,
-        fill: F,
-    ) -> Result<Vec<usize>, E>
-    where
-        E: Send,
-        F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
-    {
-        let mut out = vec![0usize; trials as usize];
-        self.drive_into(master_seed, &mut out, fill)?;
-        Ok(out)
-    }
-
-    /// Run `trials` draws over `categories` indices and tabulate them into
-    /// per-index counts.
-    ///
-    /// Counting happens chunk-locally (each chunk fills a transient
-    /// chunk-sized buffer and tabulates it immediately; partial counts are
-    /// merged), so memory stays `O(chunks · categories)` instead of
-    /// materialising every trial index — the Tables I/II regime is millions
-    /// of trials over tens of categories.
-    pub fn drive_counts<E, F>(
-        &self,
-        master_seed: u64,
-        trials: u64,
-        categories: usize,
-        fill: F,
-    ) -> Result<Vec<u64>, E>
-    where
-        E: Send,
-        F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
-    {
-        let chunk_size = self.chunk_size as usize;
-        let chunk_count = (trials as usize).div_ceil(chunk_size.max(1));
-        (0..chunk_count)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|chunk| {
-                let start = chunk * chunk_size;
-                let len = chunk_size.min(trials as usize - start);
-                let mut buffer = vec![0usize; len];
-                let mut rng = Philox4x32::for_substream(master_seed, chunk as u64);
-                fill(&mut rng, &mut buffer)?;
-                let mut local = vec![0u64; categories];
-                for index in buffer {
-                    local[index] += 1;
+/// Run `trials` draws over `categories` indices and tabulate them into
+/// per-index counts.
+///
+/// Counting happens chunk-locally (each chunk fills a transient
+/// chunk-sized buffer and tabulates it immediately; partial counts are
+/// merged), so memory stays `O(chunks · categories)` instead of
+/// materialising every trial index — the Tables I/II regime is millions
+/// of trials over tens of categories.
+pub fn drive_counts<E, F>(
+    master_seed: u64,
+    trials: u64,
+    categories: usize,
+    fill: F,
+) -> Result<Vec<u64>, E>
+where
+    E: Send,
+    F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
+{
+    let chunk_count = (trials as usize).div_ceil(CHUNK_SIZE);
+    (0..chunk_count)
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|chunk| {
+            let start = chunk * CHUNK_SIZE;
+            let len = CHUNK_SIZE.min(trials as usize - start);
+            let mut buffer = vec![0usize; len];
+            let mut rng = Philox4x32::for_substream(master_seed, chunk as u64);
+            fill(&mut rng, &mut buffer)?;
+            let mut local = vec![0u64; categories];
+            for index in buffer {
+                local[index] += 1;
+            }
+            Ok(local)
+        })
+        .try_reduce(
+            || vec![0u64; categories],
+            |mut acc, local| {
+                for (a, b) in acc.iter_mut().zip(&local) {
+                    *a += b;
                 }
-                Ok(local)
-            })
-            .try_reduce(
-                || vec![0u64; categories],
-                |mut acc, local| {
-                    for (a, b) in acc.iter_mut().zip(&local) {
-                        *a += b;
-                    }
-                    Ok(acc)
-                },
-            )
-    }
+                Ok(acc)
+            },
+        )
 }
 
 /// Counts of how often each index was selected in a batch.
@@ -195,7 +149,7 @@ impl BatchCounts {
 }
 
 /// Run `trials` independent selections of `fitness` with `selector` through
-/// the shared [`BatchDriver`] and return the per-index counts.
+/// [`drive_counts`] and return the per-index counts.
 ///
 /// Fails fast with the selector's error if the fitness vector is degenerate
 /// (empty support).
@@ -208,10 +162,9 @@ pub fn batch_select_counts(
     if fitness.is_all_zero() {
         return Err(SelectionError::AllZeroFitness);
     }
-    let counts =
-        BatchDriver::new().drive_counts(master_seed, trials, fitness.len(), |rng, out| {
-            selector.select_into(fitness, rng, out)
-        })?;
+    let counts = drive_counts(master_seed, trials, fitness.len(), |rng, out| {
+        selector.select_into(fitness, rng, out)
+    })?;
     Ok(BatchCounts { counts, trials })
 }
 
@@ -227,7 +180,7 @@ pub fn batch_select_indices(
     if fitness.is_all_zero() {
         return Err(SelectionError::AllZeroFitness);
     }
-    BatchDriver::new().drive_indices(master_seed, trials, |rng, out| {
+    drive_indices(master_seed, trials, |rng, out| {
         selector.select_into(fitness, rng, out)
     })
 }
@@ -292,14 +245,14 @@ mod tests {
 
     #[test]
     fn nested_parallel_stages_finish_and_match_the_sequential_batch() {
-        // n = 2^14 is above the block kernel's sequential cutoff, so each
-        // of the driver's two chunks (1_100 trials) forks the kernel's own
+        // n = 2^14 spans two bid-kernel chunks, so at budget 4 each of the
+        // driver's two chunks (1_100 trials) forks the kernel's own
         // `par_chunks` stage: joins nested in joins on one shared pool.
         let values = (0..1usize << 14).map(|i| ((i % 7) + 1) as f64).collect();
         let fitness = Fitness::new(values).unwrap();
         let run = |threads| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
-            let selector = ParallelLogBiddingSelector::default();
+            let selector = ParallelLogBiddingSelector;
             pool.unwrap()
                 .install(|| batch_select_counts(&selector, &fitness, 1_100, 9))
         };
@@ -339,37 +292,33 @@ mod tests {
 
     #[test]
     fn chunk_size_is_part_of_the_determinism_contract() {
-        // Same seed, same chunk size → identical; a different chunk size
-        // reassigns substreams and is allowed to differ.
+        // Chunk c of a batch is exactly a fill of substream (seed, c), so
+        // CHUNK_SIZE fixes which substream serves which trial: changing it
+        // would change every stored batch past the first chunk.
         let fitness = Fitness::new(vec![1.0, 2.0, 3.0]).unwrap();
-        let fill = |rng: &mut lrb_rng::Philox4x32, out: &mut [usize]| {
+        let batch = drive_indices(9, 10_000, |rng, out| {
             LinearScanSelector.select_into(&fitness, rng, out)
-        };
-        let small = BatchDriver::with_chunk_size(64);
-        let a = small.drive_indices(9, 10_000, fill).unwrap();
-        let b = small.drive_indices(9, 10_000, fill).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(small.chunk_size(), 64);
-        let big = BatchDriver::with_chunk_size(4096);
-        let c = big.drive_indices(9, 10_000, fill).unwrap();
-        assert_ne!(a, c, "different chunk sizes should reassign substreams");
+        })
+        .unwrap();
+        for (chunk, slice) in batch.chunks(CHUNK_SIZE).enumerate() {
+            let mut rng = lrb_rng::Philox4x32::for_substream(9, chunk as u64);
+            let mut own = vec![0usize; slice.len()];
+            LinearScanSelector
+                .select_into(&fitness, &mut rng, &mut own)
+                .unwrap();
+            assert_eq!(slice, own.as_slice(), "chunk {chunk}");
+        }
     }
 
     #[test]
     fn drive_into_fills_exactly_the_buffer_it_is_given() {
+        // 2 500 trials: two full chunks and a ragged third.
         let fitness = Fitness::new(vec![0.0, 5.0]).unwrap();
         let mut out = vec![99usize; 2_500];
-        BatchDriver::with_chunk_size(1000)
-            .drive_into(3, &mut out, |rng, slice| {
-                LinearScanSelector.select_into(&fitness, rng, slice)
-            })
-            .unwrap();
+        drive_into(3, &mut out, |rng, slice| {
+            LinearScanSelector.select_into(&fitness, rng, slice)
+        })
+        .unwrap();
         assert!(out.iter().all(|&i| i == 1));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_chunk_size_is_rejected() {
-        let _ = BatchDriver::with_chunk_size(0);
     }
 }

@@ -20,14 +20,16 @@
 //!   selection (exact, the classical approach), the *independent roulette*
 //!   (fast but **biased** — reproduced here because the paper quantifies its
 //!   error), and the **logarithmic random bidding** in three executions:
-//!   sequential streaming, rayon data-parallel, and CRCW-PRAM-simulated
-//!   (`O(log k)` expected steps, `O(1)` shared memory).
+//!   sequential streaming, the block bid kernel (forked over rayon chunks
+//!   on large inputs), and CRCW-PRAM-simulated (`O(log k)` expected steps,
+//!   `O(1)` shared memory). Each algorithm runs one way, with no tuning
+//!   field.
 //! * [`batch`] — the shared deterministic batch kernel
-//!   ([`BatchDriver`](batch::BatchDriver)): buffer chunks filled from
-//!   counter-based Philox substreams through the traits' `select_into` /
-//!   `sample_into` primitives, schedule-independent at any thread count.
-//!   The probability experiments and the `lrb-engine` snapshot batches
-//!   run on it.
+//!   ([`drive_into`](batch::drive_into) and friends): buffer chunks filled
+//!   from counter-based Philox substreams through the traits'
+//!   `select_into` / `sample_into` primitives, schedule-independent at any
+//!   thread count. The probability experiments and the `lrb-engine`
+//!   snapshot batches run on it.
 //! * [`sharding`] — the level-one shard-total layer (lock-free per-shard
 //!   totals and a Fenwick cut over them) behind `lrb-service`'s two-level
 //!   draws.
@@ -91,15 +93,14 @@ pub fn all_selectors() -> Vec<Box<dyn Selector>> {
         Box::new(parallel::PrefixSumSelector::default()),
         Box::new(parallel::IndependentRouletteSelector),
         Box::new(parallel::LogBiddingSelector::default()),
-        Box::new(parallel::ParallelLogBiddingSelector::default()),
-        Box::new(parallel::ParallelIndependentRouletteSelector::default()),
+        Box::new(parallel::ParallelLogBiddingSelector),
         Box::new(parallel::GumbelMaxSelector),
         Box::new(parallel::CrcwLogBiddingSelector),
     ]
 }
 
 /// The selectors whose selection probabilities are exactly `F_i`
-/// (i.e. everything except the independent roulette variants).
+/// (i.e. everything except the independent roulette).
 pub fn exact_selectors() -> Vec<Box<dyn Selector>> {
     all_selectors()
         .into_iter()

@@ -4,9 +4,9 @@
 //!
 //! ## Why a kernel
 //!
-//! The straightforward parallel implementation (kept as
-//! [`PerIndexLogBiddingSelector`](crate::parallel::PerIndexLogBiddingSelector))
-//! pays three per-index constants the mathematics does not require:
+//! The straightforward per-index implementation (stream layout v1, kept in
+//! `lrb-bench` as the `selector_quick` baseline) pays three per-index
+//! constants the mathematics does not require:
 //!
 //! 1. a fresh `Philox4x32::for_substream` per index — a key-schedule setup
 //!    and cursor bookkeeping for every element;
@@ -47,12 +47,13 @@
 //!   cheap (two indices per counter bump).
 //! * **v1 (legacy)** — index `j` read the first `next_u64` of
 //!   `Philox4x32::for_substream(master, j)`: one whole block and one key
-//!   setup per index. Kept verbatim in `PerIndexLogBiddingSelector` as the
-//!   differential oracle and the bench baseline.
+//!   setup per index. Kept verbatim in `lrb-bench`'s
+//!   `PerIndexLogBiddingSelector` as the bench baseline and a second
+//!   layout for the conformance tests.
 //!
 //! Both layouts consume exactly **one** `next_u64` from the *caller's*
 //! generator per selection (the master draw), so selector-level sequences
-//! (`select` loops, `select_into` buffers, the `BatchDriver`) are unchanged
+//! (`select` loops, `select_into` buffers, [`crate::batch`]) are unchanged
 //! between versions; only the internal bid-stream derivation differs — that
 //! is the consumption contract the draw-for-draw proptests pin.
 //!
@@ -134,6 +135,13 @@ pub const KERNEL_CHUNK: usize = 256;
 /// uniforms, hence the same winner, at any thread count.
 pub const PAR_CHUNK: usize = 8192;
 
+/// Whether a pass over `values` forks: exactly when it spans more than one
+/// [`PAR_CHUNK`] and the thread budget has a second thread. Forking
+/// smaller inputs would hand the pool a single chunk.
+fn forks(values: &[f64]) -> bool {
+    values.len() > PAR_CHUNK && rayon::current_num_threads() > 1
+}
+
 /// Relative slack applied to the filter threshold `best · f` (both sides of
 /// the comparison are ≤ 0, so inflating the threshold's magnitude admits
 /// *more* indices to the exact refinement — strictly conservative). `ln`,
@@ -194,14 +202,14 @@ pub(crate) fn block_argmax(
 
 /// Select the bid-argmax index of `values` under stream layout v2.
 ///
-/// `parallel` chooses between one sequential pass and a rayon
-/// `par_chunks(PAR_CHUNK) → reduce`; both return the same index for the
-/// same `master` because chunk-local argmaxes combine associatively under
+/// One sequential pass, or a rayon `par_chunks(PAR_CHUNK) → reduce` when
+/// the pass [`forks`]; both return the same index for the same `master`
+/// because chunk-local argmaxes combine associatively under
 /// [`max_by_key_then_index`] and the uniforms are a pure function of
 /// `(master, index)`.
-pub(crate) fn select_block(values: &[f64], master: u64, parallel: bool) -> usize {
+pub(crate) fn select_block(values: &[f64], master: u64) -> usize {
     let identity = (f64::NEG_INFINITY, usize::MAX);
-    let best = if parallel {
+    let best = if forks(values) {
         values
             .par_chunks(PAR_CHUNK)
             .with_min_len(1)
@@ -340,9 +348,9 @@ fn pad_group(group: &[u64]) -> [u64; FUSED_WIDTH] {
 /// masters[t], …)` would have produced, computed
 /// `masters.len() / FUSED_WIDTH`-fold cheaper.
 ///
-/// `parallel` fans the fitness array out over rayon chunks exactly like the
-/// per-draw kernel; chunk-local lane maxima merge associatively, so the
-/// winners are identical at any thread count.
+/// The pass forks over rayon chunks exactly when the per-draw kernel's
+/// would; chunk-local lane maxima merge associatively, so the winners are
+/// identical at any thread count.
 ///
 /// Small batches take cheaper shapes (same winners, draw for draw): below
 /// a tier-dependent floor the per-draw kernel is simply looped — on the
@@ -350,16 +358,12 @@ fn pad_group(group: &[u64]) -> [u64; FUSED_WIDTH] {
 /// fusing pays only from a full group; on the SIMD tiers two draws already
 /// amortise the vector fill — and a batch that fits one fused group runs
 /// entirely on the stack (no per-call `Vec`s).
-pub(crate) fn select_many_block(
-    values: &[f64],
-    masters: &[u64],
-    parallel: bool,
-    out: &mut [usize],
-) {
+pub(crate) fn select_many_block(values: &[f64], masters: &[u64], out: &mut [usize]) {
     assert_eq!(masters.len(), out.len());
     if masters.is_empty() {
         return;
     }
+    let parallel = forks(values);
     let tier = lrb_rng::simd_tier();
     let fused_min = match tier {
         SimdTier::Scalar => FUSED_WIDTH,
@@ -367,7 +371,7 @@ pub(crate) fn select_many_block(
     };
     if masters.len() < fused_min {
         for (slot, &master) in out.iter_mut().zip(masters) {
-            *slot = select_block(values, master, parallel);
+            *slot = select_block(values, master);
         }
         return;
     }
@@ -559,26 +563,29 @@ mod filter {
     }
 }
 
-/// The exact bid of one index under layout v2, computed the slow way —
-/// test-support oracle for pinning the layout (`u_j` = word `j` of the
-/// sequential stream) independently of the kernel's skip logic.
-pub fn reference_bid(master: u64, index: usize, fitness: f64) -> f64 {
-    let mut stream = PhiloxBlock::at_block(master, (index / 2) as u128);
-    let words = stream.next_u64_pair();
-    let u = f64_open_open(words[index % 2]);
-    u.ln() / (fitness + 0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lrb_rng::{RandomSource, SeedableSource, SplitMix64};
 
-    /// The unfiltered oracle: every index pays the `ln`, same uniforms.
+    /// Run `op` under a thread budget of `threads`.
+    fn at_budget<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(op)
+    }
+
+    /// The unfiltered oracle, read straight off the layout's definition:
+    /// index `j` bids `ln(u_j) / f_j` with `u_j` the `j`-th `next_u64` of
+    /// the sequential stream keyed by the master, and every index pays the
+    /// `ln` (no block addressing, no skip logic).
     fn naive_argmax(values: &[f64], master: u64) -> usize {
+        let mut stream = lrb_rng::Philox4x32::with_key(master);
         let mut best = (f64::NEG_INFINITY, usize::MAX);
         for (j, &f) in values.iter().enumerate() {
-            let bid = reference_bid(master, j, f);
+            let bid = lrb_rng::uniform::f64_open_open(stream.next_u64()).ln() / (f + 0.0);
             best = max_by_key_then_index(best, (bid, j));
         }
         best.1
@@ -595,7 +602,7 @@ mod tests {
             for _ in 0..20 {
                 let master = rng.next_u64();
                 assert_eq!(
-                    select_block(&values, master, false),
+                    select_block(&values, master),
                     naive_argmax(&values, master),
                     "n = {n}, master = {master}"
                 );
@@ -605,14 +612,22 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_kernels_agree() {
+        // n = 30 000 is three full chunks and a ragged fourth, so budgets
+        // above one fork; budget one runs the same pass inline.
         let values: Vec<f64> = (0..30_000).map(|i| ((i % 97) + 1) as f64).collect();
         let mut rng = SplitMix64::seed_from_u64(7);
-        for _ in 0..10 {
-            let master = rng.next_u64();
-            assert_eq!(
-                select_block(&values, master, true),
-                select_block(&values, master, false)
-            );
+        let masters: Vec<u64> = (0..40).map(|_| rng.next_u64()).collect();
+        let winners = |threads| {
+            at_budget(threads, || {
+                masters
+                    .iter()
+                    .map(|&master| select_block(&values, master))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let inline = winners(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(winners(threads), inline, "{threads} threads");
         }
     }
 
@@ -621,20 +636,31 @@ mod tests {
         let values = vec![0.0, -0.0, 5.0, 0.0];
         let mut rng = SplitMix64::seed_from_u64(9);
         for _ in 0..200 {
-            assert_eq!(select_block(&values, rng.next_u64(), false), 2);
+            assert_eq!(select_block(&values, rng.next_u64()), 2);
         }
     }
 
     #[test]
     fn layout_v2_reads_the_sequential_philox_stream() {
-        // The layout contract in one assertion: index j's uniform is the
-        // j-th next_u64 of the sequential stream keyed by the master.
+        // The layout contract on the kernel's own reads: with one non-zero
+        // weight, the block pass returns index j's exact bid, whose uniform
+        // must be word j of the sequential stream keyed by the master, both
+        // from the first chunk (base 0) and from a forked chunk's base.
         let master = 0xBEEF;
         let mut seq = lrb_rng::Philox4x32::with_key(master);
-        for j in 0..16usize {
-            let word = seq.next_u64();
-            let expected = lrb_rng::uniform::f64_open_open(word).ln() / 3.0;
-            assert_eq!(reference_bid(master, j, 3.0), expected, "index {j}");
+        let words: Vec<u64> = (0..PAR_CHUNK + 16).map(|_| seq.next_u64()).collect();
+        for base in [0, PAR_CHUNK] {
+            for j in 0..16usize {
+                let mut values = [0.0; 16];
+                values[j] = 3.0;
+                let expected = lrb_rng::uniform::f64_open_open(words[base + j]).ln() / 3.0;
+                let identity = (f64::NEG_INFINITY, usize::MAX);
+                assert_eq!(
+                    block_argmax(&values, base, master, identity),
+                    (expected, base + j),
+                    "base {base}, index {j}"
+                );
+            }
         }
     }
 
@@ -659,11 +685,11 @@ mod tests {
             for batch in [1usize, 3, 7, 8, 9, 16, 20] {
                 let masters: Vec<u64> = (0..batch).map(|_| rng.next_u64()).collect();
                 let mut out = vec![0usize; batch];
-                select_many_block(&values, &masters, false, &mut out);
+                select_many_block(&values, &masters, &mut out);
                 for (t, &master) in masters.iter().enumerate() {
                     assert_eq!(
                         out[t],
-                        select_block(&values, master, false),
+                        select_block(&values, master),
                         "n = {n}, batch = {batch}, draw {t}"
                     );
                 }
@@ -676,11 +702,17 @@ mod tests {
         let values: Vec<f64> = (0..30_000).map(|i| ((i % 97) + 1) as f64).collect();
         let mut rng = SplitMix64::seed_from_u64(55);
         let masters: Vec<u64> = (0..19).map(|_| rng.next_u64()).collect();
-        let mut seq = vec![0usize; masters.len()];
-        let mut par = vec![0usize; masters.len()];
-        select_many_block(&values, &masters, false, &mut seq);
-        select_many_block(&values, &masters, true, &mut par);
-        assert_eq!(seq, par);
+        let fill = |threads| {
+            at_budget(threads, || {
+                let mut out = vec![0usize; masters.len()];
+                select_many_block(&values, &masters, &mut out);
+                out
+            })
+        };
+        let inline = fill(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(fill(threads), inline, "{threads} threads");
+        }
     }
 
     #[test]
@@ -689,13 +721,13 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(77);
         let masters: Vec<u64> = (0..200).map(|_| rng.next_u64()).collect();
         let mut out = vec![0usize; masters.len()];
-        select_many_block(&values, &masters, false, &mut out);
+        select_many_block(&values, &masters, &mut out);
         assert!(out.iter().all(|&i| i == 2 || i == 4));
     }
 
     #[test]
     fn fused_kernel_accepts_an_empty_batch() {
-        select_many_block(&[1.0, 2.0], &[], false, &mut []);
+        select_many_block(&[1.0, 2.0], &[], &mut []);
     }
 
     #[test]
@@ -711,7 +743,7 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(313);
         let before = kernel_counters();
         for _ in 0..draws {
-            let _ = select_block(&values, rng.next_u64(), false);
+            let _ = select_block(&values, rng.next_u64());
         }
         let after = kernel_counters();
         let lns = after.ln_calls - before.ln_calls;
@@ -723,7 +755,7 @@ mod tests {
         // The fused path also counts its refinement rows.
         let masters: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
         let mut out = vec![0usize; masters.len()];
-        select_many_block(&values, &masters, false, &mut out);
+        select_many_block(&values, &masters, &mut out);
         let fused = kernel_counters();
         assert!(fused.refine_hits > after.refine_hits);
         assert!(fused.ln_calls > after.ln_calls);

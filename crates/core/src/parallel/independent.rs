@@ -11,8 +11,7 @@
 //! benches can quantify exactly that gap; the closed-form probabilities it
 //! *does* follow are computed in [`crate::analysis`].
 
-use lrb_rng::{Philox4x32, RandomSource};
-use rayon::prelude::*;
+use lrb_rng::RandomSource;
 
 use crate::error::SelectionError;
 use crate::fitness::Fitness;
@@ -47,69 +46,6 @@ impl Selector for IndependentRouletteSelector {
             }
             best = max_by_key_then_index(best, (f * rng.next_f64(), i));
         }
-        Ok(best.1)
-    }
-}
-
-/// Rayon data-parallel independent roulette, with per-index Philox streams
-/// derived from one master draw (same reproducibility contract as
-/// [`crate::parallel::ParallelLogBiddingSelector`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelIndependentRouletteSelector {
-    /// Inputs shorter than this are handled sequentially.
-    pub sequential_cutoff: usize,
-}
-
-impl Default for ParallelIndependentRouletteSelector {
-    fn default() -> Self {
-        Self {
-            sequential_cutoff: 1024,
-        }
-    }
-}
-
-impl ParallelIndependentRouletteSelector {
-    fn key_for(master: u64, index: usize, f: f64) -> (f64, usize) {
-        if f == 0.0 {
-            return (f64::NEG_INFINITY, index);
-        }
-        let mut stream = Philox4x32::for_substream(master, index as u64);
-        (f * stream.next_f64(), index)
-    }
-}
-
-impl Selector for ParallelIndependentRouletteSelector {
-    fn name(&self) -> &'static str {
-        "independent-roulette-rayon"
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn select(
-        &self,
-        fitness: &Fitness,
-        rng: &mut dyn RandomSource,
-    ) -> Result<usize, SelectionError> {
-        if fitness.is_all_zero() {
-            return Err(SelectionError::AllZeroFitness);
-        }
-        let master = rng.next_u64();
-        let values = fitness.values();
-        let best = if values.len() < self.sequential_cutoff {
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &f)| Self::key_for(master, i, f))
-                .fold((f64::NEG_INFINITY, usize::MAX), max_by_key_then_index)
-        } else {
-            values
-                .par_iter()
-                .enumerate()
-                .map(|(i, &f)| Self::key_for(master, i, f))
-                .reduce(|| (f64::NEG_INFINITY, usize::MAX), max_by_key_then_index)
-        };
         Ok(best.1)
     }
 }
@@ -213,49 +149,18 @@ mod tests {
         assert!(IndependentRouletteSelector
             .select(&all_zero, &mut rng)
             .is_err());
-        assert!(ParallelIndependentRouletteSelector::default()
-            .select(&all_zero, &mut rng)
-            .is_err());
-    }
-
-    #[test]
-    fn parallel_variant_shows_the_same_bias() {
-        let fitness = Fitness::new(vec![2.0, 1.0]).unwrap();
-        let selector = ParallelIndependentRouletteSelector {
-            sequential_cutoff: 0,
-        };
-        let mut rng = MersenneTwister64::seed_from_u64(8);
-        let trials = 150_000;
-        let zero = (0..trials)
-            .filter(|_| selector.select(&fitness, &mut rng).unwrap() == 0)
-            .count();
-        let freq = zero as f64 / trials as f64;
-        assert!((freq - 0.75).abs() < 0.006, "frequency {freq}");
-    }
-
-    #[test]
-    fn parallel_and_sequential_cutoff_paths_agree() {
-        let fitness = Fitness::new((1..=300).map(|i| ((i * 7) % 11) as f64).collect()).unwrap();
-        let par = ParallelIndependentRouletteSelector {
-            sequential_cutoff: 0,
-        };
-        let seq = ParallelIndependentRouletteSelector {
-            sequential_cutoff: usize::MAX,
-        };
-        for seed in 0..30 {
-            let a = par
-                .select(&fitness, &mut MersenneTwister64::seed_from_u64(seed))
-                .unwrap();
-            let b = seq
-                .select(&fitness, &mut MersenneTwister64::seed_from_u64(seed))
-                .unwrap();
-            assert_eq!(a, b, "seed {seed}");
-        }
     }
 
     #[test]
     fn both_variants_are_flagged_as_inexact() {
+        // The selector by type and the boxed entry that `all_selectors()`
+        // hands to the table binaries and benches must both flag the bias.
         assert!(!IndependentRouletteSelector.is_exact());
-        assert!(!ParallelIndependentRouletteSelector::default().is_exact());
+        let boxed: Vec<_> = crate::all_selectors()
+            .into_iter()
+            .filter(|s| s.name() == IndependentRouletteSelector.name())
+            .collect();
+        assert_eq!(boxed.len(), 1, "one registry entry");
+        assert!(!boxed[0].is_exact());
     }
 }

@@ -12,15 +12,15 @@
 //!
 //! * [`LogBiddingSelector`] — a sequential streaming arg-max (one pass, no
 //!   allocation); this is what a single thread of the ACO application uses.
-//! * [`ParallelLogBiddingSelector`] — a rayon `map → reduce` arg-max over the
-//!   fitness slice; this is the "real multicore machine" execution.
+//! * [`ParallelLogBiddingSelector`] — the block bid kernel's arg-max, forked
+//!   over rayon chunks when the input spans more than one chunk and the
+//!   thread budget allows; this is the "real multicore machine" execution.
 //! * [`GumbelMaxSelector`] — the algebraically equivalent Gumbel-key variant
 //!   (`ln f_i − ln(−ln u_i)`), kept separate so the benches can compare the
 //!   two formulas' cost and verify they induce the same distribution.
 
 use lrb_rng::exponential::{log_bid, standard_exponential_ziggurat, ExponentialSampler};
-use lrb_rng::{Philox4x32, RandomSource};
-use rayon::prelude::*;
+use lrb_rng::RandomSource;
 
 use crate::error::SelectionError;
 use crate::fitness::Fitness;
@@ -79,25 +79,17 @@ impl Selector for LogBiddingSelector {
 /// stream; the kernel generates two per-index uniforms per counter bump and
 /// evaluates `ln` lazily behind the branch-free `(u − 1)/f` upper bound, so
 /// a selection costs `Θ(n)` arithmetic but only `O(log n)` expected
-/// logarithms. The result is reproducible regardless of thread count or
+/// logarithms. A selection forks over
+/// [`PAR_CHUNK`](crate::parallel::bid_kernel::PAR_CHUNK)-index rayon chunks
+/// exactly when the input spans more than one chunk and
+/// [`rayon::current_num_threads`] is above one; otherwise it runs inline.
+/// The result is reproducible regardless of thread count or
 /// work-stealing order (fixed even-aligned chunking, deterministic arg-max
 /// reduction with ties broken by index), and the bid-stream layout is
 /// versioned —
 /// [`STREAM_LAYOUT_VERSION`](crate::parallel::bid_kernel::STREAM_LAYOUT_VERSION).
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelLogBiddingSelector {
-    /// Inputs shorter than this are handled sequentially; the rayon overhead
-    /// is not worth paying for a handful of items.
-    pub sequential_cutoff: usize,
-}
-
-impl Default for ParallelLogBiddingSelector {
-    fn default() -> Self {
-        Self {
-            sequential_cutoff: 1024,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ParallelLogBiddingSelector;
 
 impl Selector for ParallelLogBiddingSelector {
     fn name(&self) -> &'static str {
@@ -116,13 +108,8 @@ impl Selector for ParallelLogBiddingSelector {
         if fitness.is_all_zero() {
             return Err(SelectionError::AllZeroFitness);
         }
-        let values = fitness.values();
         let master = rng.next_u64();
-        Ok(select_block(
-            values,
-            master,
-            values.len() >= self.sequential_cutoff,
-        ))
+        Ok(select_block(fitness.values(), master))
     }
 
     /// Tight-loop fill through the **fused multi-draw kernel**: the support
@@ -143,7 +130,6 @@ impl Selector for ParallelLogBiddingSelector {
             return Err(SelectionError::AllZeroFitness);
         }
         let values = fitness.values();
-        let parallel = values.len() >= self.sequential_cutoff;
         use crate::parallel::bid_kernel::FUSED_WIDTH;
         if out.len() <= FUSED_WIDTH {
             // One fused group (or the per-draw fallback) — keep the
@@ -152,81 +138,12 @@ impl Selector for ParallelLogBiddingSelector {
             for master in masters[..out.len()].iter_mut() {
                 *master = rng.next_u64();
             }
-            select_many_block(values, &masters[..out.len()], parallel, out);
+            select_many_block(values, &masters[..out.len()], out);
         } else {
             let masters: Vec<u64> = out.iter().map(|_| rng.next_u64()).collect();
-            select_many_block(values, &masters, parallel, out);
+            select_many_block(values, &masters, out);
         }
         Ok(())
-    }
-}
-
-/// The legacy per-index formulation (bid-stream layout **v1**): one
-/// `Philox4x32::for_substream(master, index)` and one eager `ln` per index.
-///
-/// Distributionally identical to [`ParallelLogBiddingSelector`] — both are
-/// exact — but draw-for-draw different, because the per-index substream
-/// layout consumes different uniforms than the block layout. Kept as the
-/// differential oracle for conformance tests and as the baseline the
-/// `selector_quick` gate measures the block kernel against.
-#[derive(Debug, Clone, Copy)]
-pub struct PerIndexLogBiddingSelector {
-    /// Inputs shorter than this are handled sequentially.
-    pub sequential_cutoff: usize,
-}
-
-impl Default for PerIndexLogBiddingSelector {
-    fn default() -> Self {
-        Self {
-            sequential_cutoff: 1024,
-        }
-    }
-}
-
-impl PerIndexLogBiddingSelector {
-    fn bid_for(master: u64, index: usize, f: f64) -> (f64, usize) {
-        if f == 0.0 {
-            return (f64::NEG_INFINITY, index);
-        }
-        let mut stream = Philox4x32::for_substream(master, index as u64);
-        (log_bid(&mut stream, f), index)
-    }
-}
-
-impl Selector for PerIndexLogBiddingSelector {
-    fn name(&self) -> &'static str {
-        "log-bidding-per-index"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    fn select(
-        &self,
-        fitness: &Fitness,
-        rng: &mut dyn RandomSource,
-    ) -> Result<usize, SelectionError> {
-        if fitness.is_all_zero() {
-            return Err(SelectionError::AllZeroFitness);
-        }
-        let master = rng.next_u64();
-        let values = fitness.values();
-
-        let best = if values.len() < self.sequential_cutoff {
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &f)| Self::bid_for(master, i, f))
-                .fold((f64::NEG_INFINITY, usize::MAX), max_by_key_then_index)
-        } else {
-            values
-                .par_iter()
-                .enumerate()
-                .map(|(i, &f)| Self::bid_for(master, i, f))
-                .reduce(|| (f64::NEG_INFINITY, usize::MAX), max_by_key_then_index)
-        };
-        Ok(best.1)
     }
 }
 
@@ -323,7 +240,7 @@ mod tests {
     #[test]
     fn rayon_log_bidding_is_exact() {
         check_distribution(
-            &ParallelLogBiddingSelector::default(),
+            &ParallelLogBiddingSelector,
             &Fitness::new(vec![5.0, 1.0, 3.0, 1.0]).unwrap(),
             150_000,
             0.006,
@@ -361,7 +278,7 @@ mod tests {
         let mut rng = MersenneTwister64::seed_from_u64(6);
         for selector in [
             &LogBiddingSelector::default() as &dyn Selector,
-            &ParallelLogBiddingSelector::default(),
+            &ParallelLogBiddingSelector,
             &GumbelMaxSelector,
         ] {
             for _ in 0..5000 {
@@ -378,7 +295,7 @@ mod tests {
         assert!(LogBiddingSelector::default()
             .select(&fitness, &mut rng)
             .is_err());
-        assert!(ParallelLogBiddingSelector::default()
+        assert!(ParallelLogBiddingSelector
             .select(&fitness, &mut rng)
             .is_err());
         assert!(GumbelMaxSelector.select(&fitness, &mut rng).is_err());
@@ -386,40 +303,86 @@ mod tests {
 
     #[test]
     fn rayon_selector_is_reproducible_for_a_fixed_caller_stream() {
-        // Same caller RNG state → same master seed → same selection, no
-        // matter how the parallel reduction is scheduled.
-        let fitness = Fitness::linear(5000).unwrap();
-        let selector = ParallelLogBiddingSelector {
-            sequential_cutoff: 0,
+        // Same caller RNG state → same master seed → same selection at any
+        // thread budget. Three full `PAR_CHUNK`s and a ragged fourth chunk
+        // of five indices that carries about half the mass: budget one runs
+        // the kernel inline, budgets 2, 3 and 8 fork it, and a fork that
+        // lost or misplaced the ragged chunk would move about every other
+        // winner.
+        use crate::parallel::bid_kernel::PAR_CHUNK;
+        let n = 3 * PAR_CHUNK + 5;
+        let fitness = Fitness::from_fn(n, |i| {
+            if i + 5 >= n {
+                30_000.0
+            } else {
+                (i % 13) as f64
+            }
+        })
+        .unwrap();
+        let winners = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                (0..50)
+                    .map(|seed| {
+                        ParallelLogBiddingSelector
+                            .select(&fitness, &mut MersenneTwister64::seed_from_u64(seed))
+                            .unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            })
         };
-        let a = selector
-            .select(&fitness, &mut MersenneTwister64::seed_from_u64(99))
-            .unwrap();
-        let b = selector
-            .select(&fitness, &mut MersenneTwister64::seed_from_u64(99))
-            .unwrap();
-        assert_eq!(a, b);
+        let inline = winners(1);
+        assert!(inline.iter().any(|&i| i + 5 >= n), "the ragged chunk wins");
+        assert!(inline.iter().any(|&i| i + 5 < n), "the full chunks win");
+        for threads in [2, 3, 8] {
+            assert_eq!(winners(threads), inline, "{threads} threads");
+        }
     }
 
     #[test]
     fn parallel_and_sequential_cutoff_paths_agree() {
-        // Forcing the parallel path and the sequential path with the same
-        // master seed must give the same winner (same per-index streams).
-        let fitness = Fitness::new((1..=200).map(|i| (i % 13) as f64).collect()).unwrap();
-        let par = ParallelLogBiddingSelector {
-            sequential_cutoff: 0,
-        };
-        let seq = ParallelLogBiddingSelector {
-            sequential_cutoff: usize::MAX,
-        };
-        for seed in 0..50 {
-            let a = par
-                .select(&fitness, &mut MersenneTwister64::seed_from_u64(seed))
-                .unwrap();
-            let b = seq
-                .select(&fitness, &mut MersenneTwister64::seed_from_u64(seed))
-                .unwrap();
-            assert_eq!(a, b, "seed {seed}");
+        // Either side of the fork cutoff: n = PAR_CHUNK runs inline at
+        // every budget, and n = PAR_CHUNK + 1 is the smallest input that
+        // forks above budget one, its last chunk a single index carrying
+        // about half the mass. The forked winners must equal the inline
+        // (budget one) winners for the same caller seeds.
+        use crate::parallel::bid_kernel::PAR_CHUNK;
+        for n in [PAR_CHUNK, PAR_CHUNK + 1] {
+            let fitness = Fitness::from_fn(n, |i| {
+                if i + 1 == n {
+                    50_000.0
+                } else {
+                    (i % 13) as f64
+                }
+            })
+            .unwrap();
+            let winners = |threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| {
+                    (0..50)
+                        .map(|seed| {
+                            ParallelLogBiddingSelector
+                                .select(&fitness, &mut MersenneTwister64::seed_from_u64(seed))
+                                .unwrap()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            };
+            let inline = winners(1);
+            assert!(
+                inline.iter().any(|&i| i + 1 == n),
+                "n = {n}: the last index wins"
+            );
+            assert!(inline.iter().any(|&i| i + 1 < n), "n = {n}: the body wins");
+            for threads in [2, 3, 8] {
+                assert_eq!(winners(threads), inline, "n = {n}, {threads} threads");
+            }
         }
     }
 

@@ -3,19 +3,25 @@
 //! Three families, mirroring the paper's Section I–III:
 //!
 //! * [`PrefixSumSelector`] — the prefix-sum-based algorithm (exact, the
-//!   classical parallel approach; `O(n)` work split across threads).
-//! * [`IndependentRouletteSelector`] / [`ParallelIndependentRouletteSelector`]
-//!   — the independent roulette (`r_i = f_i · u_i`, arg-max). Fast and
-//!   popular in GPU ant-colony implementations, but its selection
-//!   probabilities are **not** `F_i`; the paper (and our Table I / Table II
-//!   reproduction) quantifies how wrong it is.
+//!   classical parallel approach: chunk sums, then a locate pass; `O(n)`
+//!   work, run on one thread).
+//! * [`IndependentRouletteSelector`] — the independent roulette
+//!   (`r_i = f_i · u_i`, arg-max). Fast and popular in GPU ant-colony
+//!   implementations, but its selection probabilities are **not** `F_i`;
+//!   the paper (and our Table I / Table II reproduction) quantifies how
+//!   wrong it is.
 //! * [`LogBiddingSelector`] / [`ParallelLogBiddingSelector`] /
 //!   [`CrcwLogBiddingSelector`] / [`GumbelMaxSelector`] — the paper's
 //!   logarithmic random bidding (`r_i = ln(u_i) / f_i`, arg-max), which is
-//!   exact. The three implementations share the same mathematics and differ
-//!   only in how the arg-max is executed: a sequential stream, a rayon
-//!   data-parallel reduction, or the simulated CRCW-PRAM constant-memory
-//!   loop whose step count Theorem 1 bounds.
+//!   exact. The implementations share the same mathematics and differ
+//!   only in how the arg-max is executed: a sequential stream, the block
+//!   bid kernel (forked over rayon chunks on large inputs), or the
+//!   simulated CRCW-PRAM constant-memory loop whose step count Theorem 1
+//!   bounds.
+//!
+//! Each algorithm runs one way, with no tuning field: the bid kernel is
+//! the one execution that forks, and it decides from the input length and
+//! the thread budget alone.
 
 pub mod bid_kernel;
 mod crcw;
@@ -25,10 +31,8 @@ mod prefix_sum;
 
 pub use bid_kernel::{kernel_counters, KernelCounters};
 pub use crcw::CrcwLogBiddingSelector;
-pub use independent::{IndependentRouletteSelector, ParallelIndependentRouletteSelector};
-pub use log_bidding::{
-    GumbelMaxSelector, LogBiddingSelector, ParallelLogBiddingSelector, PerIndexLogBiddingSelector,
-};
+pub use independent::IndependentRouletteSelector;
+pub use log_bidding::{GumbelMaxSelector, LogBiddingSelector, ParallelLogBiddingSelector};
 pub use prefix_sum::PrefixSumSelector;
 
 /// Deterministic lexicographic arg-max used by every parallel reduction in

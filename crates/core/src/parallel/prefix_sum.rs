@@ -1,39 +1,36 @@
 //! The prefix-sum-based parallel roulette wheel selection (the classical
-//! exact algorithm the paper reviews in Section I), executed as a
-//! chunked rayon computation.
+//! exact algorithm the paper reviews in Section I), executed chunk by
+//! chunk on one thread.
 //!
-//! 1. split the fitness slice into chunks and sum each chunk in parallel,
-//! 2. scan the chunk totals sequentially (there are only `n / chunk` of them),
+//! 1. split the fitness slice into chunks and sum each chunk,
+//! 2. scan the chunk totals (there are only `n / chunk` of them),
 //! 3. draw `R = u · Σf`, locate the chunk whose cumulative range contains
 //!    `R`, and scan inside that one chunk.
 //!
 //! Probabilities are exact; the work is `O(n)` like the logarithmic bidding,
 //! but the algorithm needs the two-phase structure (sum, then locate) where
 //! the bidding needs only a single arg-max pass — which is exactly the
-//! trade-off the throughput benches measure.
+//! trade-off the throughput benches measure. The chunk sums run on one
+//! thread: at the default chunking even `n = 2²⁰` has only 256 of them.
 
 use lrb_rng::RandomSource;
-use rayon::prelude::*;
 
 use crate::error::SelectionError;
 use crate::fitness::Fitness;
 use crate::traits::Selector;
 
-/// Chunked rayon prefix-sum selection.
+/// Chunked prefix-sum selection.
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixSumSelector {
-    /// Number of fitness values handled per chunk.
+    /// Number of fitness values handled per chunk. Part of the draw: the
+    /// total is the sum of the chunk sums, so the chunking fixes how the
+    /// threshold rounds.
     pub chunk_size: usize,
-    /// Inputs shorter than this are processed entirely sequentially.
-    pub sequential_cutoff: usize,
 }
 
 impl Default for PrefixSumSelector {
     fn default() -> Self {
-        Self {
-            chunk_size: 4096,
-            sequential_cutoff: 8192,
-        }
+        Self { chunk_size: 4096 }
     }
 }
 
@@ -72,12 +69,8 @@ impl Selector for PrefixSumSelector {
         let values = fitness.values();
         let chunk = self.chunk_size.max(1);
 
-        // Phase 1: chunk sums (parallel when the input is large enough).
-        let chunk_sums: Vec<f64> = if values.len() < self.sequential_cutoff {
-            values.chunks(chunk).map(|c| c.iter().sum()).collect()
-        } else {
-            values.par_chunks(chunk).map(|c| c.iter().sum()).collect()
-        };
+        // Phase 1: chunk sums.
+        let chunk_sums: Vec<f64> = values.chunks(chunk).map(|c| c.iter().sum()).collect();
         let total: f64 = chunk_sums.iter().sum();
 
         // Phase 2: draw the threshold and locate the owning chunk.
@@ -192,10 +185,7 @@ mod tests {
     fn distribution_matches_targets_with_tiny_chunks() {
         // Chunk size 3 over 10 values exercises the chunk-walk logic heavily.
         let fitness = Fitness::table1();
-        let selector = PrefixSumSelector {
-            chunk_size: 3,
-            sequential_cutoff: 0,
-        };
+        let selector = PrefixSumSelector { chunk_size: 3 };
         let mut rng = MersenneTwister64::seed_from_u64(32);
         let mut dist = EmpiricalDistribution::new(fitness.len());
         for _ in 0..200_000 {
@@ -211,10 +201,7 @@ mod tests {
         // the threshold identically, so with a shared seed they must agree.
         use crate::sequential::LinearScanSelector;
         let fitness = Fitness::new(vec![0.3, 0.0, 2.0, 1.7, 0.0, 5.0]).unwrap();
-        let selector = PrefixSumSelector {
-            chunk_size: 2,
-            sequential_cutoff: 0,
-        };
+        let selector = PrefixSumSelector { chunk_size: 2 };
         let mut rng_a = MersenneTwister64::seed_from_u64(12);
         let mut rng_b = MersenneTwister64::seed_from_u64(12);
         for _ in 0..5000 {
@@ -228,10 +215,7 @@ mod tests {
     #[test]
     fn zero_fitness_never_selected() {
         let fitness = Fitness::sparse(1000, 5, 2.0).unwrap();
-        let selector = PrefixSumSelector {
-            chunk_size: 64,
-            sequential_cutoff: 0,
-        };
+        let selector = PrefixSumSelector { chunk_size: 64 };
         let mut rng = MersenneTwister64::seed_from_u64(4);
         for _ in 0..5000 {
             let i = selector.select(&fitness, &mut rng).unwrap();
@@ -250,12 +234,9 @@ mod tests {
 
     #[test]
     fn large_parallel_path_matches_probabilities_roughly() {
-        // 20k values, forced through the parallel chunk-sum path.
+        // 20k values over 20 chunks.
         let fitness = Fitness::from_fn(20_000, |i| if i % 100 == 0 { 50.0 } else { 0.5 }).unwrap();
-        let selector = PrefixSumSelector {
-            chunk_size: 1024,
-            sequential_cutoff: 0,
-        };
+        let selector = PrefixSumSelector { chunk_size: 1024 };
         let mut rng = MersenneTwister64::seed_from_u64(5);
         // The 200 "heavy" indices carry 50·200 = 10000 of the total 19900.
         let heavy_mass: f64 = 50.0 * 200.0 / fitness.total();
@@ -319,7 +300,7 @@ mod tests {
         ) {
             prop_assume!(values.iter().any(|&v| v > 0.0));
             let fitness = Fitness::new(values).unwrap();
-            let selector = PrefixSumSelector { chunk_size: chunk, sequential_cutoff: 0 };
+            let selector = PrefixSumSelector { chunk_size: chunk };
             let mut rng = MersenneTwister64::seed_from_u64(seed);
             let i = selector.select(&fitness, &mut rng).unwrap();
             prop_assert!(fitness.values()[i] > 0.0);

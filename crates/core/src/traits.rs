@@ -40,8 +40,8 @@ pub trait Selector: Send + Sync {
     /// calls [`select`](Selector::select) once per slot; algorithms with
     /// per-call preprocessing (prefix tables, a fitness maximum) override
     /// this to hoist that work out of the loop. This is the primitive the
-    /// [`BatchDriver`](crate::batch::BatchDriver) feeds with one
-    /// deterministic substream per buffer chunk.
+    /// [`batch`](crate::batch) drivers feed with one deterministic
+    /// substream per buffer chunk.
     fn select_into(
         &self,
         fitness: &Fitness,

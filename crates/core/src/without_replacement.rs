@@ -8,15 +8,16 @@
 //! the remainder, and so on — exactly sequential roulette selection without
 //! replacement, but embarrassingly parallel.
 //!
-//! Two executions are provided: a sequential pass maintaining a size-`m` heap
-//! (`O(n log m)`), and a rayon map + select-top-`m` reduction for large `n`.
+//! The execution is one sequential pass maintaining a size-`m` heap
+//! (`O(n log m)`). It does not fork: a rayon map + top-`m` merge over
+//! per-index Philox streams took about twice the heap's time on two
+//! threads at every `n` from 2¹² to 2²⁰ (`m = 8`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use lrb_rng::exponential::log_bid;
-use lrb_rng::{Philox4x32, RandomSource};
-use rayon::prelude::*;
+use lrb_rng::RandomSource;
 
 use crate::error::SelectionError;
 use crate::fitness::Fitness;
@@ -109,47 +110,6 @@ pub fn sample_without_replacement(
     Ok(picked.into_iter().map(|k| k.index).collect())
 }
 
-/// Sample `count` distinct indices without replacement using a rayon
-/// map + top-`count` merge, with per-index Philox streams derived from one
-/// master draw (reproducible regardless of the thread schedule).
-pub fn par_sample_without_replacement(
-    fitness: &Fitness,
-    count: usize,
-    rng: &mut dyn RandomSource,
-) -> Result<Vec<usize>, SelectionError> {
-    validate(fitness, count)?;
-    if count == 0 {
-        return Ok(vec![]);
-    }
-    let master = rng.next_u64();
-    let values = fitness.values();
-
-    // Each worker folds its portion into a sorted top-`count` vector; the
-    // reduction merges two such vectors.
-    let top = values
-        .par_iter()
-        .enumerate()
-        .filter(|&(_, &f)| f > 0.0)
-        .map(|(index, &f)| {
-            let mut stream = Philox4x32::for_substream(master, index as u64);
-            vec![Keyed {
-                key: log_bid(&mut stream, f),
-                index,
-            }]
-        })
-        .reduce(Vec::new, |a, b| merge_top(a, b, count));
-
-    Ok(top.into_iter().map(|k| k.index).collect())
-}
-
-fn merge_top(a: Vec<Keyed>, b: Vec<Keyed>, count: usize) -> Vec<Keyed> {
-    let mut merged = a;
-    merged.extend(b);
-    merged.sort_by(|x, y| y.cmp(x));
-    merged.truncate(count);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +150,6 @@ mod tests {
                 available: 2
             })
         );
-        assert!(par_sample_without_replacement(&fitness, 3, &mut rng).is_err());
     }
 
     #[test]
@@ -248,36 +207,6 @@ mod tests {
         assert!(inclusion[0] < inclusion[1]);
         assert!(inclusion[1] < inclusion[2]);
         assert!(inclusion[2] < inclusion[3]);
-    }
-
-    #[test]
-    fn parallel_version_matches_sequential_distribution() {
-        let fitness = Fitness::new(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let total = fitness.total();
-        let mut rng = MersenneTwister64::seed_from_u64(7);
-        let trials = 60_000;
-        let mut counts = vec![0usize; fitness.len()];
-        for _ in 0..trials {
-            let picks = par_sample_without_replacement(&fitness, 1, &mut rng).unwrap();
-            counts[picks[0]] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let got = c as f64 / trials as f64;
-            let want = fitness.values()[i] / total;
-            assert!((got - want).abs() < 0.008, "index {i}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn parallel_version_is_reproducible() {
-        let fitness = Fitness::linear(2000).unwrap();
-        let a =
-            par_sample_without_replacement(&fitness, 10, &mut MersenneTwister64::seed_from_u64(9))
-                .unwrap();
-        let b =
-            par_sample_without_replacement(&fitness, 10, &mut MersenneTwister64::seed_from_u64(9))
-                .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   the cell's mutex. Draws fill whole buffers through
 //!   [`Snapshot::sample_into`] (served-draws telemetry lands on per-reader
 //!   padded shards), or deterministic rayon batches through the shared
-//!   `lrb_core::batch::BatchDriver`; every draw is exact
+//!   `lrb_core::batch` driver; every draw is exact
 //!   (`F_i = w_i / Σ w_j`) against the snapshot's weights, so concurrent
 //!   publication can never tear a reader across two distributions.
 //! * [`BackendRegistry`] — the sampler families snapshots can be frozen

@@ -25,7 +25,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lrb_core::batch::BatchDriver;
+use lrb_core::batch::drive_indices;
 use lrb_core::error::SelectionError;
 use lrb_core::traits::FrozenSampler;
 use lrb_obs::Counter;
@@ -263,17 +263,17 @@ impl Snapshot {
         Ok(out)
     }
 
-    /// Draw `trials` indices in trial order through the shared
-    /// [`BatchDriver`]: rayon-parallel and deterministic — each buffer chunk
-    /// uses its own counter-based Philox substream, so the result is a pure
-    /// function of `(snapshot, master_seed, trials)` regardless of thread
-    /// count (the [`BatchDriver`] contract).
+    /// Draw `trials` indices in trial order through the shared batch
+    /// driver ([`drive_indices`]): rayon-parallel and deterministic — each
+    /// buffer chunk uses its own counter-based Philox substream, so the
+    /// result is a pure function of `(snapshot, master_seed, trials)`
+    /// regardless of thread count (the [`lrb_core::batch`] contract).
     pub fn batch_indices(
         &self,
         trials: u64,
         master_seed: u64,
     ) -> Result<Vec<usize>, SelectionError> {
-        let indices = BatchDriver::new().drive_indices(master_seed, trials, |rng, out| {
+        let indices = drive_indices(master_seed, trials, |rng, out| {
             self.sampler.sample_into(rng, out)
         })?;
         self.served.add(trials);

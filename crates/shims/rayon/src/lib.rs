@@ -3,10 +3,14 @@
 //!
 //! The build environment has no network access, so the real `rayon` cannot be
 //! fetched from crates.io. This crate implements the same surface — [`join`],
-//! parallel iterators over slices, vectors and ranges with `map` / `filter`
-//! / `enumerate` / `reduce` / `try_reduce` / `collect`, plus a
-//! [`ThreadPoolBuilder`] whose `num_threads` is honoured — on one lazily
-//! started, persistent pool of helper threads (see [`join`]).
+//! parallel iterators over slice chunks (`par_chunks`, `par_chunks_mut`) and
+//! `usize` ranges with `map` / `enumerate` / `reduce` / `try_reduce` /
+//! `collect`, plus a [`ThreadPoolBuilder`] whose `num_threads` is honoured —
+//! on one lazily started, persistent pool of helper threads (see [`join`]).
+//! Its callers are the bid kernel's chunked arg-max, `lrb_core::batch`'s
+//! chunk fills and the ant colony's tour constructions (parallel
+//! iterators), and `lrb-service`'s batch planner (`join`); an item no
+//! workspace crate calls is deleted rather than kept for rayon parity.
 //!
 //! Semantics match rayon where the workspace depends on them:
 //!
@@ -234,15 +238,6 @@ impl<T: Send> ParIter<T> {
         }
     }
 
-    /// Keep the items satisfying `predicate`, preserving order.
-    pub fn filter<F: Fn(&T) -> bool + Sync>(self, predicate: F) -> ParIter<T> {
-        let items = self.items.into_iter().filter(|t| predicate(t)).collect();
-        ParIter {
-            items,
-            min_len: self.min_len,
-        }
-    }
-
     /// Pair every item with its index.
     pub fn enumerate(self) -> ParIter<(usize, T)> {
         let items = self.items.into_iter().enumerate().collect();
@@ -262,20 +257,9 @@ impl<T: Send> ParIter<T> {
         parallel_fold(self.items, &identity, &|a, t| op(a, t), &op, min_len)
     }
 
-    /// Execute `f` on every item for its side effects.
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        let min_len = self.min_len;
-        parallel_map(self.items, &|t| f(t), min_len);
-    }
-
     /// Collect into any [`FromParallelIterator`] target (order preserved).
     pub fn collect<C: FromParallelIterator<T>>(self) -> C {
         C::from_par_iter_items(self.items)
-    }
-
-    /// Number of items in the stage.
-    pub fn count(self) -> usize {
-        self.items.len()
     }
 }
 
@@ -324,16 +308,6 @@ pub trait IntoParallelIterator {
     fn into_par_iter(self) -> ParIter<Self::Item>;
 }
 
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter {
-            items: self,
-            min_len: PARALLEL_THRESHOLD,
-        }
-    }
-}
-
 impl IntoParallelIterator for std::ops::Range<usize> {
     type Item = usize;
     fn into_par_iter(self) -> ParIter<usize> {
@@ -344,49 +318,19 @@ impl IntoParallelIterator for std::ops::Range<usize> {
     }
 }
 
-impl IntoParallelIterator for std::ops::Range<u64> {
-    type Item = u64;
-    fn into_par_iter(self) -> ParIter<u64> {
-        ParIter {
-            items: self.collect(),
-            min_len: PARALLEL_THRESHOLD,
-        }
-    }
-}
-
-/// Borrowing conversions, mirroring rayon's `IntoParallelRefIterator`
-/// (`par_iter`) and `ParallelSlice` (`par_chunks`).
+/// Borrowing chunking, mirroring rayon's `ParallelSlice` (`par_chunks`).
 pub trait ParallelSliceExt<T: Sync> {
-    /// Parallel iterator over `&T` items.
-    fn par_iter(&self) -> ParIter<&T>;
     /// Parallel iterator over `chunk_size`-sized sub-slices.
     fn par_chunks(&self, chunk_size: usize) -> ParIter<&[T]>;
 }
 
 impl<T: Sync> ParallelSliceExt<T> for [T] {
-    fn par_iter(&self) -> ParIter<&T> {
-        ParIter {
-            items: self.iter().collect(),
-            min_len: PARALLEL_THRESHOLD,
-        }
-    }
-
     fn par_chunks(&self, chunk_size: usize) -> ParIter<&[T]> {
         assert!(chunk_size > 0, "chunk size must be positive");
         ParIter {
             items: self.chunks(chunk_size).collect(),
             min_len: PARALLEL_THRESHOLD,
         }
-    }
-}
-
-impl<T: Sync> ParallelSliceExt<T> for Vec<T> {
-    fn par_iter(&self) -> ParIter<&T> {
-        self.as_slice().par_iter()
-    }
-
-    fn par_chunks(&self, chunk_size: usize) -> ParIter<&[T]> {
-        self.as_slice().par_chunks(chunk_size)
     }
 }
 
@@ -406,12 +350,6 @@ impl<T: Send> ParallelSliceMutExt<T> for [T] {
             items: self.chunks_mut(chunk_size).collect(),
             min_len: PARALLEL_THRESHOLD,
         }
-    }
-}
-
-impl<T: Send> ParallelSliceMutExt<T> for Vec<T> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
-        self.as_mut_slice().par_chunks_mut(chunk_size)
     }
 }
 
@@ -436,15 +374,17 @@ mod tests {
 
     #[test]
     fn reduce_matches_sequential_fold() {
-        let values: Vec<f64> = (0..5_000).map(|i| i as f64).collect();
-        let par_sum = values.par_iter().map(|&x| x).reduce(|| 0.0, |a, b| a + b);
-        let seq_sum: f64 = values.iter().sum();
+        let par_sum = (0..5_000usize)
+            .into_par_iter()
+            .map(|i| i as f64)
+            .reduce(|| 0.0, |a, b| a + b);
+        let seq_sum: f64 = (0..5_000).map(|i| i as f64).sum();
         assert!((par_sum - seq_sum).abs() < 1e-6);
     }
 
     #[test]
     fn try_reduce_short_circuits_on_err() {
-        let r: Result<u64, &'static str> = (0..100u64)
+        let r: Result<usize, &'static str> = (0..100usize)
             .into_par_iter()
             .map(|i| if i == 57 { Err("boom") } else { Ok(i) })
             .try_reduce(|| 0, |a, b| Ok(a + b));
@@ -453,7 +393,7 @@ mod tests {
 
     #[test]
     fn collect_into_result_vec() {
-        let ok: Result<Vec<u64>, ()> = (0..10u64).into_par_iter().map(Ok).collect();
+        let ok: Result<Vec<usize>, ()> = (0..10usize).into_par_iter().map(Ok).collect();
         assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
     }
 
@@ -469,43 +409,35 @@ mod tests {
     #[test]
     fn par_chunks_mut_fills_disjoint_sub_slices() {
         let mut out = vec![0usize; 4_321];
-        out.par_chunks_mut(100).enumerate().for_each(|(c, slice)| {
-            for (i, slot) in slice.iter_mut().enumerate() {
-                *slot = c * 100 + i;
-            }
-        });
-        assert!(out.iter().enumerate().all(|(i, &x)| x == i));
-    }
-
-    #[test]
-    fn enumerate_filter_pipeline() {
-        let values = vec![0.0, 1.0, 0.0, 2.0];
-        let picked: Vec<usize> = values
-            .par_iter()
+        out.par_chunks_mut(100)
+            .with_min_len(1)
             .enumerate()
-            .filter(|&(_, &v)| v > 0.0)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(picked, vec![1, 3]);
+            .map(|(c, slice)| {
+                for (i, slot) in slice.iter_mut().enumerate() {
+                    *slot = c * 100 + i;
+                }
+            })
+            .collect::<Vec<()>>();
+        assert!(out.iter().enumerate().all(|(i, &x)| x == i));
     }
 
     #[test]
     fn with_min_len_fans_out_small_expensive_stages() {
         // 8 items is far below the default threshold; with_min_len(1) must
         // still produce the same ordered result through the threaded path.
-        let expensive = |i: u64| -> u64 {
-            let mut acc = i;
+        let expensive = |i: usize| -> u64 {
+            let mut acc = i as u64;
             for _ in 0..1_000 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
             }
             acc
         };
-        let fanned: Vec<u64> = (0..8u64)
+        let fanned: Vec<u64> = (0..8usize)
             .into_par_iter()
             .with_min_len(1)
             .map(expensive)
             .collect();
-        let inline: Vec<u64> = (0..8u64).map(expensive).collect();
+        let inline: Vec<u64> = (0..8usize).map(expensive).collect();
         assert_eq!(fanned, inline);
     }
 
@@ -583,12 +515,9 @@ mod tests {
             "re-raised before a finished"
         );
         // The helper that caught the panic still serves.
-        let squares: Vec<u64> =
-            pool.install(|| (0..10_000u64).into_par_iter().map(|i| i * i).collect());
-        assert!(squares
-            .iter()
-            .enumerate()
-            .all(|(i, &x)| x == (i * i) as u64));
+        let squares: Vec<usize> =
+            pool.install(|| (0..10_000usize).into_par_iter().map(|i| i * i).collect());
+        assert!(squares.iter().enumerate().all(|(i, &x)| x == i * i));
         assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
     }
 
@@ -613,9 +542,9 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                (0..50_000u64)
+                (0..50_000usize)
                     .into_par_iter()
-                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                     .collect()
             })
         };

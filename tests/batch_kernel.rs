@@ -1,12 +1,12 @@
 //! Test coverage for the unified batched sampling kernel: the buffer
 //! primitives (`sample_into` / `select_into`) must agree **draw for draw**
 //! with the one-at-a-time APIs under the same substream seeds, the shared
-//! `BatchDriver` must be schedule-independent, and the batched engine path
+//! `lrb_core::batch` driver must be schedule-independent, and the batched engine path
 //! must stay chi-square-exact on every registered backend.
 
 mod support;
 
-use lrb_core::batch::BatchDriver;
+use lrb_core::batch::drive_indices;
 use lrb_core::sequential::{AliasSampler, CdfSampler, StochasticAcceptanceSelector};
 use lrb_core::{DynamicSampler, Fitness, PreparedSampler, Selector};
 use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
@@ -145,7 +145,7 @@ proptest! {
 
 #[test]
 fn one_driver_serves_core_dynamic_and_engine_identically() {
-    // The core BatchDriver over a dynamic Fenwick sampler and the engine's
+    // The core batch driver over a dynamic Fenwick sampler and the engine's
     // fenwick snapshot batch both invert the same CDF through the same
     // driver, so their per-trial indices must be identical.
     let weights: Vec<f64> = (0..600).map(|i| ((i % 13) as f64) * 0.5).collect();
@@ -164,9 +164,8 @@ fn one_driver_serves_core_dynamic_and_engine_identically() {
     .unwrap();
     let from_engine = engine.snapshot().batch_indices(trials, seed).unwrap();
 
-    let from_driver = BatchDriver::new()
-        .drive_indices(seed, trials, |rng, out| fenwick.sample_into(rng, out))
-        .unwrap();
+    let from_driver =
+        drive_indices(seed, trials, |rng, out| fenwick.sample_into(rng, out)).unwrap();
 
     assert_eq!(from_engine, from_driver);
 }
@@ -211,11 +210,7 @@ fn driver_batches_are_thread_count_invariant_at_every_layer() {
     let snapshot = engine.snapshot();
     let fenwick = FenwickSampler::from_weights(weights).unwrap();
     let trials = 40_000u64;
-    let drive = || {
-        BatchDriver::new()
-            .drive_indices(5, trials, |rng, out| fenwick.sample_into(rng, out))
-            .unwrap()
-    };
+    let drive = || drive_indices(5, trials, |rng, out| fenwick.sample_into(rng, out)).unwrap();
 
     let engine_reference = snapshot.batch_indices(trials, 5).unwrap();
     let driver_reference = drive();

@@ -14,7 +14,7 @@ fn selectors() -> Vec<Box<dyn Selector>> {
     vec![
         Box::new(IndependentRouletteSelector),
         Box::new(LogBiddingSelector::default()),
-        Box::new(ParallelLogBiddingSelector::default()),
+        Box::new(ParallelLogBiddingSelector),
     ]
 }
 

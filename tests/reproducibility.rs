@@ -11,7 +11,7 @@ use lrb_rng::{spawn_streams, MersenneTwister64, RandomSource, SeedableSource, Xo
 #[test]
 fn selections_are_bit_reproducible_across_runs() {
     let fitness = Fitness::linear(500).unwrap();
-    let selector = ParallelLogBiddingSelector::default();
+    let selector = ParallelLogBiddingSelector;
     let run = |seed: u64| -> Vec<usize> {
         let mut rng = MersenneTwister64::seed_from_u64(seed);
         (0..200)
@@ -84,7 +84,7 @@ fn changing_the_selector_does_not_change_the_workload_or_targets() {
     let b = run_probability_experiment(
         "t",
         &fitness,
-        &[Box::new(ParallelLogBiddingSelector::default()) as Box<dyn Selector>],
+        &[Box::new(ParallelLogBiddingSelector) as Box<dyn Selector>],
         1_000,
         1,
     );

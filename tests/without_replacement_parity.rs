@@ -1,20 +1,17 @@
-//! Distributional equivalence of the two without-replacement executions.
+//! The Efraimidis–Spirakis law of `sample_without_replacement` (one
+//! sequential heap pass, n `log_bid` draws), beyond its first pick.
 //!
-//! `sample_without_replacement` (sequential heap, n `log_bid` draws) and
-//! `par_sample_without_replacement` (one master draw, per-index Philox
-//! substreams, top-`m` merge) consume randomness differently **by design**,
-//! so they can never agree draw-for-draw. What must hold — and what the
-//! service's future `select_distinct_k` endpoint will rely on — is that
-//! both produce the same Efraimidis–Spirakis distribution: the full chi-
-//! square tests below compare each path's *ordered outcome* against the
-//! exact closed form `P(i then j) = F_i · w_j / (T − w_i)`, not just the
-//! first draw. Edge behaviour (`count == 0`, `count == support`,
-//! `NotEnoughCandidates`, all-zero fitness) must also be error-for-error
-//! identical between the two paths.
+//! The chi-square tests below compare the sampler's *ordered outcome*
+//! against the exact closed form `P(i then j) = F_i · w_j / (T − w_i)`, and
+//! the law of the *last* element of a full permutation against its closed
+//! form, not just the first draw (which `cross_algorithm_consistency`
+//! checks against the one-shot selectors). Edge behaviour (`count == 0`,
+//! `count == support`, `NotEnoughCandidates`, all-zero fitness) is pinned
+//! error for error.
 
 use lrb_core::error::SelectionError;
 use lrb_core::fitness::Fitness;
-use lrb_core::without_replacement::{par_sample_without_replacement, sample_without_replacement};
+use lrb_core::without_replacement::sample_without_replacement;
 use lrb_rng::{MersenneTwister64, RandomSource, SeedableSource};
 use lrb_stats::chi_square_gof;
 
@@ -77,20 +74,13 @@ fn sequential_pairs_match_the_exact_distribution() {
 }
 
 #[test]
-fn parallel_pairs_match_the_exact_distribution() {
-    assert_pairs_conform(&[1.0, 2.0, 3.0, 4.0], par_sample_without_replacement, "par");
-}
-
-#[test]
 fn both_paths_conform_with_zero_weight_holes() {
-    // Zeros interleaved in the support: the sequential path skips
-    // `f == 0.0`, the parallel path filters `f > 0.0` — both must yield
-    // the same distribution over the remaining support, and the pair
-    // enumeration (which excludes zeros) doubles as the assertion that
-    // neither path ever emits a zero-weight index.
+    // Zeros interleaved in the support: the sampler skips `f == 0.0` and
+    // must yield the exact law over the remaining support; the pair
+    // enumeration (which excludes zeros) doubles as the assertion that it
+    // never emits a zero-weight index.
     let weights = [0.0, 2.0, 0.0, 1.0, 3.0];
     assert_pairs_conform(&weights, sample_without_replacement, "seq with zeros");
-    assert_pairs_conform(&weights, par_sample_without_replacement, "par with zeros");
 }
 
 #[test]
@@ -101,10 +91,6 @@ fn count_zero_is_an_empty_sample_on_both_paths() {
         sample_without_replacement(&fitness, 0, &mut rng).unwrap(),
         Vec::<usize>::new()
     );
-    assert_eq!(
-        par_sample_without_replacement(&fitness, 0, &mut rng).unwrap(),
-        Vec::<usize>::new()
-    );
 }
 
 #[test]
@@ -113,11 +99,8 @@ fn count_equal_to_support_permutes_the_support_on_both_paths() {
     let mut rng = MersenneTwister64::seed_from_u64(22);
     for _ in 0..100 {
         let mut seq = sample_without_replacement(&fitness, 3, &mut rng).unwrap();
-        let mut par = par_sample_without_replacement(&fitness, 3, &mut rng).unwrap();
         seq.sort_unstable();
-        par.sort_unstable();
         assert_eq!(seq, vec![1, 2, 4]);
-        assert_eq!(par, vec![1, 2, 4]);
     }
 }
 
@@ -130,10 +113,6 @@ fn not_enough_candidates_is_error_identical_on_both_paths() {
         available: 2,
     });
     assert_eq!(sample_without_replacement(&fitness, 3, &mut rng), expected);
-    assert_eq!(
-        par_sample_without_replacement(&fitness, 3, &mut rng),
-        expected
-    );
 }
 
 #[test]
@@ -145,15 +124,11 @@ fn all_zero_fitness_is_rejected_on_both_paths_even_for_count_zero() {
             sample_without_replacement(&fitness, count, &mut rng),
             Err(SelectionError::AllZeroFitness)
         );
-        assert_eq!(
-            par_sample_without_replacement(&fitness, count, &mut rng),
-            Err(SelectionError::AllZeroFitness)
-        );
     }
 }
 
 #[test]
-fn parallel_order_statistics_match_the_sequential_law() {
+fn last_pick_matches_the_closed_form_law() {
     // Beyond pairs: for k = support the result is an ordered permutation.
     // The *last* element's law is the hardest to get right (it is the
     // loser of every comparison), so chi-square it too: P(last = i) for
@@ -176,7 +151,7 @@ fn parallel_order_statistics_match_the_sequential_law() {
         let mut rng = MersenneTwister64::seed_from_u64(seed);
         let mut counts = [0u64; 3];
         for _ in 0..30_000 {
-            let picks = par_sample_without_replacement(&fitness, 3, &mut rng).unwrap();
+            let picks = sample_without_replacement(&fitness, 3, &mut rng).unwrap();
             counts[picks[2]] += 1;
         }
         chi_square_gof(&counts, &last_prob).is_consistent(0.01)
