@@ -240,6 +240,14 @@ pub trait DynamicSampler: Send + Sync {
         self.sample_into(rng, &mut out)?;
         Ok(out)
     }
+
+    /// The categories the sampler keeps a map of, in ascending order,
+    /// when it keeps one: every positive weight's category is in it (a
+    /// zeroed one may stay), so a fold over it skips only zeros. `None`
+    /// (the default) when the sampler covers every category.
+    fn support(&self) -> Option<&[u32]> {
+        None
+    }
 }
 
 /// A **frozen** weighted sampler: a snapshot's weights plus read-only
@@ -292,6 +300,14 @@ pub trait FrozenSampler: Send + Sync {
         Ok(())
     }
 
+    /// The ascending categories every positive weight belongs to, when
+    /// the sampler keeps such a map (see [`DynamicSampler::support`]); a
+    /// snapshot sums its total over it. `None` (the default) when the
+    /// sampler covers every category; the blanket impl forwards.
+    fn support(&self) -> Option<&[u32]> {
+        None
+    }
+
     /// The concrete sampler as [`Any`](std::any::Any), so a backend's
     /// incremental-publish path can downcast a previous snapshot's sampler
     /// back to its own type and patch it instead of rebuilding from
@@ -322,6 +338,10 @@ impl<T: DynamicSampler + 'static> FrozenSampler for T {
         out: &mut [usize],
     ) -> Result<(), SelectionError> {
         DynamicSampler::sample_streams(self, streams, out)
+    }
+
+    fn support(&self) -> Option<&[u32]> {
+        DynamicSampler::support(self)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -451,6 +471,7 @@ mod tests {
         };
         let frozen: &dyn FrozenSampler = &sampler;
         assert_eq!(frozen.weights(), &[1.0, 3.0]);
+        assert_eq!(frozen.support(), None, "no map by default");
         let mut rng = MersenneTwister64::seed_from_u64(2);
         assert!(frozen.sample(&mut rng).unwrap() < 2);
     }

@@ -558,6 +558,12 @@ impl DynamicSampler for FenwickSampler {
         }
         Ok(())
     }
+
+    /// The compact layout's sorted map (zeroed members included); `None`
+    /// dense.
+    fn support(&self) -> Option<&[u32]> {
+        self.support.as_deref()
+    }
 }
 
 #[cfg(test)]
@@ -834,9 +840,15 @@ mod tests {
         let mut sampler = FenwickSampler::from_weights(weights.clone()).unwrap();
         assert!(sampler.is_compact());
         let mut rng = MersenneTwister64::seed_from_u64(4);
-        // Zeroing a support member keeps its position and the layout.
+        // Zeroing a support member keeps its position and the layout, and
+        // the map (forwarded to the frozen view) still lists it.
         sampler.update(300, 0.0).unwrap();
         assert!(sampler.is_compact());
+        assert_eq!(sampler.support(), Some(&[10, 300][..]));
+        assert_eq!(
+            lrb_core::traits::FrozenSampler::support(&sampler),
+            Some(&[10, 300][..])
+        );
         assert_eq!(sampler.non_zero_count(), 1);
         assert_eq!(sampler.total_weight(), 1.0);
         for _ in 0..100 {
@@ -848,6 +860,7 @@ mod tests {
         weights[300] = 0.0;
         weights[511] = 4.0;
         assert!(!sampler.is_compact());
+        assert_eq!(sampler.support(), None);
         assert_eq!(sampler.non_zero_count(), 2);
         assert_eq!(sampler.total_weight(), 5.0);
         assert_eq!(sampler.prefix_sum(511), 1.0);

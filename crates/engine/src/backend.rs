@@ -24,6 +24,13 @@
 //! against the rebuild's branchy passes; a scale fold adds one multiply
 //! pass). [`FrozenBackend::patch_pays`] compares that price against the
 //! `n`-op rebuild — the rule `PatchPolicy::Auto` follows on every publish.
+//!
+//! Every publish also sums the new snapshot's total in index order, one
+//! more `n`-term pass, except over a sampler that reports a
+//! [`FrozenSampler::support`]: a compact Fenwick snapshot (`k` positive
+//! weights of `n`) sums only its support, so its patch is the copy of the
+//! `n` weights — the only `n` term left — plus `O(k + d · log₂ k)` for
+//! its tree, map and total.
 
 use std::sync::Arc;
 

@@ -5,7 +5,9 @@
 //! [`FrozenBackend`](crate::backend::FrozenBackend). The sampler is the
 //! snapshot's only weight store: every weight, length and probability
 //! query reads [`FrozenSampler::weights`]; the snapshot adds the total,
-//! summed once in index order. A snapshot is never mutated
+//! summed once in index order (over the support alone when the sampler
+//! keeps a support map, so a compact shard's total costs `O(k)`, not
+//! `O(n)`). A snapshot is never mutated
 //! after construction, so any number of reader threads can draw from the
 //! same `Arc<Snapshot>` without coordination, and a reader that keeps an old
 //! snapshot keeps sampling the exact distribution it observed — publication
@@ -87,9 +89,11 @@ impl Snapshot {
         backend: &'static str,
         sampler: Box<dyn FrozenSampler>,
     ) -> Self {
-        let weights = sampler.weights();
-        assert!(!weights.is_empty(), "snapshots cover at least one category");
-        let total = weights.iter().sum();
+        assert!(
+            !sampler.weights().is_empty(),
+            "snapshots cover at least one category"
+        );
+        let total = index_order_total(sampler.as_ref());
         Self {
             version,
             backend,
@@ -290,6 +294,23 @@ impl Snapshot {
         }
         Ok(counts)
     }
+}
+
+/// `Σ w_j` in index order, bit for bit, summed over the sampler's
+/// [`support`](FrozenSampler::support) when it keeps one: that fold skips
+/// only zeros, and adding a zero leaves a positive running sum unchanged,
+/// so it equals the full sum whenever some weight is positive. With none
+/// positive the full sum decides the sign of the zero (an empty fold is
+/// `-0.0`, a sum over `+0.0` weights is `+0.0`).
+fn index_order_total(sampler: &dyn FrozenSampler) -> f64 {
+    let weights = sampler.weights();
+    if let Some(support) = sampler.support() {
+        let total: f64 = support.iter().map(|&i| weights[i as usize]).sum();
+        if total > 0.0 {
+            return total;
+        }
+    }
+    weights.iter().sum()
 }
 
 impl std::fmt::Debug for Snapshot {

@@ -1,4 +1,5 @@
-//! Allocation accounting for the engine's reader hot path.
+//! Allocation accounting for the engine's reader hot path, and for the
+//! writer's enqueue.
 //!
 //! The whole point of the lock-free read side is that a steady-state
 //! reader — thread-local snapshot cache warm, buffer preallocated — touches
@@ -138,4 +139,36 @@ fn publishes_refresh_readers_without_per_sample_allocation() {
     );
     // Reader-thread enumeration really assigned this thread a shard.
     assert!(engine.snapshot().served() > 0);
+}
+
+#[test]
+fn warm_enqueue_many_allocates_nothing() {
+    // One shard's share of a sparse `UPDATE_MANY`: 164 writes over the 64
+    // positive categories of a 16 384-category shard, enqueued again and
+    // again with no publish between, so every write after the first
+    // batch overwrites a pending one. Once the coalescing batch holds
+    // every category the writes touch, an enqueue must not touch the
+    // allocator, however often a category is overwritten.
+    let support: Vec<usize> = (0..64).map(|k| k * 256 + 17).collect();
+    let mut weights = vec![0.0; 16_384];
+    for &i in &support {
+        weights[i] = 1.0;
+    }
+    let engine = SelectionEngine::new(weights, EngineConfig::default()).unwrap();
+    let batch: Vec<(usize, f64)> = (0..164)
+        .map(|j| (support[(j * 37) % 64], 0.5 + j as f64 / 164.0))
+        .collect();
+    for _ in 0..4 {
+        engine.enqueue_many(&batch).unwrap();
+    }
+    let (events, _) = allocator_events(|| {
+        for _ in 0..1_000 {
+            engine.enqueue_many(&batch).unwrap();
+        }
+    });
+    assert_eq!(events, 0, "a warm enqueue_many touched the allocator");
+    // Every write after each category's first replaced a pending one.
+    let stats = engine.stats();
+    assert_eq!(stats.enqueued, 1_004 * 164);
+    assert_eq!(stats.coalesced, 1_004 * 164 - 64);
 }

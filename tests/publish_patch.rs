@@ -207,6 +207,117 @@ proptest! {
             }
         }
     }
+
+    /// A snapshot's total is its weights summed in index order, bit for
+    /// bit, on every standard backend: sparse vectors (compact fenwick),
+    /// dense and all-positive ones, all-zero ones, `-0.0` entries and
+    /// support members a publish zeroed, after patched (`Always`) and
+    /// rebuilt (`Never`) publishes alike.
+    #[test]
+    fn prop_snapshot_totals_are_the_index_order_sum(
+        seed: u64,
+        n in 1usize..400,
+        shape in 0u64..5,
+        rounds in 1usize..8,
+    ) {
+        let initial = shaped_weights(&mut TestRng::new(seed), n, shape);
+        for backend in BackendRegistry::standard().names() {
+            for patch in [PatchPolicy::Always, PatchPolicy::Never] {
+                let config = EngineConfig {
+                    backend,
+                    patch,
+                    ..EngineConfig::default()
+                };
+                let engine = SelectionEngine::new(initial.clone(), config)
+                    .expect("non-negative weights are valid");
+                let mut rng = TestRng::new(seed ^ 0x5EED);
+                for round in 0..=rounds {
+                    let snapshot = engine.snapshot();
+                    let in_order: f64 = snapshot.weights().iter().sum();
+                    prop_assert_eq!(
+                        snapshot.total_weight().to_bits(),
+                        in_order.to_bits(),
+                        "{} {:?}, shape {}, round {}",
+                        backend,
+                        patch,
+                        shape,
+                        round
+                    );
+                    if round == rounds {
+                        break;
+                    }
+                    let writes = next_writes(&mut rng, snapshot.weights());
+                    engine.enqueue_many(&writes).expect("valid overrides");
+                    if rng.below(4) == 0 {
+                        engine.scale_all(0.5 + rng.next_f64()).expect("valid factor");
+                    }
+                    engine.publish().expect("valid publish");
+                }
+            }
+        }
+    }
+}
+
+/// `0.0` or `-0.0`, evenly.
+fn signed_zero(rng: &mut TestRng) -> f64 {
+    if rng.below(2) == 0 {
+        0.0
+    } else {
+        -0.0
+    }
+}
+
+/// `n` weights of one of five shapes: all zero, about one in 16 positive
+/// (a compact fenwick tree), one in 4 (the compact bound), one in 2, and
+/// all positive; a zero is `-0.0` one time in two.
+fn shaped_weights(rng: &mut TestRng, n: usize, shape: u64) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            let positive = match shape {
+                0 => false,
+                1 => rng.below(16) == 0,
+                2 => rng.below(4) == 0,
+                3 => rng.below(2) == 0,
+                _ => true,
+            };
+            if positive {
+                0.5 + rng.next_f64() * 10.0
+            } else {
+                signed_zero(rng)
+            }
+        })
+        .collect()
+}
+
+/// One publish's writes against the current weights: zero some positive
+/// categories (with `0.0` or `-0.0`) and reweight others, now and then
+/// revive or zero any category, and one time in six zero every positive
+/// one.
+fn next_writes(rng: &mut TestRng, weights: &[f64]) -> Vec<(usize, f64)> {
+    let positive: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0.0).collect();
+    if !positive.is_empty() && rng.below(6) == 0 {
+        return positive.iter().map(|&i| (i, signed_zero(rng))).collect();
+    }
+    (0..1 + rng.below(6))
+        .map(|_| {
+            let (index, weight) = if positive.is_empty() || rng.below(5) == 0 {
+                (
+                    rng.below(weights.len() as u64) as usize,
+                    1.0 + rng.next_f64(),
+                )
+            } else {
+                (
+                    positive[rng.below(positive.len() as u64) as usize],
+                    rng.next_f64() * 8.0,
+                )
+            };
+            if rng.below(2) == 0 {
+                (index, signed_zero(rng))
+            } else {
+                (index, weight)
+            }
+        })
+        .collect()
 }
 
 #[test]
