@@ -1,5 +1,5 @@
 //! Criterion benches: the supplementary wall-clock measurements and the
-//! ablations called out in DESIGN.md.
+//! ablations of the bid formula and the uniform source.
 //!
 //! Groups:
 //! * `table_workloads`       — one selection on the Table I / Table II

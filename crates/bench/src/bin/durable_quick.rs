@@ -2,68 +2,80 @@
 //! engine's publish path.
 //!
 //! ```text
-//! cargo run -p lrb-bench --release --bin durable_quick \
-//!     [-- --n 4096 --ratio 1024 --duration-ms 250 --pairs 4 \
-//!         --min-ratio 0.97 --recovery-publishes 20000 --json 1]
+//! cargo run -p lrb-bench --release --bin durable_quick [-- --json 1]
 //! ```
 //!
 //! Three checks:
 //!
 //! 1. **Overhead** — durability must be cheap enough to leave on in the
-//!    engine's natural regime (draws dominate publishes; `--ratio` draws
-//!    per publish, default 1024 to match the engine's cost-model prior).
-//!    Runs `--pairs` back-to-back pairs of a closed-loop draw+publish
-//!    driver, [`Durability::Off`] then [`Durability::Wal`] (fsync off —
-//!    the gate prices the *append*, not the disk), and takes the **best
-//!    pair ratio** of draw throughput, which must be `>= --min-ratio`
-//!    (default 0.97). The two runs of a pair are temporally adjacent, so
-//!    frequency and scheduler drift cancel; a failing first round is
-//!    retried once with the pair count doubled.
-//! 2. **Recovery** — a WAL of `--recovery-publishes` batches is written
-//!    without intermediate checkpoints, then reopened; replay must
-//!    restore the exact last version (enforced). The WAL size and replay
-//!    time are recorded beside it.
-//! 3. **Function** — the durable arm actually logged: WAL append
-//!    histogram count equals the publish count, WAL bytes grew, and the
-//!    recovered engine journals a `Recovered` event.
+//!    engine's natural regime (draws dominate publishes: 1024 draws per
+//!    16-override publish over 4096 categories). Runs [`GATE_PAIRS`] pairs
+//!    of a closed-loop draw+publish driver, [`Durability::Off`] and
+//!    [`Durability::Wal`] (fsync off — the gate prices the *append*, not
+//!    the disk), 250 ms each. By the [`gate`] rule the arm that runs
+//!    first flips from pair to pair, and the gate reads the median pair
+//!    ratio of draw throughput against [`MIN_RATIO`].
+//! 2. **Recovery** — a WAL of 20 000 publish batches is written without
+//!    intermediate checkpoints, then reopened; replay must restore the
+//!    exact last version. The WAL size and replay time are recorded beside
+//!    it.
+//! 3. **Function** — every durable arm actually logged, and the recovered
+//!    engine journals a `Recovered` event.
 //!
-//! `--json 1` appends a machine-readable report (`BENCH_durable.json`
-//! records the baseline host's numbers).
+//! The recovery and function checks are conformance margins beside the
+//! overhead gate. `--json 1` appends a machine-readable report
+//! (`BENCH_durable.json` records the recording host's numbers).
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use lrb_bench::cli::{Options, OrExit};
-use lrb_bench::gate::{print_margins, GateMargin};
+use lrb_bench::cli::Options;
+use lrb_bench::gate::{self, GateMargin, GATE_PAIRS};
 use lrb_engine::{
     Durability, EngineConfig, EngineEvent, FsyncPolicy, PatchPolicy, SelectionEngine, WalOptions,
 };
 use lrb_rng::Philox4x32;
 use serde::Serialize;
 
+/// Bar of the WAL-over-off draw throughput ratio: 0.8–1.0× of the median
+/// recorded on the 2-vCPU host (`BENCH_durable.json`).
+const MIN_RATIO: f64 = 0.85;
+/// Categories of every engine here.
+const N: usize = 4096;
+/// Draws per publish in the overhead driver.
+const DRAWS_PER_PUBLISH: u64 = 1024;
+/// Length of each overhead run.
+const DURATION_MS: u64 = 250;
+/// Publishes in the WAL that recovery replays.
+const RECOVERY_PUBLISHES: u64 = 20_000;
+
 /// Machine-readable outcome (`--json 1`).
 #[derive(Debug, Serialize)]
 struct DurableReport {
-    pairs_run: u64,
-    min_ratio: f64,
-    best_off_samples_per_sec: f64,
-    best_wal_samples_per_sec: f64,
+    /// Median of `pairs[].ratio`.
     overhead_ratio: f64,
-    wal_records: u64,
-    wal_bytes: u64,
+    pairs: Vec<Pair>,
     recovery_publishes: u64,
     recovery_wal_mb: f64,
     recovery_ms: f64,
     margins: Vec<GateMargin>,
 }
 
-/// One closed-loop run: `ratio` draws then one 16-override publish, for
-/// `duration_ms`.
-#[derive(Debug, Clone, Copy)]
+/// One closed-loop run's outcome.
+#[derive(Debug, Serialize)]
 struct DriverOutcome {
     samples_per_sec: f64,
     wal_records: u64,
     wal_bytes: u64,
+}
+
+/// One off/wal pair and its throughput ratio.
+#[derive(Debug, Serialize)]
+struct Pair {
+    off: DriverOutcome,
+    wal: DriverOutcome,
+    ratio: f64,
 }
 
 /// A scratch directory under the system temp dir, removed on drop.
@@ -109,27 +121,21 @@ fn arm_config(durability: Durability) -> EngineConfig {
     }
 }
 
-/// Run the closed loop: `ratio` draws (64 at a time), 16 overrides, one
-/// publish, repeat until `duration_ms` elapses.
-fn run_driver(
-    n: usize,
-    ratio: u64,
-    duration_ms: u64,
-    seed: u64,
-    durability: Durability,
-) -> DriverOutcome {
-    let weights: Vec<f64> = (1..=n).map(|i| 1.0 + (i % 97) as f64).collect();
+/// Run the closed loop: [`DRAWS_PER_PUBLISH`] draws (64 at a time), 16
+/// overrides, one publish, repeat until [`DURATION_MS`] elapses.
+fn run_driver(seed: u64, durability: Durability) -> DriverOutcome {
+    let weights: Vec<f64> = (1..=N).map(|i| 1.0 + (i % 97) as f64).collect();
     let engine = SelectionEngine::new(weights, arm_config(durability)).expect("driver engine");
     let mut rng = Philox4x32::for_substream(seed, 1);
     let mut buffer = vec![0usize; 64];
-    let budget = std::time::Duration::from_millis(duration_ms);
+    let budget = std::time::Duration::from_millis(DURATION_MS);
     let started = Instant::now();
     let mut samples = 0u64;
     let mut round = 0u64;
     while started.elapsed() < budget {
         let mut drawn = 0u64;
-        while drawn < ratio {
-            let chunk = buffer.len().min((ratio - drawn) as usize);
+        while drawn < DRAWS_PER_PUBLISH {
+            let chunk = buffer.len().min((DRAWS_PER_PUBLISH - drawn) as usize);
             engine
                 .read(|snapshot| snapshot.sample_into(&mut rng, &mut buffer[..chunk]))
                 .expect("positive weights sample");
@@ -137,7 +143,7 @@ fn run_driver(
         }
         samples += drawn;
         for i in 0..16u64 {
-            let index = ((round * 16 + i) % n as u64) as usize;
+            let index = ((round * 16 + i) % N as u64) as usize;
             engine
                 .enqueue(index, 1.0 + ((round + i) % 251) as f64)
                 .expect("index in range");
@@ -154,96 +160,49 @@ fn run_driver(
     }
 }
 
-/// One off/wal pair, back-to-back (drift cancels inside a pair).
-struct PairOutcome {
-    off: DriverOutcome,
-    wal: DriverOutcome,
-    ratio: f64,
-}
-
-fn run_pairs(
-    n: usize,
-    ratio: u64,
-    duration_ms: u64,
-    pairs: u64,
-    seed_offset: u64,
-) -> Vec<PairOutcome> {
-    (0..pairs)
-        .map(|pair| {
-            let seed = 2024 + seed_offset + pair;
-            let off = run_driver(n, ratio, duration_ms, seed, Durability::Off);
-            let dir = ScratchDir::new(&format!("pair-{}", seed_offset + pair));
-            let wal = run_driver(
-                n,
-                ratio,
-                duration_ms,
-                seed,
-                Durability::Wal(WalOptions {
-                    dir: dir.0.clone(),
-                    fsync: FsyncPolicy::Off,
-                    checkpoint_every: 0,
-                }),
-            );
-            let ratio = wal.samples_per_sec / off.samples_per_sec.max(1.0);
-            PairOutcome { off, wal, ratio }
-        })
-        .collect()
-}
-
-fn best_pair(outcomes: Vec<PairOutcome>) -> PairOutcome {
-    outcomes
-        .into_iter()
-        .max_by(|a, b| a.ratio.total_cmp(&b.ratio))
-        .expect("at least one pair ran")
-}
-
-fn main() {
-    let options = Options::from_env();
-    let n = options.usize_or("n", 4096).or_exit();
-    let ratio = options.u64_or("ratio", 1024).or_exit().max(1);
-    let duration_ms = options.u64_or("duration-ms", 250).or_exit();
-    let pairs = options.u64_or("pairs", 4).or_exit().max(1);
-    let min_ratio = options.f64_or("min-ratio", 0.97).or_exit();
-    let recovery_publishes = options
-        .u64_or("recovery-publishes", 20_000)
-        .or_exit()
-        .max(1);
+fn main() -> ExitCode {
+    let json = Options::from_env().contains("json");
 
     println!(
-        "durable_quick: n = {n}, {ratio} draws per publish, {duration_ms} ms windows, \
-         fsync off (pricing the append, not the disk)\n"
+        "durable_quick: n = {N}, {DRAWS_PER_PUBLISH} draws per publish, {DURATION_MS} ms \
+         windows, fsync off (pricing the append, not the disk)\n"
     );
 
     // ---- Check 1: WAL overhead in the draw-dominated regime -------------
-    println!("WAL overhead ({pairs} back-to-back off/wal pairs, best pair ratio):");
-    let outcomes = run_pairs(n, ratio, duration_ms, pairs, 0);
-    for outcome in &outcomes {
-        println!(
-            "  off {:>12.0} draws/s   wal {:>12.0} draws/s   ratio {:.4}",
-            outcome.off.samples_per_sec, outcome.wal.samples_per_sec, outcome.ratio
-        );
-    }
-    let mut best = best_pair(outcomes);
-    let mut pairs_run = pairs;
-    if best.ratio < min_ratio {
-        println!(
-            "  first round best ratio {:.4} below the gate; retrying wider",
-            best.ratio
-        );
-        let retry = best_pair(run_pairs(n, ratio, duration_ms, pairs * 2, pairs));
-        pairs_run += pairs * 2;
-        if retry.ratio > best.ratio {
-            best = retry;
-        }
-    }
-    println!(
-        "  best pair ratio {:.4} (gate: >= {min_ratio:.2})",
-        best.ratio
-    );
-    println!(
-        "  durable arm logged {} records, {} bytes",
-        best.wal.wal_records, best.wal.wal_bytes
-    );
+    println!("WAL overhead ({GATE_PAIRS} off/wal pairs, median pair ratio):");
+    let pairs: Vec<Pair> = (0..GATE_PAIRS)
+        .map(|pair| {
+            let seed = 2024 + pair as u64;
+            let dir = ScratchDir::new(&format!("pair-{pair}"));
+            let (off, wal) = gate::alternate(
+                pair,
+                || run_driver(seed, Durability::Off),
+                || {
+                    run_driver(
+                        seed,
+                        Durability::Wal(WalOptions {
+                            dir: dir.0.clone(),
+                            fsync: FsyncPolicy::Off,
+                            checkpoint_every: 0,
+                        }),
+                    )
+                },
+            );
+            let ratio = wal.samples_per_sec / off.samples_per_sec.max(1.0);
+            println!(
+                "  off {:>12.0} draws/s   wal {:>12.0} draws/s   ratio {ratio:.4}   \
+                 ({} records, {} bytes)",
+                off.samples_per_sec, wal.samples_per_sec, wal.wal_records, wal.wal_bytes
+            );
+            Pair { off, wal, ratio }
+        })
+        .collect();
+    let ratios: Vec<f64> = pairs.iter().map(|pair| pair.ratio).collect();
+    let overhead_ratio = gate::median(&ratios);
+    println!("  median pair ratio {overhead_ratio:.4} (gate: >= {MIN_RATIO:.2})");
+    let every_arm_logged = pairs
+        .iter()
+        .all(|pair| pair.wal.wal_records > 0 && pair.wal.wal_bytes > 0);
 
     // ---- Check 2: recovery exactness ------------------------------------
     let dir = ScratchDir::new("recovery");
@@ -254,13 +213,13 @@ fn main() {
     };
     {
         let engine = SelectionEngine::new(
-            (1..=n).map(|i| i as f64).collect(),
+            (1..=N).map(|i| i as f64).collect(),
             arm_config(Durability::Wal(wal_options.clone())),
         )
         .expect("recovery writer");
-        for round in 0..recovery_publishes {
+        for round in 0..RECOVERY_PUBLISHES {
             for i in 0..16u64 {
-                let index = ((round * 16 + i) % n as u64) as usize;
+                let index = ((round * 16 + i) % N as u64) as usize;
                 engine
                     .enqueue(index, 1.0 + ((round + i) % 251) as f64)
                     .expect("index in range");
@@ -271,81 +230,38 @@ fn main() {
     let wal_mb = dir.bytes() as f64 / (1024.0 * 1024.0);
     let reopen_started = Instant::now();
     let recovered = SelectionEngine::new(
-        (1..=n).map(|i| i as f64).collect(),
+        (1..=N).map(|i| i as f64).collect(),
         arm_config(Durability::Wal(wal_options)),
     )
     .expect("recovery reopen");
     let recovery_ms = reopen_started.elapsed().as_secs_f64() * 1e3;
-    let recovered_ok = recovered.version() == recovery_publishes;
     let journaled_recovery = recovered
         .observability()
         .journal()
         .iter()
         .any(|entry| matches!(entry.event, EngineEvent::Recovered { .. }));
-    println!("\nrecovery: {recovery_publishes} publishes, {wal_mb:.2} MB of WAL");
+    println!("\nrecovery: {RECOVERY_PUBLISHES} publishes, {wal_mb:.2} MB of WAL");
     println!(
         "  replayed to version {} in {recovery_ms:.1} ms",
         recovered.version()
     );
 
-    // ---- Verdict ---------------------------------------------------------
     let margins = vec![
-        GateMargin::at_least("wal_overhead_ratio", best.ratio, min_ratio, true),
+        GateMargin::at_least("wal_overhead_ratio", overhead_ratio, MIN_RATIO),
+        GateMargin::conformance("durable_arms_logged_every_pair", every_arm_logged),
         GateMargin::conformance(
-            "durable_arm_logged_every_publish",
-            best.wal.wal_records > 0 && best.wal.wal_bytes > 0,
-            true,
+            "recovery_restores_last_version",
+            recovered.version() == RECOVERY_PUBLISHES,
         ),
-        GateMargin::conformance("recovery_restores_last_version", recovered_ok, true),
-        GateMargin::conformance("recovery_journaled", journaled_recovery, true),
+        GateMargin::conformance("recovery_journaled", journaled_recovery),
     ];
-    print_margins(&margins);
-
-    if options.contains("json") {
-        let report = DurableReport {
-            pairs_run,
-            min_ratio,
-            best_off_samples_per_sec: best.off.samples_per_sec,
-            best_wal_samples_per_sec: best.wal.samples_per_sec,
-            overhead_ratio: best.ratio,
-            wal_records: best.wal.wal_records,
-            wal_bytes: best.wal.wal_bytes,
-            recovery_publishes,
-            recovery_wal_mb: wal_mb,
-            recovery_ms,
-            margins: margins.clone(),
-        };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("report serialisation cannot fail")
-        );
-    }
-
-    let mut failed = false;
-    if best.ratio < min_ratio {
-        eprintln!(
-            "FAIL: durable draw throughput {:.4} of baseline (gate: >= {min_ratio})",
-            best.ratio
-        );
-        failed = true;
-    }
-    if best.wal.wal_records == 0 || best.wal.wal_bytes == 0 {
-        eprintln!("FAIL: the durable arm logged nothing");
-        failed = true;
-    }
-    if !recovered_ok {
-        eprintln!(
-            "FAIL: recovery replayed to version {} (expected {recovery_publishes})",
-            recovered.version()
-        );
-        failed = true;
-    }
-    if !journaled_recovery {
-        eprintln!("FAIL: the recovered engine journaled no Recovered event");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("OK");
+    let report = DurableReport {
+        overhead_ratio,
+        pairs,
+        recovery_publishes: RECOVERY_PUBLISHES,
+        recovery_wal_mb: wal_mb,
+        recovery_ms,
+        margins,
+    };
+    gate::verdict(&report.margins, json.then_some(&report))
 }

@@ -2,168 +2,131 @@
 //! engine.
 //!
 //! ```text
-//! cargo run -p lrb-bench --release --bin obs_quick \
-//!     [-- --n 4096 --ratio 16 --duration-ms 250 --pairs 4 \
-//!         --timing-every 32 --min-ratio 0.97 --json 1]
+//! cargo run -p lrb-bench --release --bin obs_quick [-- --json 1]
 //! ```
 //!
 //! Two checks:
 //!
 //! 1. **Overhead** — telemetry must be cheap enough to leave on. Runs
-//!    `--pairs` back-to-back pairs of the closed-loop engine driver,
-//!    uninstrumented (`reader_timing_every = 0`) then instrumented
-//!    (`reader_timing_every = --timing-every`), and computes the
-//!    throughput ratio **within each pair** — the two runs of a pair are
-//!    temporally adjacent, so frequency and scheduler drift cancel instead
-//!    of biasing one arm. The gate takes the **best pair ratio** and
-//!    requires it `>= --min-ratio` (default 0.97, i.e. at most 3%
-//!    throughput cost): genuine overhead depresses *every* pair, while a
-//!    noise spike cannot depress all of them. A failing first round is
-//!    retried once with the pair count doubled before the verdict counts.
+//!    [`GATE_PAIRS`] pairs of the closed-loop engine driver (4096 uniform
+//!    weights, one reader, 1:16 update:sample, 250 ms windows),
+//!    uninstrumented (`reader_timing_every = 0`) and instrumented (1-in-32
+//!    reader timing), and computes the throughput ratio **within each
+//!    pair**. By the [`gate`] rule the arm that runs first flips from pair
+//!    to pair, and the gate reads the median pair ratio against
+//!    [`MIN_RATIO`].
 //! 2. **Function** — an instrumented engine must actually observe itself:
-//!    publish and sampled reader-draw histograms are non-empty, the flight
-//!    recorder journals `Publish` events, and both exporters emit the
-//!    metric catalogue (the Prometheus text parses the expected series,
-//!    the JSON snapshot round-trips through the parser).
+//!    every instrumented arm timed reader buffers and its publish
+//!    histogram agrees with its publish counter; a 1-in-1 engine records
+//!    every publish and buffer, the flight recorder journals `Publish`
+//!    events, and both exporters emit the metric catalogue (the Prometheus
+//!    text holds the expected series, the JSON snapshot parses). These are
+//!    conformance margins beside the overhead gate.
 //!
-//! `--json 1` appends a machine-readable report.
+//! `--json 1` appends a machine-readable report (`BENCH_obs.json`).
 
-use lrb_bench::cli::{Options, OrExit};
+use std::process::ExitCode;
+
+use lrb_bench::cli::Options;
 use lrb_bench::engine_workload::{run_driver, DriverConfig, DriverReport};
-use lrb_bench::gate::{print_margins, GateMargin};
+use lrb_bench::gate::{self, GateMargin, GATE_PAIRS};
 use lrb_engine::{EngineConfig, EngineEvent, SelectionEngine};
 use lrb_rng::Philox4x32;
 use serde::Serialize;
 
+/// Bar of the instrumented-over-uninstrumented throughput ratio: 0.8–1.0×
+/// of the median recorded on the 2-vCPU host (`BENCH_obs.json`).
+const MIN_RATIO: f64 = 0.87;
+/// The instrumented arm times one reader buffer in this many.
+const TIMING_EVERY: u32 = 32;
+/// Series the Prometheus exposition must hold.
+const CATALOGUE: [&str; 4] = [
+    "lrb_publishes_total",
+    "lrb_publish_ns{quantile=\"0.5\"}",
+    "lrb_reader_draw_ns_count",
+    "lrb_simd_lanes",
+];
+
 /// Machine-readable outcome (`--json 1`).
 #[derive(Debug, Serialize)]
 struct ObsReport {
-    pairs_run: u64,
     timing_every: u64,
-    min_ratio: f64,
-    best_off_samples_per_sec: f64,
-    best_on_samples_per_sec: f64,
+    /// Median of `pairs[].ratio`.
     overhead_ratio: f64,
+    pairs: Vec<Pair>,
     journal_events: u64,
+    /// The instrumented arm of the median pair.
     instrumented: DriverReport,
     margins: Vec<GateMargin>,
 }
 
-/// One off/on pair: the two runs are back-to-back, so their ratio is
-/// immune to the slow frequency and scheduler drift that makes absolute
-/// throughput on a shared host noisy.
-struct PairOutcome {
-    off: DriverReport,
-    on: DriverReport,
+/// One off/on pair's throughputs and their ratio.
+#[derive(Debug, Serialize)]
+struct Pair {
+    off_samples_per_sec: f64,
+    on_samples_per_sec: f64,
     ratio: f64,
 }
 
-/// Run `pairs` back-to-back off/on driver pairs (seeds offset so no two
-/// runs replay the same stream) and return the outcome of each.
-fn run_pairs(
-    base: &DriverConfig,
-    timing_every: u32,
-    pairs: u64,
-    seed_offset: u64,
-) -> Vec<PairOutcome> {
-    (0..pairs)
-        .map(|pair| {
-            let seed = base.seed + seed_offset + pair;
-            let off = run_driver(&DriverConfig {
-                reader_timing_every: 0,
-                seed,
-                ..*base
-            });
-            let on = run_driver(&DriverConfig {
-                reader_timing_every: timing_every,
-                seed,
-                ..*base
-            });
-            let ratio = on.samples_per_sec / off.samples_per_sec.max(1.0);
-            PairOutcome { off, on, ratio }
-        })
-        .collect()
-}
-
-/// The pair with the highest on/off ratio — the gate's verdict, since
-/// genuine overhead depresses every pair while noise cannot.
-fn best_pair(outcomes: Vec<PairOutcome>) -> PairOutcome {
-    outcomes
-        .into_iter()
-        .max_by(|a, b| a.ratio.total_cmp(&b.ratio))
-        .expect("at least one pair ran")
-}
-
-fn main() {
-    let options = Options::from_env();
-    let n = options.usize_or("n", 4096).or_exit();
-    let ratio = options.u64_or("ratio", 16).or_exit().max(1);
-    let duration_ms = options.u64_or("duration-ms", 250).or_exit();
-    let pairs = options.u64_or("pairs", 4).or_exit().max(1);
-    let timing_every = options.u64_or("timing-every", 32).or_exit().max(1) as u32;
-    let min_ratio = options.f64_or("min-ratio", 0.97).or_exit();
-    let seed = options.u64_or("seed", 2024).or_exit();
-
-    let base = DriverConfig {
-        categories: n,
-        readers: 1,
-        samples_per_update: ratio,
-        duration_ms,
-        seed,
-        ..DriverConfig::default()
-    };
+fn main() -> ExitCode {
+    let json = Options::from_env().contains("json");
+    let base = DriverConfig::default();
 
     println!(
-        "obs_quick: n = {n}, 1:{ratio} update:sample, {duration_ms} ms windows, \
-         1-in-{timing_every} reader timing\n"
+        "obs_quick: n = {}, 1:{} update:sample, {} ms windows, \
+         1-in-{TIMING_EVERY} reader timing\n",
+        base.categories, base.samples_per_update, base.duration_ms
     );
 
     // ---- Check 1: overhead of leaving telemetry on ----------------------
-    println!("telemetry overhead ({pairs} back-to-back off/on pairs, best pair ratio):");
-    let outcomes = run_pairs(&base, timing_every, pairs, 0);
-    for outcome in &outcomes {
+    println!("telemetry overhead ({GATE_PAIRS} off/on pairs, median pair ratio):");
+    let mut instrumented = Vec::new();
+    let mut pairs = Vec::new();
+    for pair in 0..GATE_PAIRS {
+        // Seeds offset so no two pairs replay the same stream.
+        let seed = base.seed + pair as u64;
+        let run = |reader_timing_every| {
+            run_driver(&DriverConfig {
+                reader_timing_every,
+                seed,
+                ..base
+            })
+        };
+        let (off, on) = gate::alternate(pair, || run(0), || run(TIMING_EVERY));
+        let ratio = on.samples_per_sec / off.samples_per_sec.max(1.0);
         println!(
-            "  off {:>12.0} samples/s   on {:>12.0} samples/s   ratio {:.4}",
-            outcome.off.samples_per_sec, outcome.on.samples_per_sec, outcome.ratio
+            "  off {:>12.0} samples/s   on {:>12.0} samples/s   ratio {ratio:.4}",
+            off.samples_per_sec, on.samples_per_sec
         );
+        pairs.push(Pair {
+            off_samples_per_sec: off.samples_per_sec,
+            on_samples_per_sec: on.samples_per_sec,
+            ratio,
+        });
+        instrumented.push(on);
     }
-    let mut best = best_pair(outcomes);
-    let mut pairs_run = pairs;
-    if best.ratio < min_ratio {
-        // One retry at double the pair count: a real regression fails
-        // again, a scheduler hiccup does not.
-        println!(
-            "  first round best ratio {:.4} below the gate; retrying wider",
-            best.ratio
-        );
-        let retry = best_pair(run_pairs(&base, timing_every, pairs * 2, pairs));
-        pairs_run += pairs * 2;
-        if retry.ratio > best.ratio {
-            best = retry;
-        }
-    }
-    println!(
-        "  best pair ratio {:.4} (gate: >= {:.2})",
-        best.ratio, min_ratio
-    );
-    println!(
-        "  instrumented arm timed {} buffers: draw ns p50/p99/p999 = {}/{}/{}",
-        best.on.sample_latency.count,
-        best.on.sample_latency.p50_ns,
-        best.on.sample_latency.p99_ns,
-        best.on.sample_latency.p999_ns
-    );
+    let ratios: Vec<f64> = pairs.iter().map(|pair| pair.ratio).collect();
+    let overhead_ratio = gate::median(&ratios);
+    let median_pair = ratios
+        .iter()
+        .position(|&ratio| ratio == overhead_ratio)
+        .expect("the median is one of the pairs");
+    println!("  median pair ratio {overhead_ratio:.4} (gate: >= {MIN_RATIO:.2})");
+    let every_arm_timed = instrumented.iter().all(|on| on.sample_latency.count > 0);
+    let histograms_match = instrumented
+        .iter()
+        .all(|on| on.publish_latency.count == on.publishes);
 
     // ---- Check 2: the telemetry actually observes the engine ------------
     let engine = SelectionEngine::new(
-        vec![1.0; n.max(16)],
+        vec![1.0; base.categories],
         EngineConfig {
             reader_timing_every: 1,
             ..EngineConfig::default()
         },
     )
     .expect("gate weights are valid");
-    let mut rng = Philox4x32::for_substream(seed, 42);
+    let mut rng = Philox4x32::for_substream(base.seed, 42);
     let mut buffer = vec![0usize; 64];
     for round in 0..16u64 {
         engine
@@ -177,117 +140,36 @@ fn main() {
     let obs = engine.observability();
     let publish_count = obs.publish_latency().count;
     let draw_count = obs.reader_draw_latency().count;
-    let journal = obs.journal();
-    let journal_publishes = journal
+    let journal_publishes = obs
+        .journal()
         .iter()
         .filter(|entry| matches!(entry.event, EngineEvent::Publish { .. }))
         .count();
     let prometheus = engine.export_prometheus();
-    let json_ok = serde_json::from_str_value(&engine.export_json()).is_ok();
+    let exporters_ok = serde_json::from_str_value(&engine.export_json()).is_ok()
+        && CATALOGUE.iter().all(|series| prometheus.contains(series));
     println!("\nfunctional checks on a 1-in-1 instrumented engine:");
     println!("  publish spans recorded  {publish_count}");
     println!("  reader buffers timed    {draw_count}");
     println!("  journal Publish events  {journal_publishes}");
 
-    // The functional checks are exact counts; the margin record keeps them
-    // alongside the statistical overhead gate so one `margins` array tells
-    // the whole story.
-    let exporters_ok = json_ok
-        && [
-            "lrb_publishes_total",
-            "lrb_publish_ns{quantile=\"0.5\"}",
-            "lrb_reader_draw_ns_count",
-            "lrb_simd_lanes",
-        ]
-        .iter()
-        .all(|series| prometheus.contains(series));
     let margins = vec![
-        GateMargin::at_least("telemetry_overhead_ratio", best.ratio, min_ratio, true),
-        GateMargin::at_least(
-            "instrumented_timed_buffers",
-            best.on.sample_latency.count as f64,
-            1.0,
-            true,
-        ),
-        GateMargin::conformance(
-            "publish_histogram_matches_counter",
-            best.on.publish_latency.count == best.on.publishes,
-            true,
-        ),
+        GateMargin::at_least("telemetry_overhead_ratio", overhead_ratio, MIN_RATIO),
+        GateMargin::conformance("instrumented_arms_timed_buffers", every_arm_timed),
+        GateMargin::conformance("publish_histogram_matches_counter", histograms_match),
         GateMargin::conformance(
             "one_in_one_engine_observed",
             publish_count == 16 && draw_count == 16 && journal_publishes == 16,
-            true,
         ),
-        GateMargin::conformance("exporters_emit_catalogue", exporters_ok, true),
+        GateMargin::conformance("exporters_emit_catalogue", exporters_ok),
     ];
-    print_margins(&margins);
-
-    if options.contains("json") {
-        let report = ObsReport {
-            pairs_run,
-            timing_every: timing_every as u64,
-            min_ratio,
-            best_off_samples_per_sec: best.off.samples_per_sec,
-            best_on_samples_per_sec: best.on.samples_per_sec,
-            overhead_ratio: best.ratio,
-            journal_events: obs.events_recorded(),
-            instrumented: best.on.clone(),
-            margins: margins.clone(),
-        };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("report serialisation cannot fail")
-        );
-    }
-
-    let mut failed = false;
-    if best.ratio < min_ratio {
-        eprintln!(
-            "FAIL: instrumented throughput {:.4} of baseline (gate: >= {min_ratio})",
-            best.ratio
-        );
-        failed = true;
-    }
-    if best.on.sample_latency.count == 0 {
-        eprintln!("FAIL: the instrumented driver arm timed no reader buffers");
-        failed = true;
-    }
-    if best.on.publish_latency.count != best.on.publishes {
-        eprintln!(
-            "FAIL: publish histogram ({}) disagrees with the publish counter ({})",
-            best.on.publish_latency.count, best.on.publishes
-        );
-        failed = true;
-    }
-    if publish_count != 16 || draw_count != 16 {
-        eprintln!(
-            "FAIL: 1-in-1 engine recorded {publish_count} publish spans and \
-             {draw_count} timed buffers (expected 16 of each)"
-        );
-        failed = true;
-    }
-    if journal_publishes != 16 {
-        eprintln!("FAIL: journal holds {journal_publishes} Publish events (expected 16)");
-        failed = true;
-    }
-    for series in [
-        "lrb_publishes_total",
-        "lrb_publish_ns{quantile=\"0.5\"}",
-        "lrb_reader_draw_ns_count",
-        "lrb_simd_lanes",
-    ] {
-        if !prometheus.contains(series) {
-            eprintln!("FAIL: Prometheus exposition is missing `{series}`");
-            failed = true;
-        }
-    }
-    if !json_ok {
-        eprintln!("FAIL: the JSON metrics snapshot does not parse");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("OK");
+    let report = ObsReport {
+        timing_every: u64::from(TIMING_EVERY),
+        overhead_ratio,
+        pairs,
+        journal_events: obs.events_recorded(),
+        instrumented: instrumented.swap_remove(median_pair),
+        margins,
+    };
+    gate::verdict(&report.margins, json.then_some(&report))
 }

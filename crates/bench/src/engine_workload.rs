@@ -1,15 +1,13 @@
 //! Closed-loop reader/writer throughput driver for the `lrb-engine`
-//! serving layer — the workload behind the `engine_quick` gate and the
-//! `BENCH_engine.json` baseline.
+//! serving layer — the workload behind the `engine_quick` report and the
+//! `obs_quick` telemetry-overhead gate.
 //!
 //! N reader threads sample as fast as they can, each against its own cloned
 //! snapshot (re-snapshotting every few draws); writer threads pace
 //! themselves off the global sample counter to hold a configured
 //! update:sample ratio, enqueue coalescing weight overrides and publish
-//! snapshots in batches. Because readers never lock anything after cloning
-//! the `Arc`, sample throughput should scale with reader threads while the
-//! writer publishes concurrently — the property the `engine_quick` gate
-//! checks.
+//! snapshots in batches. Readers never lock anything after cloning the
+//! `Arc`, so the writer publishes while they draw.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -68,10 +66,9 @@ impl Default for DriverConfig {
             duration_ms: 250,
             zipf_exponent: 0.0,
             // The default weights are uniform, where stochastic acceptance
-            // draws in about one rejection round. The reader-scaling
-            // baselines (`BENCH_engine.json`, `BENCH_obs.json`) were
-            // recorded on it, so `engine_quick` and `obs_quick` keep
-            // measuring the backend their bars were set against.
+            // draws in about one rejection round. `obs_quick`'s overhead
+            // bar was set on it (`BENCH_obs.json`), so the driver keeps
+            // measuring the backend that bar belongs to.
             backend: "stochastic-acceptance",
             reader_timing_every: 0,
             seed: 2024,
@@ -137,9 +134,6 @@ pub struct DriverReport {
     pub coalesced: u64,
     /// Snapshots published.
     pub publishes: u64,
-    /// Publishes whose backend differed from the previous snapshot's
-    /// (always 0: an engine serves one backend).
-    pub backend_switches: u64,
     /// Draws per second across all readers.
     pub samples_per_sec: f64,
     /// Achieved samples-per-update ratio (≈ the configured target once the
@@ -282,7 +276,6 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
         updates: stats.enqueued,
         coalesced: stats.coalesced,
         publishes: stats.publishes,
-        backend_switches: stats.backend_switches,
         samples_per_sec: samples as f64 / duration_s.max(1e-9),
         achieved_samples_per_update: samples as f64 / (stats.enqueued.max(1)) as f64,
         publish_latency: LatencySummary::from_snapshot(&obs.publish_latency()),

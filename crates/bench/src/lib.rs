@@ -10,24 +10,26 @@
 //! * [`theorem1`] — measures the while-loop iteration count and shared-memory
 //!   footprint of the CRCW logarithmic bidding as a function of `k`, the
 //!   number of non-zero fitness values (the quantity bounded by Theorem 1).
-//! * [`cli`] — a tiny argument parser shared by the three experiment
-//!   binaries (`table1`, `table2`, `theorem1`).
+//! * [`cli`] — a tiny `--key value` argument parser shared by the
+//!   binaries.
 //! * [`dynamic_workload`] — the shared mutate-and-sample churn workload
 //!   behind the dynamic benches and the `dynamic_updates` example.
 //! * [`engine_workload`] — the closed-loop reader/writer throughput driver
-//!   for the `lrb-engine` serving layer, behind the `engine_quick` gate and
-//!   the `BENCH_engine.json` baseline.
-//! * [`service_workload`] — the **open-loop** socket load driver for the
-//!   `lrb-service` sharded selection service, behind the `service_quick`
-//!   gate and the `BENCH_service.json` baseline. Latency is measured from
-//!   each request's *scheduled* issue time, so queueing delay is charged to
-//!   the service instead of being hidden by coordinated omission.
-//! * [`gate`] — the [`GateMargin`](gate::GateMargin) record every quick
-//!   binary embeds in its `BENCH_*.json`: measured value, threshold and
-//!   headroom ratio per gate, so flake investigations start from numbers.
+//!   for the `lrb-engine` serving layer, behind the `engine_quick` report
+//!   (`BENCH_engine.json`) and the `obs_quick` overhead gate.
+//! * [`publish_workload`] and [`selector_workload`] — the rebuild/patch
+//!   and selector drivers behind `publish_quick` and `selector_quick`.
+//! * [`service_workload`] — serialized against pipelined draws on one
+//!   connection, behind the `service_quick` report (`BENCH_service.json`).
+//! * [`gate`] — the one gate rule of the `*_quick` binaries: each timing
+//!   gate reads the median of [`GATE_PAIRS`](gate::GATE_PAIRS) pairs whose
+//!   arm order flips every pair, against a constant threshold 0.8–1.0× of
+//!   the median recorded on the 2-vCPU recording host, and
+//!   [`verdict`](gate::verdict) turns the margins into the exit code.
 //!
-//! The Criterion benches under `benches/` cover the supplementary wall-clock
-//! comparisons and the ablations listed in `DESIGN.md`.
+//! The Criterion benches under `benches/` cover the supplementary
+//! wall-clock comparisons and ablations (bid formula, uniform source,
+//! prepared samplers, update churn); they time, they do not gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,6 +21,8 @@ use std::time::Instant;
 use lrb_engine::{BuildScratch, EngineConfig, FrozenBackend, PatchPolicy, SelectionEngine};
 use serde::Serialize;
 
+use crate::gate;
+
 /// The mildly varied weight family used by every publish measurement
 /// (matches `selector_workload::bench_fitness`): no backend-friendly
 /// structure, no zero weights.
@@ -88,13 +90,33 @@ pub struct BackendPublishReport {
     pub speedup: Option<f64>,
 }
 
-/// Measure one backend's freeze step both ways.
+/// Timed batches per path; each path keeps its *fastest* batch mean — a
+/// scheduler or reclaim hiccup inflates some batches, never deflates one.
+const BATCHES: usize = 5;
+
+/// The fastest of [`BATCHES`] batch means of `run`, in microseconds.
+fn fastest_batch_us(reps: usize, mut run: impl FnMut()) -> f64 {
+    (0..BATCHES)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..reps {
+                run();
+            }
+            started.elapsed().as_secs_f64() * 1e6 / reps as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Measure one backend's freeze step both ways, as pair number `pair` of
+/// [`gate::alternate`]: the rebuild is timed first on even pairs, the
+/// patch on odd ones (the sweep's rows are pair 0).
 pub fn bench_backend_publish(
     backend: &Arc<dyn FrozenBackend>,
     n: usize,
     dirty_fraction: f64,
     scaled: bool,
     budget: u64,
+    pair: usize,
 ) -> BackendPublishReport {
     let dirty = ((n as f64 * dirty_fraction) as usize).max(1);
     let scale = if scaled { 0.97 } else { 1.0 };
@@ -116,17 +138,11 @@ pub fn bench_backend_publish(
         .build(weights, &mut scratch)
         .expect("bench weights are valid");
     let reps = (budget / n as u64).clamp(5, 400) as usize;
-    // Noise robustness on shared hosts: split the reps into batches and
-    // keep the *fastest* batch mean of each path — a scheduler or reclaim
-    // hiccup inflates some batches, never deflates one.
-    let batches = 5usize;
-    let batch_reps = reps.div_ceil(batches);
-    // Warm the pooled scratch so the rebuild path is steady-state.
-    let _ = backend.build(folded.clone(), &mut scratch);
-    let mut rebuild_us = f64::INFINITY;
-    for _ in 0..batches {
-        let started = Instant::now();
-        for _ in 0..batch_reps {
+    let batch_reps = reps.div_ceil(BATCHES);
+    let rebuild = || {
+        // Warm the pooled scratch so the rebuild path is steady-state.
+        let _ = backend.build(folded.clone(), &mut scratch);
+        fastest_batch_us(batch_reps, || {
             // The timed rebuild includes one copy of the folded vector, as
             // a publish's rebuild branch pays for its fold.
             std::hint::black_box(
@@ -134,28 +150,22 @@ pub fn bench_backend_publish(
                     .build(folded.clone(), &mut scratch)
                     .expect("folded weights are valid"),
             );
-        }
-        rebuild_us = rebuild_us.min(started.elapsed().as_secs_f64() * 1e6 / batch_reps as f64);
-    }
-    let patch_us = match backend.try_patch(prev.as_ref(), &overrides, scale) {
-        Some(Ok(_)) => {
-            let mut best = f64::INFINITY;
-            for _ in 0..batches {
-                let started = Instant::now();
-                for _ in 0..batch_reps {
-                    std::hint::black_box(
-                        backend
-                            .try_patch(prev.as_ref(), &overrides, scale)
-                            .expect("patch path exists")
-                            .expect("patch of valid batch succeeds"),
-                    );
-                }
-                best = best.min(started.elapsed().as_secs_f64() * 1e6 / batch_reps as f64);
-            }
-            Some(best)
-        }
-        _ => None,
+        })
     };
+    let patch = || {
+        let patch = || backend.try_patch(prev.as_ref(), &overrides, scale);
+        // The first patch also warms the path; the alias table has none.
+        matches!(patch(), Some(Ok(_))).then(|| {
+            fastest_batch_us(batch_reps, || {
+                std::hint::black_box(
+                    patch()
+                        .expect("patch path exists")
+                        .expect("patch of valid batch succeeds"),
+                );
+            })
+        })
+    };
+    let (rebuild_us, patch_us) = gate::alternate(pair, rebuild, patch);
     BackendPublishReport {
         backend: backend.name().to_string(),
         n: n as u64,
@@ -240,15 +250,16 @@ mod tests {
     fn backend_reports_measure_both_paths() {
         let registry = BackendRegistry::standard();
         let fenwick = registry.get("fenwick").unwrap();
-        let report = bench_backend_publish(fenwick, 2048, 0.01, false, 1 << 14);
+        let report = bench_backend_publish(fenwick, 2048, 0.01, false, 1 << 14, 0);
         assert_eq!(report.n, 2048);
         assert_eq!(report.dirty, 20);
         assert!(report.rebuild_us > 0.0);
         assert!(report.patch_us.unwrap() > 0.0);
         assert!(report.speedup.unwrap() > 0.0);
         let alias = registry.get("alias").unwrap();
-        let report = bench_backend_publish(alias, 2048, 0.01, true, 1 << 14);
+        let report = bench_backend_publish(alias, 2048, 0.01, true, 1 << 14, 1);
         assert!(report.patch_us.is_none(), "alias has no patch path");
+        assert!(report.rebuild_us > 0.0);
     }
 
     #[test]

@@ -79,11 +79,13 @@ where
 /// Run `trials` draws over `categories` indices and tabulate them into
 /// per-index counts.
 ///
-/// Counting happens chunk-locally (each chunk fills a transient
-/// chunk-sized buffer and tabulates it immediately; partial counts are
-/// merged), so memory stays `O(chunks · categories)` instead of
-/// materialising every trial index — the Tables I/II regime is millions
-/// of trials over tens of categories.
+/// Counting happens chunk-locally: the chunks are split into one run of
+/// consecutive chunks per thread of the budget, and each run fills one
+/// chunk-sized buffer at a time and tabulates it into the run's counts
+/// before the runs' counts are merged. Memory stays
+/// `O(threads · (categories + CHUNK_SIZE))` instead of materialising every
+/// trial index, and the counts are those of [`drive_indices`] with the same
+/// seed, whatever the budget.
 pub fn drive_counts<E, F>(
     master_seed: u64,
     trials: u64,
@@ -94,21 +96,26 @@ where
     E: Send,
     F: Fn(&mut Philox4x32, &mut [usize]) -> Result<(), E> + Sync,
 {
-    let chunk_count = (trials as usize).div_ceil(CHUNK_SIZE);
-    (0..chunk_count)
+    let trials = trials as usize;
+    let chunk_count = trials.div_ceil(CHUNK_SIZE);
+    let runs = rayon::current_num_threads().min(chunk_count);
+    let run_len = chunk_count.div_ceil(runs.max(1));
+    (0..runs)
         .into_par_iter()
         .with_min_len(1)
-        .map(|chunk| {
-            let start = chunk * CHUNK_SIZE;
-            let len = CHUNK_SIZE.min(trials as usize - start);
-            let mut buffer = vec![0usize; len];
-            let mut rng = Philox4x32::for_substream(master_seed, chunk as u64);
-            fill(&mut rng, &mut buffer)?;
-            let mut local = vec![0u64; categories];
-            for index in buffer {
-                local[index] += 1;
+        .map(|run| {
+            let mut counts = vec![0u64; categories];
+            let mut buffer = vec![0usize; CHUNK_SIZE.min(trials)];
+            for chunk in run * run_len..((run + 1) * run_len).min(chunk_count) {
+                let start = chunk * CHUNK_SIZE;
+                let out = &mut buffer[..CHUNK_SIZE.min(trials - start)];
+                let mut rng = Philox4x32::for_substream(master_seed, chunk as u64);
+                fill(&mut rng, out)?;
+                for &index in out.iter() {
+                    counts[index] += 1;
+                }
             }
-            Ok(local)
+            Ok(counts)
         })
         .try_reduce(
             || vec![0u64; categories],
@@ -261,15 +268,26 @@ mod tests {
 
     #[test]
     fn indices_and_counts_agree() {
+        // Six chunks, the last one ragged: budgets 2 and 8 split them into
+        // even runs, 4 leaves an empty run.
+        let trials = 5 * CHUNK_SIZE as u64 + 37;
         let fitness = Fitness::new(vec![1.0, 1.0, 2.0]).unwrap();
         let selector = IndependentRouletteSelector;
-        let indices = batch_select_indices(&selector, &fitness, 5_000, 4).unwrap();
-        let counts = batch_select_counts(&selector, &fitness, 5_000, 4).unwrap();
+        let indices = batch_select_indices(&selector, &fitness, trials, 4).unwrap();
         let mut recount = vec![0u64; fitness.len()];
         for &i in &indices {
             recount[i] += 1;
         }
-        assert_eq!(recount, counts.counts());
+        for threads in [1usize, 2, 4, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let counts = pool
+                .install(|| batch_select_counts(&selector, &fitness, trials, 4))
+                .unwrap();
+            assert_eq!(recount, counts.counts(), "{threads} threads");
+        }
     }
 
     #[test]

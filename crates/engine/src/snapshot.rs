@@ -27,7 +27,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lrb_core::batch::drive_indices;
+use lrb_core::batch::{drive_counts, drive_indices};
 use lrb_core::error::SelectionError;
 use lrb_core::traits::FrozenSampler;
 use lrb_obs::Counter;
@@ -285,13 +285,14 @@ impl Snapshot {
     }
 
     /// Like [`batch_indices`](Snapshot::batch_indices) but tabulated into
-    /// per-index counts.
+    /// per-index counts chunk by chunk ([`drive_counts`]: the same chunks
+    /// and substreams, so the counts are those of the indices), without
+    /// materialising the `trials` indices.
     pub fn batch_counts(&self, trials: u64, master_seed: u64) -> Result<Vec<u64>, SelectionError> {
-        let indices = self.batch_indices(trials, master_seed)?;
-        let mut counts = vec![0u64; self.len()];
-        for index in indices {
-            counts[index] += 1;
-        }
+        let counts = drive_counts(master_seed, trials, self.len(), |rng, out| {
+            self.sampler.sample_into(rng, out)
+        })?;
+        self.served.add(trials);
         Ok(counts)
     }
 }
@@ -380,6 +381,7 @@ mod tests {
                 "{name}"
             );
             assert!(snap.batch_indices(5, 1).is_err());
+            assert!(snap.batch_counts(5, 1).is_err());
             assert_eq!(snap.served(), 0, "failed draws must not count as served");
         }
     }
@@ -397,6 +399,7 @@ mod tests {
             recount[i] += 1;
         }
         assert_eq!(recount, counts);
+        assert_eq!(snap.served(), 15_000, "every batch credits its trials");
     }
 
     #[test]

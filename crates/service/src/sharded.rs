@@ -171,6 +171,10 @@ thread_local! {
     /// The per-thread slot scratch behind every leaf range a thread
     /// draws, on the submitting thread and on the pool's helpers alike.
     static SLOT_SCRATCH: RefCell<SlotScratch> = const { RefCell::new(SlotScratch::new()) };
+
+    /// The per-thread per-shard groups behind [`ServiceCore::update_many`]:
+    /// cleared, never freed, so a warm batch allocates nothing.
+    static UPDATE_GROUPS: RefCell<Vec<Vec<(usize, f64)>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One shard: a contiguous category range served by its own engine (the
@@ -497,31 +501,42 @@ impl ServiceCore {
     /// cross-shard extension of the engine's own `enqueue_many` contract.
     pub fn update_many(&self, updates: &[(usize, f64)]) -> Result<(), SelectionError> {
         let started = Instant::now();
-        // One pass resolves and validates together: each index is located
-        // exactly once and grouping happens as we go. All-or-nothing is
-        // preserved because a failure returns before anything below
-        // touches a shard — `grouped` is scratch, not shard state.
-        let mut grouped: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.shards.len()];
-        for &(index, weight) in updates {
-            let (shard, local) = self.locate(index)?;
-            if !weight.is_finite() || weight < 0.0 {
-                return Err(SelectionError::InvalidFitness {
-                    index,
-                    value: weight,
-                });
+        UPDATE_GROUPS.with(|groups| {
+            let groups = &mut *groups.borrow_mut();
+            if groups.len() < self.shards.len() {
+                groups.resize_with(self.shards.len(), Vec::new);
             }
-            grouped[shard].push((local, weight));
-        }
-        for (shard, group) in grouped.iter().enumerate() {
-            if group.is_empty() {
-                continue;
+            let groups = &mut groups[..self.shards.len()];
+            for group in groups.iter_mut() {
+                group.clear();
             }
-            // Cannot fail: every index is in range and every weight valid.
-            self.shards[shard]
-                .engine
-                .enqueue_many(group)
-                .expect("validated batch cannot be rejected by a shard");
-        }
+            // One pass resolves and validates together: each index is
+            // located exactly once and grouped in arrival order, so the
+            // last write to a category still wins. All-or-nothing is
+            // preserved because a failure returns before anything below
+            // touches a shard — the groups are scratch, not shard state.
+            for &(index, weight) in updates {
+                let (shard, local) = self.locate(index)?;
+                if !weight.is_finite() || weight < 0.0 {
+                    return Err(SelectionError::InvalidFitness {
+                        index,
+                        value: weight,
+                    });
+                }
+                groups[shard].push((local, weight));
+            }
+            for (shard, group) in groups.iter().enumerate() {
+                if group.is_empty() {
+                    continue;
+                }
+                // Cannot fail: every index is in range and every weight valid.
+                self.shards[shard]
+                    .engine
+                    .enqueue_many(group)
+                    .expect("validated batch cannot be rejected by a shard");
+            }
+            Ok(())
+        })?;
         self.telemetry.record_updates(updates.len() as u64, started);
         Ok(())
     }

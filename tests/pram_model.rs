@@ -1,8 +1,10 @@
 //! Integration test: the three CRCW maximum-finding strategies (the paper's
 //! constant-memory loop, the EREW reduction tree, and the classic n²-processor
 //! constant-time algorithm) agree on the winner, and their PRAM costs sit at
-//! the three corners of the time/processors/memory trade-off described in
-//! DESIGN.md. Also checks the compaction-based alternative for sparse inputs.
+//! the three corners of the time/processors/memory trade-off: the paper's
+//! loop keeps O(1) shared memory, the EREW tree takes log₂ n steps over
+//! Θ(n) memory, and the n²-processor algorithm takes 2 steps. Also checks
+//! the compaction-based alternative for sparse inputs.
 
 use lrb_core::Fitness;
 use lrb_pram::algorithms::{

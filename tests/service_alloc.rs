@@ -8,9 +8,11 @@
 //! reused storage. This test installs a counting global allocator (this
 //! test binary only; each integration-test target is its own process) and
 //! asserts **zero** submitter-side allocator events across thousands of
-//! warm batches, for the inline path and the forked fill.
+//! warm batches, for the inline path and the forked fill. A warm sparse
+//! `update_many` must be as quiet: it groups its batch by shard in reused
+//! per-thread storage.
 //!
-//! Those batch tests count **per thread** (a `const`-initialised
+//! Those batch and write tests count **per thread** (a `const`-initialised
 //! `thread_local`, so the counter itself never allocates): fan-out helper
 //! threads own their events, and the contract under test is the
 //! caller-visible steady state. The served-`DRAW` test counts **process
@@ -179,6 +181,60 @@ fn thread_local_plan_path_is_quiet_after_first_use() {
         }
     });
     assert_eq!(events, 0, "thread-local plan path touched the allocator");
+}
+
+#[test]
+fn a_warm_sparse_update_many_allocates_nothing() {
+    let _serial = serial();
+    // A `batch_sparse`-shaped write: 656 overrides across 4 shards of
+    // 16 384 categories, 164 per shard over its 64 positive categories,
+    // shards interleaved. Grouping by shard reuses per-thread storage and
+    // every shard's coalescing batch already holds the categories, so a
+    // warm call touches no allocator on the calling thread.
+    const SHARD_LEN: usize = 16_384;
+    let support: Vec<usize> = (0..64).map(|k| k * 256 + 17).collect();
+    let mut weights = vec![0.0; 4 * SHARD_LEN];
+    for shard in 0..4 {
+        for &i in &support {
+            weights[shard * SHARD_LEN + i] = 1.0;
+        }
+    }
+    let service = ShardedService::new(
+        weights,
+        ServiceConfig {
+            shards: 4,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("sparse service construction cannot fail");
+    let batch: Vec<(usize, f64)> = (0..656)
+        .map(|j| {
+            let index = (j % 4) * SHARD_LEN + support[(j / 4 * 37) % 64];
+            (index, 0.5 + j as f64 / 656.0)
+        })
+        .collect();
+    for _ in 0..4 {
+        service.update_many(&batch).unwrap();
+    }
+    let (events, _) = allocator_events(|| {
+        for _ in 0..1_000 {
+            service.update_many(&batch).unwrap();
+        }
+    });
+    assert_eq!(events, 0, "a warm update_many touched the allocator");
+    // Each shard kept the batch's arrival order: the last write wins.
+    service.publish_all().unwrap();
+    let mut expected = vec![None; 4 * SHARD_LEN];
+    for &(index, weight) in &batch {
+        expected[index] = Some(weight);
+    }
+    for shard in 0..4 {
+        let snapshot = service.shard_engine(shard).snapshot();
+        for (local, &weight) in snapshot.weights().iter().enumerate() {
+            let global = shard * SHARD_LEN + local;
+            assert_eq!(weight, expected[global].unwrap_or(0.0), "category {global}");
+        }
+    }
 }
 
 #[test]
