@@ -117,7 +117,6 @@ fn arm_config(durability: Durability) -> EngineConfig {
         backend: "fenwick",
         patch: PatchPolicy::Never,
         durability,
-        ..EngineConfig::default()
     }
 }
 
@@ -161,7 +160,7 @@ fn run_driver(seed: u64, durability: Durability) -> DriverOutcome {
 }
 
 fn main() -> ExitCode {
-    let json = Options::from_env().contains("json");
+    let json = Options::from_env(&["json"]).contains("json");
 
     println!(
         "durable_quick: n = {N}, {DRAWS_PER_PUBLISH} draws per publish, {DURATION_MS} ms \

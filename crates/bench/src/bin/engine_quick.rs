@@ -8,8 +8,8 @@
 //! reader sampling lock-free against immutable snapshots while a writer
 //! holds a 1:16 update:sample mix and publishes concurrently, 4096
 //! uniform weights, 250 ms windows. It records samples/sec plus — via the
-//! engine's observability layer — the publish-span and sampled (1-in-32)
-//! reader-draw latency distributions (p50/p99/p999) of every run.
+//! engine's observability layer — the publish-span latency distribution
+//! (p50/p99/p999) of every run.
 //!
 //! This is a report, not a gate: nothing here compares two arms of one
 //! workload, and the reader-scaling gate it used to carry could not be
@@ -31,14 +31,11 @@ struct QuickReport {
 }
 
 fn main() {
-    let json = Options::from_env().contains("json");
+    let json = Options::from_env(&["json"]).contains("json");
     let host_threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);
-    let base = DriverConfig {
-        reader_timing_every: 32,
-        ..DriverConfig::default()
-    };
+    let base = DriverConfig::default();
 
     println!(
         "engine_quick: n = {}, 1 reader, 1:{} update:sample, {} ms windows, \
@@ -52,18 +49,13 @@ fn main() {
             ..base
         });
         println!(
-            "  {:<22} {:>12.0} samples/s   {} publishes, p50/p99/p999 {}/{}/{} ns   \
-             draw p50/p99/p999 {}/{}/{} ns ({} timed)",
+            "  {:<22} {:>12.0} samples/s   {} publishes, p50/p99/p999 {}/{}/{} ns",
             report.backend,
             report.samples_per_sec,
             report.publishes,
             report.publish_latency.p50_ns,
             report.publish_latency.p99_ns,
             report.publish_latency.p999_ns,
-            report.sample_latency.p50_ns,
-            report.sample_latency.p99_ns,
-            report.sample_latency.p999_ns,
-            report.sample_latency.count
         );
         backends.push(report);
     }

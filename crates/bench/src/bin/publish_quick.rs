@@ -59,7 +59,7 @@ struct QuickReport {
 }
 
 fn main() -> ExitCode {
-    let json = Options::from_env().contains("json");
+    let json = Options::from_env(&["json"]).contains("json");
 
     let host_threads = std::thread::available_parallelism()
         .map(|t| t.get())

@@ -92,7 +92,7 @@ struct QuickReport {
 }
 
 fn main() -> ExitCode {
-    let json = Options::from_env().contains("json");
+    let json = Options::from_env(&["json"]).contains("json");
 
     let tier = lrb_rng::simd_tier();
     let tier_name = match tier {

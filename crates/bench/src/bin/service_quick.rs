@@ -49,7 +49,7 @@ struct QuickReport {
 }
 
 fn main() {
-    let json = Options::from_env().contains("json");
+    let json = Options::from_env(&["json"]).contains("json");
     let host_threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);

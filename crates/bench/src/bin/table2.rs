@@ -18,7 +18,7 @@ use lrb_core::parallel::{
 use lrb_core::{Fitness, Selector};
 
 fn main() {
-    let options = Options::from_env();
+    let options = Options::from_env(&["trials", "seed", "json"]);
     let trials = options.u64_or("trials", 1_000_000).or_exit();
     let seed = options.u64_or("seed", 2024).or_exit();
 

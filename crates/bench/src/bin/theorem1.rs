@@ -15,7 +15,7 @@ use lrb_bench::cli::{Options, OrExit};
 use lrb_bench::run_theorem1_experiment;
 
 fn main() {
-    let options = Options::from_env();
+    let options = Options::from_env(&["n", "max-k", "trials", "seed", "json"]);
     let n = options.usize_or("n", 16_384).or_exit();
     let max_k = options.usize_or("max-k", 4_096).or_exit().min(n);
     let trials = options.usize_or("trials", 30).or_exit();

@@ -17,9 +17,13 @@ pub struct Options {
 
 impl Options {
     /// Parse `--key value` pairs from an iterator of arguments (the program
-    /// name should already be stripped). Unknown keys are collected verbatim;
-    /// a trailing key without a value is an error.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ConfigError> {
+    /// name should already be stripped). A key not in `known` is a
+    /// [`ConfigError::UnknownFlag`], so a flag the binary would ignore is
+    /// refused instead; a trailing key without a value is an error.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        known: &[&str],
+    ) -> Result<Self, ConfigError> {
         let mut values = HashMap::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
@@ -29,6 +33,12 @@ impl Options {
                     argument: arg.clone(),
                 })?
                 .to_string();
+            if !known.contains(&key.as_str()) {
+                return Err(ConfigError::UnknownFlag {
+                    key,
+                    known: known.iter().map(|k| k.to_string()).collect(),
+                });
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| ConfigError::MissingValue { key: key.clone() })?;
@@ -37,10 +47,10 @@ impl Options {
         Ok(Self { values })
     }
 
-    /// Parse the process arguments (skipping the program name), exiting with
-    /// a message on malformed input.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+    /// Parse the process arguments (skipping the program name) against the
+    /// keys the binary reads, exiting with a message on malformed input.
+    pub fn from_env(known: &[&str]) -> Self {
+        match Self::parse(std::env::args().skip(1), known) {
             Ok(options) => options,
             Err(error) => exit_with(&error),
         }
@@ -90,7 +100,7 @@ impl Options {
 /// exit code.
 fn exit_with(error: &ConfigError) -> ! {
     eprintln!("error: {error}");
-    eprintln!("usage: --key value pairs only (e.g. --trials 1000000 --seed 7)");
+    eprintln!("usage: --key value pairs only (e.g. --json 1)");
     std::process::exit(2);
 }
 
@@ -115,7 +125,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Options, ConfigError> {
-        Options::parse(args.iter().map(|s| s.to_string()))
+        Options::parse(
+            args.iter().map(|s| s.to_string()),
+            &["trials", "seed", "ratio", "bad"],
+        )
     }
 
     #[test]
@@ -173,6 +186,20 @@ mod tests {
         let message = o.u64_or("trials", 1).unwrap_err().to_string();
         assert!(message.contains("--trials"));
         assert!(message.contains("-3"));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_and_a_listed_flag_parses() {
+        let args = ["--json", "1", "--readers", "8"].map(String::from);
+        assert_eq!(
+            Options::parse(args, &["json"]),
+            Err(ConfigError::UnknownFlag {
+                key: "readers".into(),
+                known: vec!["json".into()],
+            })
+        );
+        let o = Options::parse(["--json", "1"].map(String::from), &["json"]).unwrap();
+        assert!(o.contains("json"));
     }
 
     #[test]

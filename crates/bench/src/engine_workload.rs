@@ -1,6 +1,5 @@
 //! Closed-loop reader/writer throughput driver for the `lrb-engine`
-//! serving layer — the workload behind the `engine_quick` report and the
-//! `obs_quick` telemetry-overhead gate.
+//! serving layer — the workload behind the `engine_quick` report.
 //!
 //! N reader threads sample as fast as they can, each against its own cloned
 //! snapshot (re-snapshotting every few draws); writer threads pace
@@ -46,10 +45,6 @@ pub struct DriverConfig {
     pub zipf_exponent: f64,
     /// Registry name of the snapshot backend.
     pub backend: &'static str,
-    /// Sampled reader timing: each reader thread times one in this many
-    /// snapshot acquisitions (`0` disables, the uninstrumented baseline;
-    /// see `EngineConfig::reader_timing_every`).
-    pub reader_timing_every: u32,
     /// Master seed for every thread's Philox stream.
     pub seed: u64,
 }
@@ -65,12 +60,7 @@ impl Default for DriverConfig {
             snapshot_every: 64,
             duration_ms: 250,
             zipf_exponent: 0.0,
-            // The default weights are uniform, where stochastic acceptance
-            // draws in about one rejection round. `obs_quick`'s overhead
-            // bar was set on it (`BENCH_obs.json`), so the driver keeps
-            // measuring the backend that bar belongs to.
-            backend: "stochastic-acceptance",
-            reader_timing_every: 0,
+            backend: EngineConfig::default().backend,
             seed: 2024,
         }
     }
@@ -141,9 +131,6 @@ pub struct DriverReport {
     pub achieved_samples_per_update: f64,
     /// Full `publish()` span distribution (nanoseconds).
     pub publish_latency: LatencySummary,
-    /// Sampled per-draw reader latency (nanoseconds, amortised over each
-    /// timed buffer; all-zero when `reader_timing_every` was 0).
-    pub sample_latency: LatencySummary,
 }
 
 /// Initial weights for a skew setting: uniform at `zipf_exponent == 0`,
@@ -168,7 +155,6 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
         weights.clone(),
         EngineConfig {
             backend: config.backend,
-            reader_timing_every: config.reader_timing_every,
             ..EngineConfig::default()
         },
     )
@@ -263,7 +249,6 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
         .map(|cell| cell.0.load(Ordering::Relaxed))
         .sum();
     let stats = engine.stats();
-    let obs = engine.observability();
     DriverReport {
         categories: config.categories as u64,
         readers: config.readers as u64,
@@ -278,8 +263,7 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
         publishes: stats.publishes,
         samples_per_sec: samples as f64 / duration_s.max(1e-9),
         achieved_samples_per_update: samples as f64 / (stats.enqueued.max(1)) as f64,
-        publish_latency: LatencySummary::from_snapshot(&obs.publish_latency()),
-        sample_latency: LatencySummary::from_snapshot(&obs.reader_draw_latency()),
+        publish_latency: LatencySummary::from_snapshot(&engine.observability().publish_latency()),
     }
 }
 
@@ -328,27 +312,15 @@ mod tests {
             duration_ms: 60,
             samples_per_update: 4,
             updates_per_publish: 8,
-            reader_timing_every: 2,
             ..DriverConfig::default()
         });
         // The publish histogram and the publish counter are bumped together
         // under the pending lock, so they agree exactly.
         assert_eq!(report.publish_latency.count, report.publishes);
+        assert!(report.publishes > 0, "nothing published");
         assert!(report.publish_latency.p50_ns > 0, "publish spans take time");
         assert!(report.publish_latency.p999_ns >= report.publish_latency.p50_ns);
-        assert!(
-            report.sample_latency.count > 0,
-            "1-in-2 reader timing recorded nothing: {report:?}"
-        );
-        assert!(report.sample_latency.max_ns >= report.sample_latency.p50_ns);
-
-        // The uninstrumented baseline keeps the reader histogram empty.
-        let baseline = run_driver(&DriverConfig {
-            categories: 256,
-            duration_ms: 40,
-            ..DriverConfig::default()
-        });
-        assert_eq!(baseline.sample_latency.count, 0);
+        assert!(report.publish_latency.max_ns >= report.publish_latency.p999_ns);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   behind the dynamic benches and the `dynamic_updates` example.
 //! * [`engine_workload`] — the closed-loop reader/writer throughput driver
 //!   for the `lrb-engine` serving layer, behind the `engine_quick` report
-//!   (`BENCH_engine.json`) and the `obs_quick` overhead gate.
+//!   (`BENCH_engine.json`).
 //! * [`publish_workload`] and [`selector_workload`] — the rebuild/patch
 //!   and selector drivers behind `publish_quick` and `selector_quick`.
 //! * [`service_workload`] — serialized against pipelined draws on one

@@ -123,6 +123,13 @@ pub enum ConfigError {
         /// What the flag expects (e.g. `"an unsigned integer"`).
         expected: &'static str,
     },
+    /// A `--key` flag the binary does not read.
+    UnknownFlag {
+        /// The flag name (without the `--` prefix).
+        key: String,
+        /// The flags the binary reads (without the `--` prefix).
+        known: Vec<String>,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -137,6 +144,11 @@ impl fmt::Display for ConfigError {
                 value,
                 expected,
             } => write!(f, "--{key} expects {expected}, got '{value}'"),
+            ConfigError::UnknownFlag { key, known } => write!(
+                f,
+                "unknown flag --{key} (this binary reads --{})",
+                known.join(", --")
+            ),
         }
     }
 }
@@ -191,6 +203,14 @@ mod tests {
         assert!(text.contains("--trials"));
         assert!(text.contains("abc"));
         assert!(text.contains("unsigned integer"));
+        let e = ConfigError::UnknownFlag {
+            key: "readers".into(),
+            known: vec!["trials".into(), "json".into()],
+        };
+        assert_eq!(
+            e.to_string(),
+            "unknown flag --readers (this binary reads --trials, --json)"
+        );
         let boxed: Box<dyn std::error::Error> = Box::new(e);
         assert!(!boxed.to_string().is_empty());
     }

@@ -94,8 +94,11 @@ pub trait FrozenBackend: Send + Sync {
     ///
     /// **Contract:** the patched sampler's weights must equal, bit for
     /// bit, those of a full rebuild over the folded vector. They are the
-    /// next snapshot's weights, so its total and the indices it serves do
-    /// not depend on which path froze it.
+    /// next snapshot's weights, so its weights and total do not depend on
+    /// which path froze it. Its draws may: a Fenwick patch scales tree
+    /// nodes and applies deltas, so its inner sums can differ from a
+    /// rebuilt tree's in the last bits, and a uniform within rounding of a
+    /// category boundary can then land on the neighbouring index.
     fn try_patch(
         &self,
         prev: &dyn FrozenSampler,

@@ -40,8 +40,14 @@
 //! Reader traffic reaches the publish path only as telemetry (the
 //! outgoing snapshot's served count, journaled with each publish), never as
 //! an input to a choice, so the snapshot a publish installs — and hence the
-//! index a seed draws from it — depends on the published weights alone,
-//! not on how many draws earlier snapshots served.
+//! index a seed draws from it — does not depend on how many draws earlier
+//! snapshots served. Its weights and total are those of the folded
+//! batches, bit for bit, whichever path froze it. The index a seed draws
+//! can depend on the path: a patched Fenwick tree's inner sums may differ
+//! from a rebuilt one's in the last bits, so a uniform within rounding of
+//! a category boundary can land on the neighbouring index (see
+//! [`FrozenBackend::try_patch`](crate::backend::FrozenBackend::try_patch)).
+//! The path is chosen from the config and the batch, never from traffic.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,16 +117,6 @@ pub struct EngineConfig {
     pub backend: &'static str,
     /// Whether publishes may take the incremental patch path.
     pub patch: PatchPolicy,
-    /// Sampled reader-draw timing: when non-zero, one in this many reader
-    /// acquisitions per thread is timed and its amortised per-draw
-    /// nanoseconds recorded into
-    /// [`EngineTelemetry::reader_draw_latency`]. `0` (the default) turns
-    /// reader timing off entirely — the hot path then carries no timing
-    /// branch beyond one TLS check. The sampled path itself stays
-    /// allocation-free (one clock read plus relaxed histogram adds), so
-    /// even `1` — time every call — is safe, just measurably slower;
-    /// serving deployments typically want `32`–`256`.
-    pub reader_timing_every: u32,
     /// Crash durability. [`Durability::Off`] (the default) persists
     /// nothing and adds **zero** work to the publish path — the WAL hook
     /// is behind an `Option` that is `None`. [`Durability::Wal`] logs
@@ -136,7 +132,6 @@ impl Default for EngineConfig {
         Self {
             backend: "fenwick",
             patch: PatchPolicy::default(),
-            reader_timing_every: 0,
             durability: Durability::Off,
         }
     }
@@ -222,10 +217,9 @@ pub struct SelectionEngine {
     /// Locked only on the (already serialised) publish path — the mutex
     /// is uncontended; it exists so `install` can take `&self`.
     durable: Option<Mutex<DurableStore>>,
-    /// Always-on instrumentation: latency histograms, the SIMD gauge and
-    /// the flight-recorder journal. `Arc` because snapshots hold a handle
-    /// for sampled reader timing.
-    obs: Arc<EngineTelemetry>,
+    /// Always-on instrumentation: latency histograms, durability counters
+    /// and the flight-recorder journal.
+    obs: EngineTelemetry,
     config: EngineConfig,
     len: usize,
     /// Counters behind [`EngineStats`]. Writer counters mutate under the
@@ -282,16 +276,7 @@ impl SelectionEngine {
                 name: config.backend,
             })?;
         let len = weights.len();
-        let obs = Arc::new(EngineTelemetry::new());
-        // Journal what the RNG layer is running on, once, at construction —
-        // the SIMD tier is process-wide and immutable, so this is the one
-        // place a flight-recorder reader can learn it.
-        let tier = lrb_rng::simd_tier();
-        obs.set_simd_tier(tier);
-        obs.record(EngineEvent::SimdTier {
-            tier,
-            overridden: std::env::var_os("LRB_SIMD").is_some(),
-        });
+        let obs = EngineTelemetry::new();
         // Open the durability store (if configured) before the first
         // snapshot is built: recovery replaces both the weights and the
         // starting version, so a reopened engine resumes exactly where
@@ -326,10 +311,7 @@ impl SelectionEngine {
         let mut scratch = BuildScratch::default();
         let chosen = &registry.entries()[backend];
         let sampler = chosen.build(weights, &mut scratch)?;
-        let mut snapshot = Snapshot::from_parts(initial_version, chosen.name(), sampler);
-        if config.reader_timing_every > 0 {
-            snapshot.set_reader_timing(config.reader_timing_every, Arc::clone(&obs));
-        }
+        let snapshot = Snapshot::from_parts(initial_version, chosen.name(), sampler);
         Ok(Self {
             current: HotSwap::new(Arc::new(snapshot)),
             engine_id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
@@ -692,10 +674,7 @@ impl SelectionEngine {
                 }
             }
         }
-        let mut snapshot = Snapshot::from_parts(version, backend.name(), sampler);
-        if self.config.reader_timing_every > 0 {
-            snapshot.set_reader_timing(self.config.reader_timing_every, Arc::clone(&self.obs));
-        }
+        let snapshot = Snapshot::from_parts(version, backend.name(), sampler);
         self.obs.record(EngineEvent::Publish {
             version,
             backend: snapshot.backend(),
@@ -733,8 +712,8 @@ impl SelectionEngine {
         }
     }
 
-    /// The engine's instrumentation bundle: latency histograms, the SIMD
-    /// gauge and the flight-recorder journal.
+    /// The engine's instrumentation bundle: latency histograms, durability
+    /// counters and the flight-recorder journal.
     pub fn observability(&self) -> &EngineTelemetry {
         &self.obs
     }
@@ -754,7 +733,6 @@ impl SelectionEngine {
     /// | `lrb_snapshot_version` | gauge | current snapshot version |
     /// | `lrb_snapshot_served` | gauge | draws served by the current snapshot |
     /// | `lrb_categories` | gauge | categories in the weight vector |
-    /// | `lrb_simd_lanes` | gauge | Philox lanes per SIMD op (8/4/1) |
     /// | `lrb_wal_records_total` | counter | WAL records appended |
     /// | `lrb_wal_bytes_total` | counter | WAL frame bytes appended |
     /// | `lrb_checkpoints_total` | counter | checkpoints committed |
@@ -765,7 +743,6 @@ impl SelectionEngine {
     /// | `lrb_publish_ns` | histogram | full publish spans |
     /// | `lrb_freeze_ns` | histogram | build-or-patch spans |
     /// | `lrb_enqueue_ns` | histogram | writer enqueue/scale spans (always on) |
-    /// | `lrb_reader_draw_ns` | histogram | sampled per-draw reader latency |
     /// | `lrb_wal_append_ns` | histogram | WAL append spans (excluding policy fsyncs) |
     /// | `lrb_fsync_ns` | histogram | policy fsync spans within WAL appends |
     /// | `lrb_checkpoint_ns` | histogram | checkpoint spans |
@@ -847,11 +824,6 @@ impl SelectionEngine {
             "lrb_categories",
             "Categories in the weight vector",
             self.len as f64,
-        )
-        .gauge(
-            "lrb_simd_lanes",
-            "Philox lanes per SIMD op at the active tier (8 = AVX-512, 4 = AVX2, 1 = scalar)",
-            self.obs.simd_lanes(),
         );
         out.histogram(
             "lrb_publish_ns",
@@ -867,11 +839,6 @@ impl SelectionEngine {
             "lrb_enqueue_ns",
             "Writer enqueue/enqueue_many/scale_all spans, nanoseconds",
             &self.obs.enqueue_latency(),
-        )
-        .histogram(
-            "lrb_reader_draw_ns",
-            "Sampled per-draw reader latency, nanoseconds",
-            &self.obs.reader_draw_latency(),
         )
         .histogram(
             "lrb_wal_append_ns",
@@ -1325,11 +1292,7 @@ mod tests {
     fn journal_explains_publishes() {
         use crate::telemetry::EngineEvent;
         let e = engine(vec![1.0; 4096]);
-        let journal = e.observability().journal();
-        assert!(
-            matches!(journal[0].event, EngineEvent::SimdTier { .. }),
-            "construction must journal the SIMD tier first"
-        );
+        assert!(e.observability().journal().is_empty());
         let mut rng = MersenneTwister64::seed_from_u64(4);
         let _ = e.snapshot().sample_many(&mut rng, 64).unwrap();
         e.enqueue(0, 1.0e9).unwrap();
@@ -1352,6 +1315,19 @@ mod tests {
             .expect("a publish event was journaled");
         // The fenwick default patches 1 dirty category of 4096.
         assert_eq!(publish, (1, "fenwick", true, 1, false, 64));
+        // Every further publish journals exactly one `Publish` event.
+        for round in 1..16usize {
+            e.enqueue(round, 2.0 + round as f64).unwrap();
+            e.publish().unwrap();
+        }
+        let journal = e.observability().journal();
+        let publishes = journal
+            .iter()
+            .filter(|entry| matches!(entry.event, EngineEvent::Publish { .. }))
+            .count();
+        assert_eq!(publishes, 16);
+        assert_eq!(e.observability().events_recorded(), 16);
+        assert_eq!(e.stats().publishes, 16);
         // Journal stamps are monotone in push order.
         assert!(journal.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
     }
@@ -1397,35 +1373,6 @@ mod tests {
             "a publish contains its freeze"
         );
         assert!(publish.p999() >= publish.p50());
-        // Reader timing is off by default: no samples.
-        assert_eq!(e.observability().reader_draw_latency().count, 0);
-    }
-
-    #[test]
-    fn sampled_reader_timing_records_when_enabled() {
-        let config = EngineConfig {
-            reader_timing_every: 2,
-            ..EngineConfig::default()
-        };
-        let e = SelectionEngine::new(vec![1.0, 2.0, 3.0], config).unwrap();
-        let mut rng = MersenneTwister64::seed_from_u64(8);
-        let mut buffer = [0usize; 32];
-        for _ in 0..20 {
-            e.read(|s| s.sample_into(&mut rng, &mut buffer)).unwrap();
-        }
-        let timed = e.observability().reader_draw_latency();
-        assert!(
-            (5..=15).contains(&timed.count),
-            "1-in-2 sampling of 20 buffers timed {} of them",
-            timed.count
-        );
-        // Timing survives publishes (the fresh snapshot re-arms).
-        e.enqueue(0, 5.0).unwrap();
-        e.publish().unwrap();
-        for _ in 0..20 {
-            e.read(|s| s.sample_into(&mut rng, &mut buffer)).unwrap();
-        }
-        assert!(e.observability().reader_draw_latency().count > timed.count);
     }
 
     #[test]
@@ -1438,9 +1385,11 @@ mod tests {
             "lrb_publishes_total 1",
             "lrb_enqueued_total 1",
             "# TYPE lrb_publish_ns summary",
+            "lrb_publish_ns{quantile=\"0.5\"}",
             "lrb_publish_ns{quantile=\"0.99\"}",
             "lrb_freeze_ns_count 1",
-            "lrb_simd_lanes",
+            "lrb_enqueue_ns_count 1",
+            "lrb_journal_events_total 1",
             "lrb_snapshot_version 1",
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");
@@ -1484,6 +1433,8 @@ mod tests {
         let stats = e.stats();
         assert_eq!(stats.publishes, 200);
         assert_eq!(stats.enqueued, 200);
+        // Each publish records its span once, beside the counter.
+        assert_eq!(e.observability().publish_latency().count, stats.publishes);
     }
 
     #[test]

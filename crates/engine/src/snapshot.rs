@@ -23,47 +23,11 @@
 //! per-thread cache-padded cells so concurrent readers do not bounce a
 //! counter line between cores.
 
-use std::cell::Cell;
-use std::sync::Arc;
-use std::time::Instant;
-
 use lrb_core::batch::{drive_counts, drive_indices};
 use lrb_core::error::SelectionError;
 use lrb_core::traits::FrozenSampler;
 use lrb_obs::Counter;
 use lrb_rng::{Philox4x32, RandomSource};
-
-use crate::telemetry::EngineTelemetry;
-
-thread_local! {
-    /// Per-thread tick for sampled reader timing (`const` cell: the TLS
-    /// itself never allocates, keeping the timed path 0-alloc). Shared
-    /// across snapshots — the 1-in-N guarantee is per thread, which is
-    /// what bounds the overhead.
-    static TIMING_TICK: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Sampled reader-timing handle a snapshot carries when the engine was
-/// configured with a non-zero `reader_timing_every`.
-pub(crate) struct ReaderTiming {
-    /// Time one in this many acquisitions per thread (≥ 1).
-    every: u32,
-    /// Where timed spans land ([`EngineTelemetry::reader_draw_latency`]).
-    obs: Arc<EngineTelemetry>,
-}
-
-impl ReaderTiming {
-    /// Whether this acquisition is the 1-in-N timed one (advances the
-    /// thread's tick either way).
-    #[inline]
-    fn should_time(&self) -> bool {
-        TIMING_TICK.with(|tick| {
-            let t = tick.get().wrapping_add(1);
-            tick.set(t);
-            t % self.every == 0
-        })
-    }
-}
 
 /// One immutable published state of the engine: a version number and a
 /// backend-built sampler that holds the frozen weights and draws with exact
@@ -76,8 +40,6 @@ pub struct Snapshot {
     sampler: Box<dyn FrozenSampler>,
     /// Draws served from this snapshot (relaxed; telemetry only).
     served: Counter,
-    /// Sampled reader timing (`None` unless the engine enabled it).
-    reader_timing: Option<ReaderTiming>,
 }
 
 impl Snapshot {
@@ -100,17 +62,7 @@ impl Snapshot {
             total,
             sampler,
             served: Counter::new(),
-            reader_timing: None,
         }
-    }
-
-    /// Arm sampled reader timing: one in `every` acquisitions per thread is
-    /// timed into `obs`'s reader-draw histogram. Called by the engine
-    /// before the snapshot is shared (it takes `&mut self`, so it cannot
-    /// race readers).
-    pub(crate) fn set_reader_timing(&mut self, every: u32, obs: Arc<EngineTelemetry>) {
-        debug_assert!(every > 0, "0 means timing off — don't arm it");
-        self.reader_timing = Some(ReaderTiming { every, obs });
     }
 
     /// The snapshot's publication version (monotonically increasing; the
@@ -172,20 +124,6 @@ impl Snapshot {
 
     /// Draw one index with probability exactly `w_i / Σ w_j`.
     pub fn sample(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-        if let Some(timing) = &self.reader_timing {
-            if timing.should_time() {
-                // The timed 1-in-N path: one clock read each side of the
-                // draw plus relaxed histogram adds — no allocation, so the
-                // instrumented reader stays 0-alloc (tests/engine_alloc.rs).
-                let started = Instant::now();
-                let index = self.sampler.sample(rng)?;
-                timing.obs.record_reader_draw_ns(
-                    started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
-                self.served.add(1);
-                return Ok(index);
-            }
-        }
         let index = self.sampler.sample(rng)?;
         self.served.add(1);
         Ok(index)
@@ -193,7 +131,7 @@ impl Snapshot {
 
     /// One draw per stream, `out[i]` from `streams[i]` alone, exactly as
     /// [`sample`](Self::sample) on that stream draws it
-    /// ([`FrozenSampler::sample_streams`]), uncounted and untimed: the
+    /// ([`FrozenSampler::sample_streams`]), uncounted: the
     /// service planner's draw for one shard's group of slots, which
     /// credits a whole batch through one
     /// [`count_served`](Self::count_served) per shard.
@@ -220,19 +158,6 @@ impl Snapshot {
         rng: &mut dyn RandomSource,
         out: &mut [usize],
     ) -> Result<(), SelectionError> {
-        if let Some(timing) = &self.reader_timing {
-            if timing.should_time() && !out.is_empty() {
-                // Timed 1-in-N buffer: record the amortised per-draw
-                // nanoseconds, so the histogram speaks the same unit as
-                // single-draw timings. Allocation-free like the plain path.
-                let started = Instant::now();
-                self.sampler.sample_into(rng, out)?;
-                let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                timing.obs.record_reader_draw_ns(elapsed / out.len() as u64);
-                self.served.add(out.len() as u64);
-                return Ok(());
-            }
-        }
         self.sampler.sample_into(rng, out)?;
         self.served.add(out.len() as u64);
         Ok(())

@@ -1,32 +1,24 @@
-//! Engine observability: latency histograms, startup gauges and the
+//! Engine observability: latency histograms, durability counters and the
 //! publish **flight recorder**.
 //!
 //! [`EngineTelemetry`] is the engine's always-on instrumentation bundle.
-//! Recording costs are sized for the paths they sit on:
-//!
-//! * the **publish path** records full spans into atomic histograms (a
-//!   handful of relaxed `fetch_add`s per publish — publishes are
-//!   milliseconds apart, so this is free);
-//! * the **reader hot path** is only timed when
-//!   [`EngineConfig::reader_timing_every`](crate::EngineConfig::reader_timing_every)
-//!   is non-zero, and then only on one in *N* acquisitions per thread — a
-//!   TLS tick plus, on the sampled calls, one clock read and one histogram
-//!   record. The steady-state sample stays allocation-free either way
-//!   (proved by `tests/engine_alloc.rs`).
+//! It records on the write side only: the **publish path** records full
+//! spans into atomic histograms (a handful of relaxed `fetch_add`s per
+//! publish — publishes are milliseconds apart, so this is free), and
+//! writers time their enqueues. Reader draws are not timed; the served
+//! count each snapshot keeps is their only telemetry.
 //!
 //! The **flight recorder** journals the structured [`EngineEvent`]s that
 //! explain a run post-hoc: what every publish did (backend, patched or
 //! rebuilt, freeze nanoseconds, dirty count, scale, draws the outgoing
-//! snapshot served), checkpoints and recoveries, and which SIMD tier the
-//! host detected.
+//! snapshot served), checkpoints and recoveries.
 //! The journal keeps the most recent [`JOURNAL_CAPACITY`] events behind a
-//! mutex. Only construction, recovery, publishes and checkpoints write it,
-//! never a draw, so readers never touch the lock.
+//! mutex. Only recovery, publishes and checkpoints write it, never a
+//! draw, so readers never touch the lock.
 
 use std::time::Instant;
 
-use lrb_obs::{Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot};
-use lrb_rng::SimdTier;
+use lrb_obs::{Counter, FlightRecorder, Histogram, HistogramSnapshot};
 
 /// Events the flight recorder retains (the most recent this many).
 pub const JOURNAL_CAPACITY: usize = 256;
@@ -34,13 +26,6 @@ pub const JOURNAL_CAPACITY: usize = 256;
 /// One structured event in the engine's flight-recorder journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineEvent {
-    /// The SIMD tier the RNG layer runs at, recorded once at construction.
-    SimdTier {
-        /// Detected (or overridden) tier.
-        tier: SimdTier,
-        /// Whether an `LRB_SIMD` environment override was present.
-        overridden: bool,
-    },
     /// A snapshot was published.
     Publish {
         /// Version now current.
@@ -92,7 +77,7 @@ pub struct JournalEntry {
 }
 
 /// The engine's instrumentation bundle (see the module docs). One per
-/// engine, shared with its snapshots for sampled reader timing.
+/// engine.
 #[derive(Debug)]
 pub struct EngineTelemetry {
     /// Construction instant; journal stamps are offsets from it.
@@ -109,12 +94,6 @@ pub struct EngineTelemetry {
     /// after the drain/build split its tail must stay decoupled from
     /// `freeze_ns`.
     enqueue_ns: Histogram,
-    /// Sampled per-draw reader latency, nanoseconds (amortised over the
-    /// timed buffer; empty unless `reader_timing_every > 0`).
-    reader_draw_ns: Histogram,
-    /// Philox lanes per SIMD op at the detected tier (8 = AVX-512,
-    /// 4 = AVX2, 1 = scalar).
-    simd_lanes: Gauge,
     /// WAL append spans, nanoseconds (encode + write; excludes any policy
     /// fsync, which lands in `fsync_ns`). Empty under `Durability::Off` —
     /// the durability hook is behind an `Option`, so the hot path carries
@@ -151,8 +130,6 @@ impl EngineTelemetry {
             publish_ns: Histogram::new(),
             freeze_ns: Histogram::new(),
             enqueue_ns: Histogram::new(),
-            reader_draw_ns: Histogram::new(),
-            simd_lanes: Gauge::new(),
             wal_append_ns: Histogram::new(),
             fsync_ns: Histogram::new(),
             checkpoint_ns: Histogram::new(),
@@ -188,11 +165,6 @@ impl EngineTelemetry {
         self.enqueue_ns.record_span(started);
     }
 
-    #[inline]
-    pub(crate) fn record_reader_draw_ns(&self, ns: u64) {
-        self.reader_draw_ns.record(ns);
-    }
-
     pub(crate) fn record_wal_append(&self, ns: u64, bytes: u64) {
         self.wal_append_ns.record(ns);
         self.wal_records.incr();
@@ -218,14 +190,6 @@ impl EngineTelemetry {
         self.recovery_truncated_bytes.add(truncated_bytes);
     }
 
-    pub(crate) fn set_simd_tier(&self, tier: SimdTier) {
-        self.simd_lanes.set(match tier {
-            SimdTier::Avx512 => 8.0,
-            SimdTier::Avx2 => 4.0,
-            SimdTier::Scalar => 1.0,
-        });
-    }
-
     /// Distribution of full `publish()` spans (nanoseconds).
     pub fn publish_latency(&self) -> HistogramSnapshot {
         self.publish_ns.snapshot()
@@ -242,19 +206,6 @@ impl EngineTelemetry {
     /// ever wait for the batch drain, never for a backend build.
     pub fn enqueue_latency(&self) -> HistogramSnapshot {
         self.enqueue_ns.snapshot()
-    }
-
-    /// Distribution of sampled per-draw reader latency (nanoseconds,
-    /// amortised over each timed buffer). Empty unless the engine was
-    /// configured with a non-zero
-    /// [`reader_timing_every`](crate::EngineConfig::reader_timing_every).
-    pub fn reader_draw_latency(&self) -> HistogramSnapshot {
-        self.reader_draw_ns.snapshot()
-    }
-
-    /// Philox lanes per SIMD op at the active tier (8 / 4 / 1).
-    pub fn simd_lanes(&self) -> f64 {
-        self.simd_lanes.get()
     }
 
     /// Distribution of WAL append spans (nanoseconds; excludes policy

@@ -1,10 +1,8 @@
 //! Proof that the steady-state reader path performs **no heap
-//! allocation** — with telemetry off *and* with reader timing at its most
-//! aggressive setting (`reader_timing_every = 1`, every acquisition
-//! timed). A counting global allocator tallies every `alloc` call; after a
-//! short warm-up (the thread-local snapshot cache and the engine's
-//! preallocated histograms absorb all setup cost), thousands of
-//! buffer-filling reads must leave the tally untouched.
+//! allocation**. A counting global allocator tallies every `alloc` call;
+//! after a short warm-up (the thread-local snapshot cache absorbs all
+//! setup cost), thousands of buffer-filling reads must leave the tally
+//! untouched.
 //!
 //! Kept to a single `#[test]` so no sibling test can allocate on another
 //! thread mid-measurement.
@@ -44,47 +42,37 @@ static ALLOC: CountingAllocator = CountingAllocator {
 };
 
 #[test]
-fn steady_state_reader_is_allocation_free_with_and_without_timing() {
-    for reader_timing_every in [0u32, 1] {
-        let engine = SelectionEngine::new(
-            vec![1.0; 1024],
-            EngineConfig {
-                reader_timing_every,
-                ..EngineConfig::default()
-            },
-        )
+fn steady_state_reader_is_allocation_free() {
+    let engine = SelectionEngine::new(vec![1.0; 1024], EngineConfig::default())
         .expect("uniform weights are valid");
-        let mut rng = Philox4x32::for_substream(7, 1);
-        let mut buffer = vec![0usize; 64];
+    let mut rng = Philox4x32::for_substream(7, 1);
+    let mut buffer = vec![0usize; 64];
 
-        // Warm-up: populate this thread's snapshot cache and any lazy TLS.
-        for _ in 0..8 {
-            engine
-                .read(|snapshot| snapshot.sample_into(&mut rng, &mut buffer))
-                .expect("uniform weights sample fine");
-        }
-
-        // The allocation counter is global, so a harness thread can dirty a
-        // window with unrelated bookkeeping; a reader path that allocates
-        // dirties *every* window (at `every = 1` each of the 2 000 reads is
-        // timed), so requiring one clean window out of three keeps full
-        // sensitivity without flaking on background noise.
-        let cleanest = (0..3)
-            .map(|_| {
-                let before = ALLOC.allocations();
-                for _ in 0..2_000 {
-                    engine
-                        .read(|snapshot| snapshot.sample_into(&mut rng, &mut buffer))
-                        .expect("uniform weights sample fine");
-                }
-                ALLOC.allocations() - before
-            })
-            .min()
-            .expect("three windows ran");
-        assert_eq!(
-            cleanest, 0,
-            "steady-state reader allocated {cleanest} times in its cleanest \
-             window (reader_timing_every = {reader_timing_every})"
-        );
+    // Warm-up: populate this thread's snapshot cache and any lazy TLS.
+    for _ in 0..8 {
+        engine
+            .read(|snapshot| snapshot.sample_into(&mut rng, &mut buffer))
+            .expect("uniform weights sample fine");
     }
+
+    // The allocation counter is global, so a harness thread can dirty a
+    // window with unrelated bookkeeping; a reader path that allocates
+    // dirties *every* window, so requiring one clean window out of three
+    // keeps full sensitivity without flaking on background noise.
+    let cleanest = (0..3)
+        .map(|_| {
+            let before = ALLOC.allocations();
+            for _ in 0..2_000 {
+                engine
+                    .read(|snapshot| snapshot.sample_into(&mut rng, &mut buffer))
+                    .expect("uniform weights sample fine");
+            }
+            ALLOC.allocations() - before
+        })
+        .min()
+        .expect("three windows ran");
+    assert_eq!(
+        cleanest, 0,
+        "steady-state reader allocated {cleanest} times in its cleanest window"
+    );
 }

@@ -39,7 +39,6 @@ fn main() {
             fsync: FsyncPolicy::Off,
             checkpoint_every,
         }),
-        ..EngineConfig::default()
     };
     let engine = SelectionEngine::new(storm::initial_weights(categories), config)
         .expect("storm engine opens");

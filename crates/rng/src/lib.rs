@@ -55,9 +55,6 @@ pub mod traits;
 pub mod uniform;
 pub mod xoshiro;
 
-#[cfg(feature = "rand-compat")]
-pub mod rand_compat;
-
 pub use exponential::{standard_exponential, ExponentialSampler};
 pub use mt19937::MersenneTwister;
 pub use mt19937_64::MersenneTwister64;

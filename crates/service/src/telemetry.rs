@@ -10,8 +10,6 @@
 //! [`ServiceCore::metrics`](crate::ServiceCore::metrics) merges its publish
 //! and enqueue histograms into the service's [`MetricsSnapshot`] under
 //! shard-prefixed names, so one scrape sees the whole two-level picture.
-//! The engine's sampled reader-draw histogram is not merged: the planner's
-//! per-slot draws are untimed, so service traffic never fills it.
 //!
 //! [`MetricsSnapshot`]: lrb_obs::MetricsSnapshot
 

@@ -12,7 +12,9 @@
 //! 2. **Reopen determinism** — an engine reopened over a WAL directory
 //!    recovers weights **bit-identical** to an oracle engine that
 //!    replayed the same publish sequence in memory, and serves the same
-//!    draw sequence (invariant 4).
+//!    draw sequence (invariant 4). Under the serving config, whose
+//!    publishes patch, the reopened engine keeps the pre-crash version,
+//!    weight bits and total bits.
 //! 3. **Kill-and-restore** — a child process (`durable_storm`) runs a
 //!    deterministic publish storm against a WAL-durable engine and is
 //!    SIGKILLed mid-storm at several points; the parent reopens the
@@ -63,15 +65,13 @@ impl Drop for TempDir {
 
 /// The deterministic engine config both the recovered side and the
 /// oracle use: the fenwick backend and no patches — every publish rebuilds
-/// from the folded weights, so publishes are a pure function of the
-/// enqueued batches, which is what makes "bit-identical recovery" a
-/// checkable claim rather than a hope.
+/// from the folded weights, as recovery does, so both sides hold the same
+/// tree and their draws compare index for index.
 fn deterministic_config(durability: Durability) -> EngineConfig {
     EngineConfig {
         backend: "fenwick",
         patch: PatchPolicy::Never,
         durability,
-        ..EngineConfig::default()
     }
 }
 
@@ -100,20 +100,26 @@ fn oracle_at(version: u64) -> SelectionEngine {
     engine
 }
 
-/// Bit-identical state: same version, same weight bits, same draw
-/// sequence under identical RNG streams.
-fn assert_states_identical(recovered: &SelectionEngine, oracle: &SelectionEngine) {
-    assert_eq!(recovered.version(), oracle.version(), "recovered version");
-    let recovered_weights = recovered.read(|s| s.weights().to_vec());
-    let oracle_weights = oracle.read(|s| s.weights().to_vec());
-    assert_eq!(recovered_weights.len(), oracle_weights.len());
-    for (i, (r, o)) in recovered_weights.iter().zip(&oracle_weights).enumerate() {
+/// Same weight bits, index by index.
+fn assert_weight_bits_equal(recovered: &[f64], expected: &[f64]) {
+    assert_eq!(recovered.len(), expected.len());
+    for (i, (r, o)) in recovered.iter().zip(expected).enumerate() {
         assert_eq!(
             r.to_bits(),
             o.to_bits(),
             "weight {i} diverged after recovery: {r} vs {o}"
         );
     }
+}
+
+/// Bit-identical state: same version, same weight bits, same draw
+/// sequence under identical RNG streams.
+fn assert_states_identical(recovered: &SelectionEngine, oracle: &SelectionEngine) {
+    assert_eq!(recovered.version(), oracle.version(), "recovered version");
+    assert_weight_bits_equal(
+        &recovered.read(|s| s.weights().to_vec()),
+        &oracle.read(|s| s.weights().to_vec()),
+    );
     for substream in 0..64 {
         let mut recovered_rng = Philox4x32::for_substream(0xD00D, substream);
         let mut oracle_rng = Philox4x32::for_substream(0xD00D, substream);
@@ -267,6 +273,43 @@ fn engine_reopen_matches_oracle_without_crash() {
     .expect("recovered engine");
     assert_eq!(recovered.observability().recoveries(), 1);
     assert_states_identical(&recovered, &oracle_at(PUBLISHES));
+}
+
+#[test]
+fn serving_config_reopen_keeps_version_weights_and_total() {
+    // The default config patches whenever the backend's rule says it pays,
+    // as every served shard does. Recovery rebuilds, and a rebuilt Fenwick
+    // tree may differ from the patched one in its inner sums' last bits,
+    // so draws are not compared (`FrozenBackend::try_patch`).
+    let dir = TempDir::new("reopen-serving");
+    const PUBLISHES: u64 = 300;
+    let config = || EngineConfig {
+        durability: Durability::Wal(WalOptions {
+            dir: dir.path().to_path_buf(),
+            fsync: FsyncPolicy::Off,
+            checkpoint_every: 64,
+        }),
+        ..EngineConfig::default()
+    };
+    let (version, weights, total) = {
+        let engine = SelectionEngine::new(storm::initial_weights(CATEGORIES), config())
+            .expect("durable engine");
+        for k in 1..=PUBLISHES {
+            storm::apply_publish(&engine, STORM_SEED, k, CATEGORIES).expect("storm publish");
+        }
+        assert!(engine.stats().patched > 0, "no storm publish patched");
+        engine.read(|s| (s.version(), s.weights().to_vec(), s.total_weight()))
+    };
+    let recovered = SelectionEngine::new(storm::initial_weights(CATEGORIES), config())
+        .expect("recovered engine");
+    assert_eq!(recovered.observability().recoveries(), 1);
+    assert_eq!(recovered.version(), version);
+    assert_weight_bits_equal(&recovered.read(|s| s.weights().to_vec()), &weights);
+    assert_eq!(
+        recovered.total_weight().to_bits(),
+        total.to_bits(),
+        "snapshot total diverged after recovery"
+    );
 }
 
 /// Spawn the `durable_storm` crash child over `dir`.
