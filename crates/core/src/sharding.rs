@@ -114,13 +114,17 @@ impl ShardTotals {
     }
 }
 
+/// Uniforms [`TotalsCut::pick_uniforms`] picks for at once.
+pub const PICK_LANES: usize = 8;
+
 /// One frozen cut of the shard totals, with a Fenwick prefix tree over them
 /// for `O(log S)` shard picks. See the module docs.
 #[derive(Debug, Clone)]
 pub struct TotalsCut {
     /// The raw per-shard totals of this cut.
     totals: Vec<f64>,
-    /// One-based Fenwick partial sums over `totals`.
+    /// One-based Fenwick partial sums over `totals`, padded with +inf to
+    /// `2 · top` positions (see [`refill`](Self::refill)).
     tree: Vec<f64>,
     /// Largest power of two ≤ shard count (descent start step).
     top: usize,
@@ -177,6 +181,10 @@ impl TotalsCut {
         while top * 2 <= shards {
             top *= 2;
         }
+        // Positions past the last shard hold +inf, so every descent step
+        // reads a node (the largest reachable position is 2·top − 1), and
+        // `node <= mass` alone refuses a step past the end.
+        self.tree.resize(2 * top, f64::INFINITY);
         self.top = top;
         self.total = total;
     }
@@ -210,43 +218,11 @@ impl TotalsCut {
     /// positive-total shard: zero-total shards are walked over exactly like
     /// zero weights in the flat tree.
     pub fn pick(&self, r: f64) -> Option<(usize, f64)> {
-        if !self.total.is_finite() || self.total <= 0.0 || !r.is_finite() {
+        if !self.has_mass() || !r.is_finite() {
             return None;
         }
-        let r = r.clamp(0.0, self.total * (1.0 - f64::EPSILON));
-        let n = self.totals.len();
-        let tree = &self.tree[..=n];
-        // Branch-free descent: each step computes `residual - node` and
-        // keeps it or the old residual through an integer select on the
-        // bits (a select on the `f64` compiles to a branch on x86), so the
-        // arithmetic is exactly the branchy walk's. Against the branchy
-        // walk it cut perfbench `batch_sparse`'s request p50 by 7–8 % on a
-        // 2-vCPU Xeon (alternating pairs won 9 of 10 on one seed, 8 of 8
-        // on another).
-        let mut residual = r.to_bits();
-        let mut pos = 0usize; // one-based count of shards fully below `r`
-        let mut step = self.top;
-        while step > 0 {
-            let next = pos + step;
-            let node = tree[next.min(n)];
-            let mass = f64::from_bits(residual);
-            let take = (next <= n) & (node <= mass);
-            residual = select_unpredictable(take, (mass - node).to_bits(), residual);
-            pos = select_unpredictable(take, next, pos);
-            step /= 2;
-        }
-        let residual = f64::from_bits(residual);
-        let candidate = pos.min(n - 1);
-        if self.totals[candidate] > 0.0 {
-            return Some((candidate, residual.min(self.totals[candidate])));
-        }
-        // Right-edge rounding landed on a zero-total shard: take the last
-        // positive shard to its left (or the first positive one at all).
-        let shard = self.totals[..candidate]
-            .iter()
-            .rposition(|&t| t > 0.0)
-            .or_else(|| self.totals.iter().position(|&t| t > 0.0))?;
-        Some((shard, self.totals[shard] * (1.0 - f64::EPSILON)))
+        let ([pos], [residual]) = self.descend([self.clamp(r)]);
+        self.settle(pos, residual)
     }
 
     /// Like [`pick`](Self::pick) but takes a unit uniform `u ∈ [0, 1)` and
@@ -254,6 +230,93 @@ impl TotalsCut {
     /// from a [`RandomSource`](lrb_rng::RandomSource)).
     pub fn pick_uniform(&self, u: f64) -> Option<(usize, f64)> {
         self.pick(u * self.total)
+    }
+
+    /// [`pick_uniform`](Self::pick_uniform)'s shard for
+    /// [`PICK_LANES`] uniforms at once, lane for lane: the same clamp,
+    /// descent and zero-total fallback, with the lanes' descents in
+    /// lockstep so their node loads overlap. `None` when the cut carries
+    /// no mass, or when a lane's scaled coordinate is not finite (where
+    /// that lane's `pick_uniform` returns `None`).
+    pub fn pick_uniforms(&self, u: &[f64; PICK_LANES]) -> Option<[usize; PICK_LANES]> {
+        let r = u.map(|u| u * self.total);
+        if !self.has_mass() || !r.iter().all(|r| r.is_finite()) {
+            return None;
+        }
+        let (pos, residual) = self.descend(r.map(|r| self.clamp(r)));
+        let mut shards = [0; PICK_LANES];
+        for (lane, shard) in shards.iter_mut().enumerate() {
+            *shard = self.settle(pos[lane], residual[lane])?.0;
+        }
+        Some(shards)
+    }
+
+    /// Whether the cut has positive, finite mass to pick from.
+    fn has_mass(&self) -> bool {
+        self.total.is_finite() && self.total > 0.0
+    }
+
+    /// Clamp a mass coordinate onto `[0, total)` (the right edge one
+    /// rounding step inside).
+    fn clamp(&self, r: f64) -> f64 {
+        r.clamp(0.0, self.total * (1.0 - f64::EPSILON))
+    }
+
+    /// The level-one descent, for `L` coordinates in lockstep: each lane's
+    /// count of shards fully below it and its residual mass.
+    ///
+    /// Branch-free: each step computes `residual - node` and keeps it or
+    /// the old residual through an integer select on the bits (a select
+    /// on the `f64` compiles to a branch on x86), so the arithmetic is
+    /// exactly the branchy walk's. Against the branchy walk it cut
+    /// perfbench `batch_sparse`'s request p50 by 7–8 % on a 2-vCPU Xeon
+    /// (alternating pairs won 9 of 10 on one seed, 8 of 8 on another).
+    /// Eight lanes of 256 fresh uniforms on a 4-shard cut took 4.9 ns a
+    /// pick on the same host, against 11.7 for one-at-a-time picks that
+    /// also compared each step's position with the shard count.
+    #[inline(always)]
+    fn descend<const L: usize>(&self, r: [f64; L]) -> ([usize; L], [f64; L]) {
+        let tree = &self.tree[..2 * self.top];
+        let mut residual = r.map(f64::to_bits);
+        let mut pos = [0usize; L]; // one-based count of shards fully below `r`
+        let mut step = self.top;
+        while step > 0 {
+            for lane in 0..L {
+                let next = pos[lane] + step;
+                let node = tree[next];
+                let mass = f64::from_bits(residual[lane]);
+                let take = node <= mass;
+                residual[lane] =
+                    select_unpredictable(take, (mass - node).to_bits(), residual[lane]);
+                pos[lane] = select_unpredictable(take, next, pos[lane]);
+            }
+            step /= 2;
+        }
+        (pos, residual.map(f64::from_bits))
+    }
+
+    /// The shard a descent that stopped at `pos` with `residual` left
+    /// lands on, and the residual within it.
+    #[inline(always)]
+    fn settle(&self, pos: usize, residual: f64) -> Option<(usize, f64)> {
+        let candidate = pos.min(self.totals.len() - 1);
+        if self.totals[candidate] > 0.0 {
+            return Some((candidate, residual.min(self.totals[candidate])));
+        }
+        self.settle_left(candidate)
+    }
+
+    /// Right-edge rounding landed on a zero-total shard: take the last
+    /// positive shard to its left (or the first positive one at all). Out
+    /// of line, as it runs only at that edge.
+    #[cold]
+    #[inline(never)]
+    fn settle_left(&self, candidate: usize) -> Option<(usize, f64)> {
+        let shard = self.totals[..candidate]
+            .iter()
+            .rposition(|&t| t > 0.0)
+            .or_else(|| self.totals.iter().position(|&t| t > 0.0))?;
+        Some((shard, self.totals[shard] * (1.0 - f64::EPSILON)))
     }
 }
 
@@ -309,6 +372,119 @@ mod tests {
         let cut = TotalsCut::from_totals(vec![0.0, 0.0]);
         assert_eq!(cut.pick(0.0), None);
         assert_eq!(cut.pick_uniform(0.5), None);
+        assert_eq!(cut.pick_uniforms(&[0.5; PICK_LANES]), None);
+    }
+
+    /// The level-one pick as a branchy walk over the unpadded tree,
+    /// checking `next <= n` at every step: the reference `pick_uniform`
+    /// must match bit for bit (residual included), whatever the padding
+    /// and the lockstep do.
+    fn branchy_pick_uniform(cut: &TotalsCut, u: f64) -> Option<(usize, f64)> {
+        if !(cut.total.is_finite() && cut.total > 0.0) {
+            return None;
+        }
+        let n = cut.totals.len();
+        let mut r = (u * cut.total).clamp(0.0, cut.total * (1.0 - f64::EPSILON));
+        let (mut pos, mut step) = (0, cut.top);
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && cut.tree[next] <= r {
+                r -= cut.tree[next];
+                pos = next;
+            }
+            step /= 2;
+        }
+        let candidate = pos.min(n - 1);
+        if cut.totals[candidate] > 0.0 {
+            return Some((candidate, r.min(cut.totals[candidate])));
+        }
+        let shard = cut.totals[..candidate]
+            .iter()
+            .rposition(|&t| t > 0.0)
+            .or_else(|| cut.totals.iter().position(|&t| t > 0.0))?;
+        Some((shard, cut.totals[shard] * (1.0 - f64::EPSILON)))
+    }
+
+    #[test]
+    fn picks_match_a_branchy_walk_lane_for_lane() {
+        use lrb_rng::{RandomSource, SeedableSource, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(0x1E7E1);
+        let largest = 1.0 - lrb_rng::uniform::F64_EPS_53;
+        let scales = [1e-300, 1e-3, 1.0, 7.0, 1e299];
+        // Lanes whose descent ends on a zero-total shard (the fallback).
+        let mut fallbacks = 0;
+        // 1–9 shards, so the descent's top step is not always the shard
+        // count, under every pattern of zero-total shards (the last one
+        // and the all-zero cut included); then up to 20 shards, whose
+        // descents can step past the last shard with more than one shard
+        // left to settle on, under random patterns and the two edge ones.
+        let exhaustive =
+            (1..=9usize).flat_map(|shards| (0u32..1 << shards).map(move |z| (shards, z)));
+        let sampled = (10..=20usize).flat_map(|shards| {
+            let mut masks = SplitMix64::seed_from_u64(shards as u64);
+            let edges = [(1u32 << shards) - 1, 1 << (shards - 1)];
+            let random: Vec<u32> = (0..48)
+                .map(|_| masks.next_u32() & ((1 << shards) - 1))
+                .collect();
+            edges.into_iter().chain(random).map(move |z| (shards, z))
+        });
+        for (shards, zeros) in exhaustive.chain(sampled) {
+            let scale = scales[zeros as usize % scales.len()];
+            let totals: Vec<f64> = (0..shards)
+                .map(|s| {
+                    let positive = scale * (0.25 + rng.next_f64());
+                    if zeros >> s & 1 == 1 {
+                        0.0
+                    } else {
+                        positive
+                    }
+                })
+                .collect();
+            let cut = TotalsCut::from_totals(totals.clone());
+            // The edges 0 and 1 − 2⁻⁵³ (clamped onto a zero-total last
+            // shard when there is one), every shard boundary, and
+            // random uniforms, each group with the edges in other lanes.
+            let boundary = |lane: usize| {
+                let below: f64 = totals[..(lane * shards).div_ceil(PICK_LANES)].iter().sum();
+                (below / cut.total()).min(largest)
+            };
+            let mut groups = vec![
+                [0.0, largest, largest, 0.0, largest, 0.0, 0.0, largest],
+                std::array::from_fn(boundary),
+            ];
+            for edge_lane in 0..PICK_LANES {
+                let mut u: [f64; PICK_LANES] = std::array::from_fn(|_| rng.next_f64());
+                u[edge_lane] = if edge_lane % 2 == 0 { 0.0 } else { largest };
+                groups.push(u);
+            }
+            for u in &groups {
+                for &u in u {
+                    let bits = |pick: Option<(usize, f64)>| pick.map(|(s, r)| (s, r.to_bits()));
+                    assert_eq!(
+                        bits(cut.pick_uniform(u)),
+                        bits(branchy_pick_uniform(&cut, u)),
+                        "totals {totals:?}, uniform {u}"
+                    );
+                    if cut.total() > 0.0 {
+                        let ([pos], _) = cut.descend([cut.clamp(u * cut.total())]);
+                        fallbacks += usize::from(totals[pos.min(shards - 1)] <= 0.0);
+                    }
+                }
+                let per_lane: Option<Vec<usize>> = u
+                    .iter()
+                    .map(|&u| cut.pick_uniform(u).map(|(shard, _)| shard))
+                    .collect();
+                assert_eq!(
+                    cut.pick_uniforms(u).map(Vec::from),
+                    per_lane,
+                    "totals {totals:?}, uniforms {u:?}"
+                );
+                if zeros == (1 << shards) - 1 {
+                    assert_eq!(cut.pick_uniforms(u), None, "all-zero cut");
+                }
+            }
+        }
+        assert!(fallbacks > 0, "no lane reached the zero-total fallback");
     }
 
     #[test]

@@ -788,7 +788,7 @@ mod tests {
         for sampler in [dense.unwrap(), compact.unwrap()] {
             for len in [0, 1, 7, 8, 9, 1_000] {
                 let mut streams = vec![Philox4x32::with_key(0); len];
-                Philox4x32::fill_substreams(0xFACE, 40, &mut streams);
+                Philox4x32::fill_substreams(0xFACE, 40, &mut streams, &mut vec![0.0; len]);
                 let mut reference = streams.clone();
                 let mut out = vec![usize::MAX; len];
                 sampler.sample_streams(&mut streams, &mut out).unwrap();

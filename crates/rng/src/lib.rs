@@ -16,7 +16,12 @@
 //! * [`Philox4x32`] — a counter-based generator in the Random123 family,
 //!   ideal for "one stream per logical processor" PRAM-style experiments
 //!   because stream `i` is obtained by setting a counter word, with no
-//!   sequential seeding pass.
+//!   sequential seeding pass. Its blocks are independent, so the
+//!   [`philox_multi`] tiers compute eight at once: eight keyed streams
+//!   for the fused bid kernel ([`PhiloxMulti8`]) and eight substream
+//!   heads for the service planner
+//!   ([`Philox4x32::fill_substreams`]), bit-identical on every
+//!   [`SimdTier`].
 //! * Uniform `[0, 1)` conversion strategies ([`uniform`]), exponential
 //!   sampling ([`exponential`]), and parallel stream construction
 //!   ([`streams`]).
@@ -36,7 +41,9 @@
 //! ```
 
 // `deny`, not `forbid`: the one module implementing the vectorised
-// multi-stream Philox fill (`philox_multi::simd`) carries an audited
+// Philox tiers (`philox_multi::simd`: `PhiloxMulti8`'s eight-key uniform
+// fill and `Philox4x32::fill_substreams`'s eight-substream heads, over
+// one copy of the round per tier) carries an audited
 // `#[allow(unsafe_code)]` with its safety argument in the module docs —
 // `#[target_feature]` dispatch guarded by runtime detection plus
 // bounds-checked unaligned loads/stores; everything else stays safe Rust.

@@ -45,13 +45,16 @@
 //! [`DrawPlan`]: a range of at least `FANOUT_MIN_BATCH` slots splits at
 //! its midpoint and forks its halves through the rayon shim's `join`
 //! (re-exported as [`lrb_core::join`]). A shorter range draws shard by
-//! shard, in passes of at most `SLOT_PASS` slots: one pass fills every
-//! slot's Philox head ([`Philox4x32::fill_substreams`]), level one picks
-//! every slot's shard, a counting sort groups the slots by shard, and
-//! each shard's snapshot draws its whole group through one per-stream
-//! batch call, which fenwick runs as an 8-wide lockstep descent. Each
-//! slot still draws from its own substream with the same arithmetic, so
-//! the grouping changes no index. The calling thread takes every shard's
+//! shard, in passes of at most `SLOT_PASS` slots, the first two phases
+//! eight slots per step: [`Philox4x32::fill_substreams`] computes eight
+//! slots' Philox heads at once on the SIMD tier and hands back each
+//! slot's first uniform, level one picks eight slots' shards per
+//! lockstep descent ([`TotalsCut::pick_uniforms`]), a counting sort
+//! groups the slots by shard, and each shard's snapshot draws its whole
+//! group through one per-stream batch call, which fenwick runs as an
+//! 8-wide lockstep descent. Each slot still draws from its own substream
+//! with the same arithmetic on every tier, so neither the steps nor the
+//! grouping change an index. The calling thread takes every shard's
 //! snapshot before the first fork, so a pool helper never touches an
 //! engine (nor its thread-local snapshot cache). With a warm plan (and a
 //! warm per-thread slot scratch, bounded by the pass length) the whole
@@ -60,6 +63,7 @@
 //!
 //! [`Snapshot::sample_streams`]: lrb_engine::Snapshot::sample_streams
 //! [`TotalsCut`]: lrb_core::sharding::TotalsCut
+//! [`TotalsCut::pick_uniforms`]: lrb_core::sharding::TotalsCut::pick_uniforms
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,7 +71,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lrb_core::sharding::{ShardTotals, TotalsCut};
+use lrb_core::sharding::{ShardTotals, TotalsCut, PICK_LANES};
 use lrb_core::SelectionError;
 use lrb_engine::{EngineConfig, SelectionEngine, Snapshot};
 use lrb_obs::{Counter, MetricsSnapshot};
@@ -86,7 +90,7 @@ pub const ROUTE_LAYOUT_VERSION: u32 = 3;
 const FANOUT_MIN_BATCH: usize = 1024;
 
 /// Slots a leaf range draws per pass of its phases: the bound on each
-/// thread's slot scratch (108 bytes a slot, so about 27 KiB).
+/// thread's slot scratch (116 bytes a slot, so about 29 KiB).
 const SLOT_PASS: usize = 256;
 
 /// Tuning knobs for a [`ShardedService`].
@@ -124,13 +128,13 @@ impl Default for ServiceConfig {
 /// [`ServiceCore::draw_into_with_plan`]. Buffers grow to the largest
 /// batch/shard-count seen and stay there.
 ///
-/// The leaf's slot scratch (each slot's stream, shard group and pick) is
-/// not in the plan: every thread that draws a slot range, the caller and
-/// any pool helper a fork reaches alike, keeps its own in a thread-local,
-/// capped at one pass of 256 slots (about 27 KiB). So the steady-state
-/// path allocates nothing once the plan and the drawing threads are warm;
-/// a warm plan on a thread that has not drawn before still allocates its
-/// slot scratch on the first batch.
+/// The leaf's slot scratch (each slot's stream, level-one uniform, shard
+/// group and pick) is not in the plan: every thread that draws a slot
+/// range, the caller and any pool helper a fork reaches alike, keeps its
+/// own in a thread-local, capped at one pass of 256 slots (about
+/// 29 KiB). So the steady-state path allocates nothing once the plan and
+/// the drawing threads are warm; a warm plan on a thread that has not
+/// drawn before still allocates its slot scratch on the first batch.
 #[derive(Debug)]
 pub struct DrawPlan {
     /// The frozen level-one cut, refilled in place per batch.
@@ -715,8 +719,10 @@ struct Leaf<'a> {
 /// nothing.
 #[derive(Debug)]
 struct SlotScratch {
-    /// Each slot's stream, in slot order.
+    /// Each slot's stream, in slot order, past its level-one uniform.
     heads: Vec<Philox4x32>,
+    /// Each slot's level-one uniform, in slot order.
+    uniforms: Vec<f64>,
     /// The same streams after their level-one word, grouped by shard.
     grouped: Vec<Philox4x32>,
     /// The pass offset of each grouped stream's slot.
@@ -734,6 +740,7 @@ impl SlotScratch {
     const fn new() -> Self {
         Self {
             heads: Vec::new(),
+            uniforms: Vec::new(),
             grouped: Vec::new(),
             slot_of: Vec::new(),
             picks: Vec::new(),
@@ -744,17 +751,21 @@ impl SlotScratch {
 
     /// Draw slots `first..first + out.len()` of the leaf's master into
     /// `out`, adding each shard's draws to `counts`, in four phases:
-    /// 1. fill every slot's Philox substream with its first block
-    ///    ([`Philox4x32::fill_substreams`]);
-    /// 2. level one: each stream's first uniform picks the slot's shard
-    ///    through the cut (the shard is parked in `out[slot]`);
+    /// 1. fill every slot's Philox substream and its first uniform
+    ///    ([`Philox4x32::fill_substreams`], eight substreams per step on a
+    ///    SIMD tier);
+    /// 2. level one: each slot's uniform picks its shard through the cut,
+    ///    eight slots per lockstep descent ([`TotalsCut::pick_uniforms`];
+    ///    the shard is parked in `out[slot]`);
     /// 3. a counting sort groups the streams by shard;
     /// 4. each shard's snapshot draws its whole group, every stream
     ///    carrying on where level one left it
     ///    ([`Snapshot::sample_streams`]), and the picks land in `out`.
     ///
     /// Every slot reads its own substream with the same arithmetic as a
-    /// slot-by-slot loop, so the grouping changes no index.
+    /// slot-by-slot loop, so neither the eight-slot steps nor the grouping
+    /// change an index. A pass shorter than eight slots does no vector
+    /// work.
     fn draw_pass(
         &mut self,
         leaf: &Leaf<'_>,
@@ -766,17 +777,28 @@ impl SlotScratch {
         let shards = leaf.snapshots.len();
         let idle = Philox4x32::with_key(0);
         self.heads.resize(len, idle);
+        self.uniforms.resize(len, 0.0);
         let heads = &mut self.heads[..len];
-        Philox4x32::fill_substreams(leaf.master, first, heads);
+        let uniforms = &mut self.uniforms[..len];
+        Philox4x32::fill_substreams(leaf.master, first, heads, uniforms);
 
+        let (lanes, tail) = uniforms.as_chunks::<PICK_LANES>();
+        let (lane_shards, tail_shards) = out.as_chunks_mut::<PICK_LANES>();
+        for (u, picked) in lanes.iter().zip(lane_shards) {
+            *picked = leaf
+                .cut
+                .pick_uniforms(u)
+                .ok_or(SelectionError::AllZeroFitness)?;
+        }
+        for (&u, shard) in tail.iter().zip(tail_shards) {
+            (*shard, _) = leaf
+                .cut
+                .pick_uniform(u)
+                .ok_or(SelectionError::AllZeroFitness)?;
+        }
         self.starts.clear();
         self.starts.resize(shards + 1, 0);
-        for (stream, shard) in heads.iter_mut().zip(out.iter_mut()) {
-            let (s, _) = leaf
-                .cut
-                .pick_uniform(stream.next_f64())
-                .ok_or(SelectionError::AllZeroFitness)?;
-            *shard = s;
+        for &s in out.iter() {
             self.starts[s + 1] += 1;
         }
         for (s, count) in counts.iter_mut().enumerate() {
